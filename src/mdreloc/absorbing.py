@@ -143,40 +143,6 @@ class UasInstance:
         return self.graph.subgraph(self.vns, self.deg2_cns)
 
 
-def classify_vn_set(g: TannerGraph, vns) -> tuple[list[int], list[int], list[int]]:
-    """Split the checks neighbouring ``vns`` by induced degree: (deg1, deg2, higher)."""
-    counts: dict[int, int] = {}
-    for vn in vns:
-        for cn, _ in g.vn_adj[vn]:
-            counts[cn] = counts.get(cn, 0) + 1
-    deg1 = sorted(cn for cn, k in counts.items() if k == 1)
-    deg2 = sorted(cn for cn, k in counts.items() if k == 2)
-    higher = sorted(cn for cn, k in counts.items() if k > 2)
-    return deg1, deg2, higher
-
-
-def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:
-    vlist = sorted(vns)
-    if len(vlist) <= 1:
-        return True
-    cset = set(deg2_cns)
-    adj: dict[int, set[int]] = {v: set() for v in vlist}
-    for cn in cset:
-        members = [vn for vn, _ in g.cn_adj[cn] if vn in adj]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                adj[members[i]].add(members[j])
-                adj[members[j]].add(members[i])
-    seen = {vlist[0]}
-    stack = [vlist[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(vlist)
-
-
 def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
     d2set = set(deg2)
     all_entries = []
@@ -196,106 +162,110 @@ def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
     )
 
 
-def is_valid_instance(g: TannerGraph, vns, c: UasConfig) -> bool:
-    """Check a VN set against the (a, d1) definition, including connectivity."""
-    vns = sorted(set(vns))
-    if len(vns) != c.a:
-        return False
-    if any(g.vn_degree(v) != c.gamma for v in vns):
-        return False
-    deg1, deg2, higher = classify_vn_set(g, vns)
-    if higher or len(deg1) != c.d1:
-        return False
-    d1set, d2set = set(deg1), set(deg2)
-    for vn in vns:
-        n1 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d1set)
-        n2 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d2set)
-        if not n2 > n1:
-            return False
-    return _deg2_connected(g, vns, deg2)
-
-
 def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     """All (a, d1) instances in the graph, sorted by VN tuple.
 
     Searches connected VN sets only (connectivity through shared checks),
     growing each set from its smallest VN so every candidate is visited
     once, and pruning as soon as any check reaches induced degree 3.
+
+    The search keeps D, the number of checks of induced degree 1, up to
+    date.  Adding a VN of degree gamma that touches t degree-1 checks
+    changes D by gamma - 2t, with 0 <= t <= gamma, so with r VNs still
+    to add a branch is dropped unless D - gamma*r <= d1 <= D + gamma*r.
+    The last VN is not searched for: a set of a - 1 VNs is completed only
+    by a candidate that touches no degree-2 check and exactly
+    t = (D + gamma - d1) / 2 degree-1 checks, which makes D = d1; the
+    majority rule then needs 2t > gamma for that VN and is tested for the
+    others.  No connectivity test is needed: every set grows through
+    checks it shares, and a shared check has induced degree 2.
     """
-    eligible = {v for v in g.vns if g.vn_degree(v) == c.gamma}
+    a, d1, gamma = c.a, c.d1, c.gamma
+    eligible = {v for v in g.vns if g.vn_degree(v) == gamma}
 
     # VN adjacency via shared checks, restricted to eligible VNs.
-    nbrs: dict[int, set[int]] = {v: set() for v in eligible}
+    adj: dict[int, set[int]] = {v: set() for v in eligible}
     for cn in g.cns:
         members = [vn for vn, _ in g.cn_adj[cn] if vn in eligible]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                nbrs[members[i]].add(members[j])
-                nbrs[members[j]].add(members[i])
+                adj[members[i]].add(members[j])
+                adj[members[j]].add(members[i])
+    nbrs = {v: sorted(us) for v, us in adj.items()}
 
     results: list[UasInstance] = []
-    if c.a == 1:
+    if a == 1:
         # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
         # could match, and the strict majority condition always fails.
         return results
 
+    checks = {v: [cn for cn, _ in g.vn_adj[v]] for v in eligible}
+    # Induced degree of every check the current set touches (no zero keys),
+    # and the number of those at degree 1.
     cn_count: dict[int, int] = {}
+    n_deg1 = 0
 
     def add_vn(vn: int) -> bool:
-        """Bump induced check degrees; undo and refuse if any reaches 3."""
-        touched = []
-        for cn, _ in g.vn_adj[vn]:
-            cn_count[cn] = cn_count.get(cn, 0) + 1
-            touched.append(cn)
-            if cn_count[cn] > 2:
-                for t in touched:
-                    cn_count[t] -= 1
-                return False
+        """Bump induced check degrees; refuse if any would reach 3."""
+        nonlocal n_deg1
+        cns = checks[vn]
+        if 2 in map(cn_count.get, cns):
+            return False
+        for cn in cns:
+            k = cn_count[cn] = cn_count.get(cn, 0) + 1
+            n_deg1 += 1 if k == 1 else -1
         return True
 
     def remove_vn(vn: int):
-        for cn, _ in g.vn_adj[vn]:
-            cn_count[cn] -= 1
+        nonlocal n_deg1
+        for cn in checks[vn]:
+            k = cn_count.pop(cn) - 1
+            if k:
+                cn_count[cn] = k
+            n_deg1 += 1 if k else -1
 
-    def emit(sub: list[int]):
-        deg1 = sorted(cn for cn, k in cn_count.items() if k == 1)
-        deg2 = sorted(cn for cn, k in cn_count.items() if k == 2)
-        if len(deg1) != c.d1:
+    def finish(sub: list[int], ext: list[int]):
+        """Complete a set of a - 1 VNs with each candidate that makes D = d1."""
+        t, odd = divmod(n_deg1 + gamma - d1, 2)
+        if odd or 2 * t <= gamma:
+            # The last VN would keep gamma - t >= t degree-1 checks.
             return
-        d1set, d2set = set(deg1), set(deg2)
-        for vn in sub:
-            n1 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d1set)
-            n2 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d2set)
-            if not n2 > n1:
-                return
-        if _deg2_connected(g, sub, deg2):
-            results.append(_build_instance(g, sub, deg1, deg2))
+        deg1 = {cn for cn, k in cn_count.items() if k == 1}
+        deg2 = cn_count.keys() - deg1
+        for w in ext:
+            cns = checks[w]
+            shared = deg1.intersection(cns)
+            if len(shared) == t and deg2.isdisjoint(cns):
+                final1 = deg1.symmetric_difference(cns)
+                # Majority rule for the other VNs.
+                if all(2 * len(final1.intersection(checks[v])) < gamma for v in sub):
+                    results.append(_build_instance(g, sub + [w], final1, deg2 | shared))
 
     def extend(sub: list[int], ext: list[int], root: int, closed: set[int]):
-        if len(sub) == c.a:
-            emit(sub)
+        if len(sub) == a - 1:
+            finish(sub, ext)
             return
+        reach = gamma * (a - len(sub) - 1)
         ext = list(ext)
         while ext:
             w = ext.pop(0)
             closed.add(w)
             if add_vn(w):
-                # Exclusive new neighbours keep every connected set reachable
-                # by exactly one insertion order.
-                new_ext = ext + sorted(
-                    u for u in nbrs[w] if u > root and u not in closed
-                )
-                closed_new = closed | set(new_ext)
-                sub.append(w)
-                extend(sub, new_ext, root, closed_new)
-                sub.pop()
+                if n_deg1 - reach <= d1 <= n_deg1 + reach:
+                    # Exclusive new neighbours keep every connected set
+                    # reachable by exactly one insertion order.
+                    new_ext = ext + [
+                        u for u in nbrs[w] if u > root and u not in closed
+                    ]
+                    closed_new = closed | set(new_ext)
+                    sub.append(w)
+                    extend(sub, new_ext, root, closed_new)
+                    sub.pop()
                 remove_vn(w)
 
     for root in sorted(eligible):
-        cn_count.clear()
-        if not add_vn(root):
-            continue
-        ext0 = sorted(u for u in nbrs[root] if u > root)
+        add_vn(root)
+        ext0 = [u for u in nbrs[root] if u > root]
         extend([root], ext0, root, {root} | set(ext0))
         remove_vn(root)
 

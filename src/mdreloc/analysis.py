@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import CycleBasis
-from .relocation import is_prime
+from .relocation import check_copies
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def fraction_report(
     """Closed-form class fractions from the basis size and group counts."""
     if basic_cycles < 1:
         raise ValueError("need at least one basic cycle")
-    if m_copies <= 2 or not is_prime(m_copies):
-        raise ValueError(f"number of copies {m_copies} must be an odd prime")
+    check_copies(m_copies)
     if exclusive_groups < 0 or shared_groups < 0:
         raise ValueError("group counts must be nonnegative")
     m, n_f = m_copies, basic_cycles

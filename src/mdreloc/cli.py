@@ -13,12 +13,14 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable/unparsable input, 3 inconsistent
 configuration, 10 design finished with active instances left, 11 verify
-count differed from --expect.
+count differed from --expect, 141 standard output was closed early (for
+example by ``| head``), as a shell reports a command killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 
@@ -36,7 +38,7 @@ from .analysis import TSV_HEADER, basis_intersections, fraction_report, tsv_row
 from .cycles import enumerate_cycles, minimum_cycle_basis
 from .designer import design_md, report_log, report_tsv
 from .oracle import enumerate_md_uas, exhaustive_fractions, monte_carlo_avg
-from .relocation import is_prime
+from .relocation import check_copies
 from .tanner import (
     BinaryMatrix,
     ParseError,
@@ -98,8 +100,10 @@ def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, Can
 
 
 def _check_m(m: int) -> int:
-    if m <= 2 or not is_prime(m):
-        raise ConfigError(f"--M must be an odd prime, got {m}")
+    try:
+        check_copies(m)
+    except ValueError as exc:
+        raise ConfigError(f"--M: {exc}") from None
     return m
 
 
@@ -230,6 +234,9 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = _check_m(args.m)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise ConfigError(f"--threads must be between 1 and {cpus}, got {args.threads}")
     matrix, _ = _load_matrix(args.input)
     gamma = check_regular_gamma(matrix)
     config, _ = _parse_uas_arg(args.uas, gamma)
@@ -308,13 +315,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader went away.  Send what is still buffered to devnull so
+        # the interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .relocation import (
     RelocationMap,
     alternating_value_sum,
     assemble_md,
-    is_prime,
+    check_copies,
     is_uas_active,
 )
 from .tanner import (
@@ -163,8 +163,7 @@ def design_md(
     Structural preconditions (no 4-cycles, no smaller-d1 siblings) are
     checked and reported as warnings, not errors.
     """
-    if m_copies <= 2 or not is_prime(m_copies):
-        raise ValueError(f"number of copies {m_copies} must be an odd prime")
+    check_copies(m_copies)
     if isinstance(host, QcMatrix):
         matrix, qc = expand_qc(host), host
     else:

@@ -379,8 +379,13 @@ def monte_carlo_avg(
     Valid as an estimator of ``expected_md_instances`` only for
     configurations that are non-regenerable and stand-alone; both are
     checked, the first via the structural classifier and the second by
-    verifying the host's instances share no cycles pairwise.
+    verifying the host's instances share no cycles pairwise.  The
+    standard error needs at least 2 trials.
     """
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    if threads < 1:
+        raise ValueError(f"need at least 1 thread, got {threads}")
     cls = classify_config(config)
     if cls.non_regenerable is not True or cls.stand_alone is not True:
         raise ValueError(f"config {config.name} is not certified stand-alone non-regenerable")
@@ -389,7 +394,7 @@ def monte_carlo_avg(
         raise ValueError(f"host contains no {config.name} instances to average over")
     _assert_cycle_disjoint(instances)
 
-    chunk = max(1, trials // max(1, threads * 4))
+    chunk = max(1, trials // (threads * 4))
     ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
     jobs = [(host, config, m_copies, seed, s, e) for s, e in ranges]
     counts: list[int] = []
@@ -402,8 +407,8 @@ def monte_carlo_avg(
             counts.extend(_mc_chunk(job))
 
     arr = np.asarray(counts, dtype=np.float64)
-    mean = float(arr.mean()) if trials else 0.0
-    std_error = float(arr.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    mean = float(arr.mean())
+    std_error = float(arr.std(ddof=1) / np.sqrt(trials))
     return MonteCarloResult(
         trials=trials,
         mean=mean,

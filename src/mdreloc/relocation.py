@@ -33,6 +33,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_copies(m_copies: int) -> None:
+    """Raise ValueError unless the number of copies M is an odd prime."""
+    if m_copies <= 2 or not is_prime(m_copies):
+        raise ValueError(f"number of copies {m_copies} must be an odd prime")
+
+
 class RelocationMap:
     """Mutable assignment of relocation values to units of a host matrix.
 
@@ -48,8 +54,7 @@ class RelocationMap:
         qc: QcMatrix | None = None,
         granularity: str = "entry",
     ):
-        if not is_prime(m_copies):
-            raise ValueError(f"number of copies {m_copies} is not prime")
+        check_copies(m_copies)
         if granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if granularity == "circulant" and qc is None:

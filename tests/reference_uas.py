@@ -1,0 +1,141 @@
+"""Reference UAS enumerator: the unpruned search the library's one replaced.
+
+Kept verbatim as a differential oracle.  It visits every connected VN set
+of size a (ESU order, pruning only on a check of induced degree 3) and
+classifies each leaf from scratch, so it shares no bookkeeping, bound or
+last-VN shortcut with ``mdreloc.enumerate_uas``.  Slow on large MD
+matrices; keep the inputs small.
+"""
+
+from __future__ import annotations
+
+from mdreloc import TannerGraph, UasConfig, UasInstance
+
+
+def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:
+    vlist = sorted(vns)
+    if len(vlist) <= 1:
+        return True
+    cset = set(deg2_cns)
+    adj: dict[int, set[int]] = {v: set() for v in vlist}
+    for cn in cset:
+        members = [vn for vn, _ in g.cn_adj[cn] if vn in adj]
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                adj[members[i]].add(members[j])
+                adj[members[j]].add(members[i])
+    seen = {vlist[0]}
+    stack = [vlist[0]]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(vlist)
+
+
+def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
+    d2set = set(deg2)
+    all_entries = []
+    deg2_entries = []
+    for vn in vns:
+        for cn, eid in g.vn_adj[vn]:
+            all_entries.append(eid)
+            if cn in d2set:
+                deg2_entries.append(eid)
+    return UasInstance(
+        vns=tuple(sorted(vns)),
+        deg1_cns=tuple(sorted(deg1)),
+        deg2_cns=tuple(sorted(deg2)),
+        entry_ids=tuple(sorted(all_entries)),
+        deg2_entry_ids=tuple(sorted(deg2_entries)),
+        graph=g,
+    )
+
+
+def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
+    """All (a, d1) instances in the graph, sorted by VN tuple.
+
+    Searches connected VN sets only (connectivity through shared checks),
+    growing each set from its smallest VN so every candidate is visited
+    once, and pruning as soon as any check reaches induced degree 3.
+    """
+    eligible = {v for v in g.vns if g.vn_degree(v) == c.gamma}
+
+    # VN adjacency via shared checks, restricted to eligible VNs.
+    nbrs: dict[int, set[int]] = {v: set() for v in eligible}
+    for cn in g.cns:
+        members = [vn for vn, _ in g.cn_adj[cn] if vn in eligible]
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                nbrs[members[i]].add(members[j])
+                nbrs[members[j]].add(members[i])
+
+    results: list[UasInstance] = []
+    if c.a == 1:
+        # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
+        # could match, and the strict majority condition always fails.
+        return results
+
+    cn_count: dict[int, int] = {}
+
+    def add_vn(vn: int) -> bool:
+        """Bump induced check degrees; undo and refuse if any reaches 3."""
+        touched = []
+        for cn, _ in g.vn_adj[vn]:
+            cn_count[cn] = cn_count.get(cn, 0) + 1
+            touched.append(cn)
+            if cn_count[cn] > 2:
+                for t in touched:
+                    cn_count[t] -= 1
+                return False
+        return True
+
+    def remove_vn(vn: int):
+        for cn, _ in g.vn_adj[vn]:
+            cn_count[cn] -= 1
+
+    def emit(sub: list[int]):
+        deg1 = sorted(cn for cn, k in cn_count.items() if k == 1)
+        deg2 = sorted(cn for cn, k in cn_count.items() if k == 2)
+        if len(deg1) != c.d1:
+            return
+        d1set, d2set = set(deg1), set(deg2)
+        for vn in sub:
+            n1 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d1set)
+            n2 = sum(1 for cn, _ in g.vn_adj[vn] if cn in d2set)
+            if not n2 > n1:
+                return
+        if _deg2_connected(g, sub, deg2):
+            results.append(_build_instance(g, sub, deg1, deg2))
+
+    def extend(sub: list[int], ext: list[int], root: int, closed: set[int]):
+        if len(sub) == c.a:
+            emit(sub)
+            return
+        ext = list(ext)
+        while ext:
+            w = ext.pop(0)
+            closed.add(w)
+            if add_vn(w):
+                # Exclusive new neighbours keep every connected set reachable
+                # by exactly one insertion order.
+                new_ext = ext + sorted(
+                    u for u in nbrs[w] if u > root and u not in closed
+                )
+                closed_new = closed | set(new_ext)
+                sub.append(w)
+                extend(sub, new_ext, root, closed_new)
+                sub.pop()
+                remove_vn(w)
+
+    for root in sorted(eligible):
+        cn_count.clear()
+        if not add_vn(root):
+            continue
+        ext0 = sorted(u for u in nbrs[root] if u > root)
+        extend([root], ext0, root, {root} | set(ext0))
+        remove_vn(root)
+
+    results.sort(key=lambda inst: inst.vns)
+    return results

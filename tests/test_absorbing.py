@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mdreloc as md
 
 from conftest import array_host, k4_host
+from reference_uas import reference_enumerate_uas
 
 
 def brute_force_uas(m: md.BinaryMatrix, config: md.UasConfig):
@@ -202,6 +203,78 @@ class TestEnumeration:
             assert set(sub.vns) == set(inst.vns)
             assert all(sub.cn_degree(c) == 2 for c in inst.deg2_cns)
             assert len(sub.edges) == 2 * len(inst.deg2_cns)
+
+
+def _fields(instances):
+    return [
+        (i.vns, i.deg1_cns, i.deg2_cns, i.entry_ids, i.deg2_entry_ids)
+        for i in instances
+    ]
+
+
+def _legal_configs(sizes, gamma):
+    for a in sizes:
+        for d1 in range(a * gamma + 1):
+            try:
+                yield md.UasConfig(a, d1, gamma)
+            except ValueError:
+                continue
+
+
+@st.composite
+def irregular_hosts(draw):
+    """(matrix, gamma): most columns have gamma entries, the rest one more or one fewer."""
+    gamma = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(gamma + 2, 9))
+    n_cols = draw(st.integers(3, 10))
+    entries = []
+    for col in range(n_cols):
+        weight = draw(st.sampled_from([gamma] * 4 + [gamma - 1, gamma + 1]))
+        rows = draw(st.sets(st.integers(0, n_rows - 1), min_size=weight, max_size=weight))
+        entries += [(r, col) for r in rows]
+    return md.BinaryMatrix.from_entries(n_rows, n_cols, entries), gamma
+
+
+class TestAgainstReference:
+    """The pruned search returns exactly the unpruned reference's list."""
+
+    @pytest.mark.parametrize("rows,cols,p", [(3, 3, 3), (3, 4, 5), (4, 4, 5)])
+    def test_hosts_at_every_d1(self, rows, cols, p):
+        g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
+        for config in _legal_configs(range(4, 7), rows):
+            assert _fields(md.enumerate_uas(g, config)) == _fields(
+                reference_enumerate_uas(g, config)
+            ), config
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        "rows,cols,p,target,entry,recount,count",
+        [
+            (3, 4, 5, (5, 3, 3), True, (5, 3, 3), 6),
+            (3, 4, 5, (4, 2, 3), False, (4, 2, 3), 0),
+            (3, 4, 5, (4, 2, 3), False, (4, 4, 3), 285),
+            (4, 4, 5, (4, 4, 4), True, (4, 4, 4), 0),
+        ],
+    )
+    def test_designed_md_matrices(self, rows, cols, p, target, entry, recount, count):
+        res = md.design_md(
+            array_host(rows, cols, p), 3, md.UasConfig(*target), entry_granularity=entry
+        )
+        g = md.build_graph(res.h_md)
+        config = md.UasConfig(*recount)
+        ref = reference_enumerate_uas(g, config)
+        assert len(ref) == count
+        assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(host=irregular_hosts())
+    def test_irregular_column_weights(self, host):
+        m, gamma = host
+        g = md.build_graph(m)
+        for config in _legal_configs(range(1, 6), gamma):
+            assert _fields(md.enumerate_uas(g, config)) == _fields(
+                reference_enumerate_uas(g, config)
+            ), config
 
 
 class TestInvolvement:

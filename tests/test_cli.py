@@ -207,6 +207,38 @@ class TestOracle:
             means.append(line)
         assert means[0] != means[1]
 
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Two CPUs, and a process pool that fails the test if it is built."""
+        import mdreloc.oracle as oracle_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle_mod, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "3", "1000000"])
+    def test_thread_count_bounded(self, k4file, capsys, no_pool, threads):
+        rc = main([
+            "oracle", "--input", k4file, "--uas", "4,0", "--M", "3",
+            "--trials", "10", "--threads", threads,
+        ])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "--threads must be between 1 and 2" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_too_few_trials(self, k4file, capsys, trials):
+        rc = main([
+            "oracle", "--input", k4file, "--uas", "4,0", "--M", "3", "--trials", trials,
+        ])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "at least 2 trials" in captured.err
+        assert "within 3 standard errors" not in captured.out
+
 
 class TestEntryPoints:
     @pytest.fixture
@@ -260,6 +292,19 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert "matrix: 6 x 4" in proc.stdout
+
+    def test_closed_pipe_exits_quietly(self, host33, source_env):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mdreloc", "analyze", "--input", host33, "--uas", "4,2,3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env,
+        )
+        # Close the read end before the first write: every write then fails.
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        err = err.decode()
+        assert proc.returncode == 141, err
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
     def test_usage_error_exits_2(self, source_env):
         proc = subprocess.run(

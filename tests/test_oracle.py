@@ -117,6 +117,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="no 4_0_g4 instances"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 4), 3, trials=10)
 
+    @pytest.mark.parametrize("trials", [-1, 0, 1])
+    def test_too_few_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=trials)
+
+    def test_no_threads_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=10, threads=0)
+
     def test_deterministic_given_seed(self):
         first = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=200, seed=9)
         again = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=200, seed=9)

@@ -23,6 +23,10 @@ class TestRelocationMap:
             with pytest.raises(ValueError):
                 md.RelocationMap(bad, uas_4_2.incidence)
 
+    def test_even_prime_rejected(self, uas_4_2):
+        with pytest.raises(ValueError, match="odd prime"):
+            md.RelocationMap(2, uas_4_2.incidence)
+
     def test_defaults_to_zero(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         assert all(reloc.value(e) == 0 for e in range(12))

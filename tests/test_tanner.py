@@ -1,5 +1,8 @@
 """Matrix containers, Tanner graph construction, and file formats."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +137,15 @@ class TestAlistFormat:
 
 
 class TestQcFormat:
+    def test_readme_example(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"\*\*qc\*\*.*?```text\n(.*?)```", readme, re.S)
+        qc = md.parse_qc(block.group(1))
+        assert (qc.p, qc.m_b, qc.n_b) == (3, 2, 3)
+        assert qc.shift_of_block == {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 1}
+        m = md.expand_qc(qc)
+        assert (m.n_rows, m.n_cols, len(m.entries)) == (6, 9, 15)
+
     def test_round_trip(self):
         q = array_host(3, 5, 7)
         assert md.parse_qc(md.write_qc(q)) == q
