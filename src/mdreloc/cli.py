@@ -178,7 +178,10 @@ def cmd_fractions(args) -> int:
     )
     header, row = TSV_HEADER, tsv_row(label, report)
     if args.oracle:
-        emp = exhaustive_fractions(instance, m)
+        try:
+            emp = exhaustive_fractions(instance, m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         header += "\temp_f_nof\temp_f_nou\temp_f_not\temp_f_noc\tmatch"
         ok = (
             emp.f_basis_inactive == report.f_basis_inactive

@@ -20,13 +20,6 @@ from .tanner import TannerGraph
 GF2Vector = tuple[int, ...]
 
 
-def cycle_xor(u: GF2Vector, v: GF2Vector) -> GF2Vector:
-    """Elementwise XOR; the GF(2) sum of two cycle vectors."""
-    if len(u) != len(v):
-        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a ^ b for a, b in zip(u, v))
-
-
 def _masks(vectors) -> list[int]:
     out = []
     for vec in vectors:

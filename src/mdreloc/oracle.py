@@ -13,6 +13,12 @@ the designer:
   with the ordinary subgraph enumerator, no relocation shortcuts.
 * ``monte_carlo_avg`` estimates the expected surviving-instance count
   under uniform random relocation.
+
+The first three share one detached-check kernel, ``_detached_check_counts``.
+Assignments stream through it in blocks of at most ``_BLOCK_CELLS``
+(assignment, potential) cells, so its memory is bounded for every a and
+M; a run of more than ``MAX_CHECK_PAIRS`` such pairs is refused with
+``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -33,66 +39,105 @@ from .absorbing import (
     enumerate_uas,
 )
 from .analysis import expected_md_instances
-from .cycles import Cycle, enumerate_cycles, minimum_cycle_basis
-from .relocation import (
-    RelocationMap,
-    alternating_value_sum,
-    assemble_md,
-    md_edge_copies,
-)
+from .cycles import enumerate_cycles, minimum_cycle_basis
+from .relocation import RelocationMap, assemble_md, md_edge_copies
 from .tanner import BinaryMatrix, TannerGraph, build_graph
 
 
-@lru_cache(maxsize=32)
-def _digit_table(m: int, width: int) -> np.ndarray:
-    """All length-``width`` base-m digit strings, one per row, little-endian."""
-    idx = np.arange(m**width, dtype=np.int64)
-    table = np.empty((m**width, width), dtype=np.int64)
+# (assignment, potential) cells per block of the detached-check kernel;
+# blocks split rows and, for wider rows, potentials, bounding its memory.
+_BLOCK_CELLS = 1 << 18
+# Larger runs would not finish, so the kernel refuses them before any work.
+MAX_CHECK_PAIRS = 1 << 32
+
+
+def _digits(m: int, width: int, start: int, stop: int) -> np.ndarray:
+    """Base-m digit strings of the numbers start..stop-1, one per row, little-endian."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.min_scalar_type(m - 1))
     for k in range(width):
-        table[:, k] = (idx // m**k) % m
-    table.setflags(write=False)
-    return table
+        out[:, k] = (idx // m**k) % m
+    return out
 
 
-def _deg2_cn_edges(u: UasInstance) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Per degree-2 CN: ((vn_index, entry), (vn_index, entry)) within the instance."""
+def _deg2_cn_edges(u: UasInstance) -> list[tuple[int, int, int, int]]:
+    """Per degree-2 CN: (vn_index, vn_index, entry, entry) within the instance.
+
+    Entries are positions in ``u.deg2_entry_ids``, the columns of a row.
+    """
     g = u.graph
     vpos = {vn: i for i, vn in enumerate(u.vns)}
+    epos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
     out = []
     for cn in u.deg2_cns:
         ends = [(vpos[vn], eid) for vn, eid in g.cn_adj[cn] if vn in vpos]
         if len(ends) != 2:
             raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
-        out.append((ends[0], ends[1]))
+        (iu, e1), (iv, e2) = ends
+        out.append((iu, iv, epos[e1], epos[e2]))
     return out
 
 
-def _potentials(m: int, a: int) -> np.ndarray:
-    """All VN shift assignments with the first VN pinned to 0, shape (m^(a-1), a)."""
-    tail = _digit_table(m, a - 1)
-    pots = np.zeros((tail.shape[0], a), dtype=np.int64)
-    pots[:, 1:] = tail
-    return pots
+@lru_cache(maxsize=8)
+def _targets(m: int, a: int, pairs: tuple[tuple[int, int], ...], start: int, stop: int):
+    """s(y) - s(x) mod M for each VN pair (x, y), over potentials start..stop-1."""
+    s = np.zeros((stop - start, a), dtype=np.min_scalar_type(m - 1))
+    s[:, 1:] = _digits(m, a - 1, start, stop)
+    out = np.empty((len(pairs), stop - start), dtype=s.dtype)
+    for k, (x, y) in enumerate(pairs):
+        out[k] = (s[:, y].astype(np.int64) - s[:, x]) % m
+    out.setflags(write=False)
+    return out
+
+
+def _detached_check_counts(u: UasInstance, m: int, total: int, rows_at, weights=()):
+    """Histogram over ``total`` assignment rows of the fewest detached checks.
+
+    ``rows_at(start, stop)`` gives rows start..stop-1 over ``u.deg2_entry_ids``.
+    A potential gives each VN a copy shift s (the first VN pinned to 0; a
+    global shift changes nothing).  A check with edges e1 at VN x and e2
+    at VN y is kept when R(e1) + s(x) = R(e2) + s(y) mod M (both edges in
+    one copy of the check), i.e. R(e1) - R(e2) = s(y) - s(x): one row
+    difference against one potential target.  Also counts, per matrix of
+    signed cycle weights, the rows on which every cycle sum is nonzero.
+    """
+    checks = _deg2_cn_edges(u)
+    n_pots = m ** (u.a - 1)
+    if total * n_pots > MAX_CHECK_PAIRS:
+        raise ValueError(f"{total} assignments x {n_pots} potentials at M={m}"
+                         f" exceed the checking limit of {MAX_CHECK_PAIRS}")
+    pairs = tuple((x, y) for x, y, _, _ in checks)
+    vdt, cdt = np.min_scalar_type(m - 1), np.min_scalar_type(len(checks))
+    pot_step = min(n_pots, _BLOCK_CELLS)
+    row_step = _BLOCK_CELLS // pot_step
+    hist = np.zeros(len(checks) + 1, dtype=np.int64)
+    inactive = [0] * len(weights)
+    for r0 in range(0, total, row_step):
+        rows = rows_at(r0, min(r0 + row_step, total))
+        diffs = [((rows[:, i].astype(np.int64) - rows[:, j]) % m).astype(vdt)
+                 for *_, i, j in checks]
+        beta = np.full(len(rows), len(checks), dtype=cdt)
+        for p0 in range(0, n_pots, pot_step):
+            p1 = min(p0 + pot_step, n_pots)
+            detached = np.zeros((len(rows), p1 - p0), dtype=cdt)
+            for diff, target in zip(diffs, _targets(m, u.a, pairs, p0, p1)):
+                detached += diff[:, None] != target
+            np.minimum(beta, detached.min(axis=1), out=beta)
+        hist += np.bincount(beta, minlength=len(hist))
+        for i, w in enumerate(weights):
+            inactive[i] += int(((rows.astype(w.dtype) @ w) % m != 0).all(axis=1).sum())
+    return hist, inactive
 
 
 def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     """Fewest degree-2 checks lost over all copy alignments of the set.
 
-    A potential assigns each VN of the instance a copy shift (the first
-    VN is pinned to 0; a global shift never changes anything).  A check
-    with edges to VNs x and y is kept by a potential s when
-    R(c,x) + s(x) = R(c,y) + s(y) mod M, i.e. both edges land in the same
-    copy of the check.  The minimum number of checks not kept is 0
-    exactly when the set reappears intact in every copy.
+    The minimum is 0 exactly when the set reappears intact in every copy
+    (see ``_detached_check_counts`` for the search over alignments).
     """
-    m = reloc.m_copies
-    pots = _potentials(m, u.a)
-    detached = np.zeros(pots.shape[0], dtype=np.int64)
-    for (iu, e1), (iv, e2) in _deg2_cn_edges(u):
-        lhs = (reloc.value(e1) + pots[:, iu]) % m
-        rhs = (reloc.value(e2) + pots[:, iv]) % m
-        detached += lhs != rhs
-    return int(detached.min())
+    row = np.array([[reloc.value(eid) for eid in u.deg2_entry_ids]], dtype=np.int64)
+    hist, _ = _detached_check_counts(u, reloc.m_copies, 1, lambda start, stop: row)
+    return int(np.flatnonzero(hist)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +188,25 @@ def _spanning_tree_split(u: UasInstance) -> tuple[list[int], list[int]]:
     return sorted(tree), non_tree
 
 
-def _fractions_from_counts(
-    m: int, total: int, beta: "np.ndarray", basis_inactive: int, all_inactive: int
-) -> EmpiricalFractions:
-    n_active = int((beta == 0).sum())
-    n_one = int((beta == 1).sum())
-    n_deep = int((beta >= 2).sum())
-    return EmpiricalFractions(
-        m_copies=m,
-        classes=total,
-        f_active=Fraction(n_active, total),
-        f_inactive=Fraction(total - n_active, total),
-        f_one_detached=Fraction(n_one, total),
-        f_deep_inactive=Fraction(n_deep, total),
-        f_basis_inactive=Fraction(basis_inactive, total),
-        f_all_cycles_inactive=Fraction(all_inactive, total),
-    )
+def _measured_fractions(u: UasInstance, m: int, total: int, rows_at) -> EmpiricalFractions:
+    """Fractions over ``total`` assignment rows streamed by ``rows_at``.
+
+    Each cycle becomes a column of signed step weights over the row's
+    entries, so a row times the column is its alternating value sum.
+    """
+    sub = u.deg2_subgraph()
+    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
+    weights = []
+    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * len(u.deg2_cns))):
+        w = np.zeros((len(pos), len(cycles)), np.int16 if len(pos) * m < 2**15 else np.int64)
+        for j, cycle in enumerate(cycles):
+            for i, (_, _, eid) in enumerate(cycle.steps):
+                w[pos[eid], j] += 1 if i % 2 else -1
+        weights.append(w)
+    hist, (basis_inactive, all_inactive) = _detached_check_counts(u, m, total, rows_at, weights)
+    n_active, n_one, n_deep = int(hist[0]), int(hist[1:2].sum()), int(hist[2:].sum())
+    counts = (n_active, total - n_active, n_one, n_deep, basis_inactive, all_inactive)
+    return EmpiricalFractions(m, total, *(Fraction(c, total) for c in counts))
 
 
 def exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
@@ -171,76 +219,30 @@ def exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     everything else to 0.  ``full_enumeration_fractions`` checks this
     reduction against raw enumeration.
     """
-    sub = u.deg2_subgraph()
-    basis = minimum_cycle_basis(sub)
-    cycles = enumerate_cycles(sub, max_len=2 * len(u.deg2_cns))
-    _, non_tree = _spanning_tree_split(u)
-    designated = []
-    for cn in non_tree:
-        eids = [eid for vn, eid in u.graph.cn_adj[cn] if vn in set(u.vns)]
-        designated.append(min(eids))
-
     m = m_copies
-    n_f = len(non_tree)
-    cn_edges = _deg2_cn_edges(u)
-    pots = _potentials(m, u.a)
-    table = _digit_table(m, n_f)
+    _, non_tree = _spanning_tree_split(u)
+    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
+    vset = set(u.vns)
+    designated = [pos[min(e for vn, e in u.graph.cn_adj[cn] if vn in vset)] for cn in non_tree]
 
-    total = table.shape[0]
-    beta = np.empty(total, dtype=np.int64)
-    basis_inactive = 0
-    all_inactive = 0
-    for row in range(total):
-        values = dict(zip(designated, table[row].tolist()))
-        value = lambda eid: values.get(eid, 0)
-        detached = np.zeros(pots.shape[0], dtype=np.int64)
-        for (iu, e1), (iv, e2) in cn_edges:
-            lhs = (value(e1) + pots[:, iu]) % m
-            rhs = (value(e2) + pots[:, iv]) % m
-            detached += lhs != rhs
-        beta[row] = detached.min()
-        sums = [alternating_value_sum(c, value) % m for c in basis.cycles]
-        basis_inactive += all(s != 0 for s in sums)
-        all_sums = [alternating_value_sum(c, value) % m for c in cycles]
-        all_inactive += all(s != 0 for s in all_sums)
-    return _fractions_from_counts(m, total, beta, basis_inactive, all_inactive)
+    def rows_at(start: int, stop: int) -> np.ndarray:
+        rows = np.zeros((stop - start, len(pos)), dtype=np.min_scalar_type(m - 1))
+        rows[:, designated] = _digits(m, len(designated), start, stop)
+        return rows
+
+    return _measured_fractions(u, m, m ** len(designated), rows_at)
 
 
 def full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     """Measure the fractions over every raw assignment of the degree-2 edges.
 
     Exponential in the edge count (M^(2 d2)); used to validate the class
-    reduction at small sizes, not for routine analysis.
+    reduction at small sizes, not for routine analysis.  The assignments
+    are generated block by block from their index, so memory stays
+    bounded; every assignment still meets every potential.
     """
-    m = m_copies
-    eids = list(u.deg2_entry_ids)
-    pos = {eid: k for k, eid in enumerate(eids)}
-    sub = u.deg2_subgraph()
-    basis = minimum_cycle_basis(sub)
-    cycles = enumerate_cycles(sub, max_len=2 * len(u.deg2_cns))
-
-    assigns = _digit_table(m, len(eids))
-    total = assigns.shape[0]
-    pots = _potentials(m, u.a)
-
-    detached = np.zeros((total, pots.shape[0]), dtype=np.int16)
-    for (iu, e1), (iv, e2) in _deg2_cn_edges(u):
-        lhs = (assigns[:, pos[e1], None] + pots[None, :, iu]) % m
-        rhs = (assigns[:, pos[e2], None] + pots[None, :, iv]) % m
-        detached += lhs != rhs
-    beta = detached.min(axis=1)
-
-    def signed_sums(cycle: Cycle) -> np.ndarray:
-        w = np.zeros(len(eids), dtype=np.int64)
-        for i, (_, _, eid) in enumerate(cycle.steps):
-            w[pos[eid]] += 1 if i % 2 else -1
-        return (assigns @ w) % m
-
-    basis_active = [signed_sums(c) == 0 for c in basis.cycles]
-    basis_inactive = int((~np.logical_or.reduce(basis_active)).sum()) if basis_active else total
-    all_active = [signed_sums(c) == 0 for c in cycles]
-    all_inactive = int((~np.logical_or.reduce(all_active)).sum()) if all_active else total
-    return _fractions_from_counts(m, total, beta, basis_inactive, all_inactive)
+    m, width = m_copies, len(u.deg2_entry_ids)
+    return _measured_fractions(u, m, m**width, lambda start, stop: _digits(m, width, start, stop))
 
 
 # ---------------------------------------------------------------------------

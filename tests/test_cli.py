@@ -107,6 +107,16 @@ class TestFractions:
         assert main(["fractions", "--input", host33, "--uas", "4,2", "--M", "3"]) == 3
         assert "instances" in capsys.readouterr().err
 
+    def test_oversized_oracle_rejected(self, capsys):
+        # 10007^2 classes x 10007^3 potentials, far past the checking limit:
+        # a configuration error before any work, not a traceback.
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "10007"]) == 0
+        capsys.readouterr()
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "10007", "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert "checking limit" in captured.err
+        assert captured.out == ""
+
     def test_composite_m_rejected(self, capsys):
         assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "4"]) == 3
         assert "odd prime" in capsys.readouterr().err

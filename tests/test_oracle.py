@@ -1,12 +1,22 @@
 """Exhaustive and Monte Carlo oracles versus the closed-form formulas."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdreloc as md
+import mdreloc.oracle as oracle
 
-from conftest import arrangement_1, arrangement_2, k4_host
+from conftest import array_host, arrangement_1, arrangement_2, k4_host
+from reference_fractions import (
+    reference_exhaustive_fractions,
+    reference_full_enumeration_fractions,
+    reference_min_detached_checks,
+)
 
 
 class TestMinDetachedChecks:
@@ -78,6 +88,81 @@ class TestExhaustive:
         for field in ("f_active", "f_inactive", "f_one_detached",
                       "f_deep_inactive", "f_basis_inactive", "f_all_cycles_inactive"):
             assert getattr(full, field) == getattr(reduced, field), field
+
+
+@pytest.fixture(scope="module")
+def inst_6_2():
+    """The first (6,2,γ3) instance of array_host(3,7,11): a=6, 8 checks, n_f=3."""
+    host = md.build_graph(md.expand_qc(array_host(3, 7, 11)))
+    return md.enumerate_uas(host, md.UasConfig(6, 2, 3))[0]
+
+
+class TestAgainstReference:
+    """The chunked kernel against the per-check, per-row and int64 bodies it replaced."""
+
+    @pytest.mark.parametrize("m_copies", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("name", ["4_2_g3", "4_4_g4"])
+    def test_reference_sets(self, name, m_copies):
+        inst = md.canonical_uas(name).instance()
+        assert md.exhaustive_fractions(inst, m_copies) == reference_exhaustive_fractions(
+            inst, m_copies
+        )
+
+    @pytest.mark.parametrize("m_copies", [3, 5, 7])
+    def test_six_vn_instance(self, inst_6_2, m_copies):
+        ex = md.exhaustive_fractions(inst_6_2, m_copies)
+        assert ex.classes == m_copies**3
+        assert ex == reference_exhaustive_fractions(inst_6_2, m_copies)
+
+    def test_full_enumeration(self, inst_4_2):
+        full = md.full_enumeration_fractions(inst_4_2, 3)
+        assert full.classes == 3**10
+        assert full == reference_full_enumeration_fractions(inst_4_2, 3)
+
+    @pytest.mark.parametrize("cells", [1, 5, 27, 100])
+    def test_small_blocks_split_potentials(self, inst_4_4, inst_6_2, monkeypatch, cells):
+        # Blocks narrower than the 27 (a=4) or 243 (a=6) potentials at M=3 make
+        # the kernel carry its running minimum across potential blocks.
+        expected = [reference_exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)]
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        assert [md.exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["4_2_g3", "4_4_g4"]),
+        m_copies=st.sampled_from([3, 5, 7]),
+        data=st.data(),
+    )
+    def test_min_detached_checks(self, name, m_copies, data):
+        fix = md.canonical_uas(name)
+        inst = fix.instance()
+        reloc = md.RelocationMap(m_copies, fix.incidence)
+        for r, c in fix.incidence.entries:
+            reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
+        assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
+
+
+class TestKernelLimits:
+    def test_full_enumeration_of_4_4_bounded(self, inst_4_4):
+        # Materialising every assignment as int64 peaks above 500 MB here.
+        tracemalloc.start()
+        try:
+            full = md.full_enumeration_fractions(inst_4_4, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.classes == 3**12
+        reduced = md.exhaustive_fractions(inst_4_4, 3)
+        assert dataclasses.replace(full, classes=reduced.classes) == reduced
+        assert peak < 64 * 2**20
+
+    def test_oversized_run_refused(self, inst_4_2, uas_4_2):
+        with pytest.raises(ValueError, match="checking limit"):
+            md.exhaustive_fractions(inst_4_2, 10007)
+        with pytest.raises(ValueError, match="checking limit"):
+            md.full_enumeration_fractions(inst_4_2, 11)
+        with pytest.raises(ValueError, match="checking limit"):
+            md.min_detached_checks(inst_4_2, md.RelocationMap(10007, uas_4_2.incidence))
 
 
 class TestMdProfiles:
