@@ -12,7 +12,8 @@ the designer:
 * ``enumerate_md_uas`` recounts absorbing sets on an assembled MD matrix
   with the ordinary subgraph enumerator, no relocation shortcuts.
 * ``monte_carlo_avg`` estimates the expected surviving-instance count
-  under uniform random relocation.
+  under uniform random relocation, scoring blocks of trials on the host
+  with one potential solve per instance instead of recounting MD matrices.
 
 The first three share one detached-check kernel, ``_detached_check_counts``.
 Assignments stream through it in blocks of at most ``_BLOCK_CELLS``
@@ -40,12 +41,13 @@ from .absorbing import (
 )
 from .analysis import expected_md_instances
 from .cycles import enumerate_cycles, minimum_cycle_basis
-from .relocation import RelocationMap, assemble_md, md_edge_copies
+from .relocation import RelocationMap, check_copies, md_edge_copies
 from .tanner import BinaryMatrix, TannerGraph, build_graph
 
 
-# (assignment, potential) cells per block of the detached-check kernel;
-# blocks split rows and, for wider rows, potentials, bounding its memory.
+# Cells per block: (assignment, potential) pairs in the detached-check kernel,
+# where blocks split rows and, for wider rows, potentials; (trial, entry)
+# values in the Monte Carlo draw.  Either way memory stays bounded.
 _BLOCK_CELLS = 1 << 18
 # Larger runs would not finish, so the kernel refuses them before any work.
 MAX_CHECK_PAIRS = 1 << 32
@@ -164,7 +166,11 @@ class EmpiricalFractions:
 
 
 def _spanning_tree_split(u: UasInstance) -> tuple[list[int], list[int]]:
-    """Degree-2 CNs split into (tree, non-tree) over the VN contraction."""
+    """Degree-2 CNs split into (tree, non-tree) over the VN contraction.
+
+    Tree CNs come in discovery order from the first VN, so each joins a
+    VN already reached to a new one; non-tree CNs are sorted.
+    """
     g = u.graph
     vset = set(u.vns)
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in u.vns}
@@ -185,7 +191,7 @@ def _spanning_tree_split(u: UasInstance) -> tuple[list[int], list[int]]:
     if len(seen) != len(u.vns):
         raise ValueError("degree-2 subgraph is not connected")
     non_tree = sorted(set(u.deg2_cns) - set(tree))
-    return sorted(tree), non_tree
+    return tree, non_tree
 
 
 def _measured_fractions(u: UasInstance, m: int, total: int, rows_at) -> EmpiricalFractions:
@@ -330,21 +336,79 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
 _MC_STRIDE = 1_000_003
 
 
-def _random_relocation(matrix: BinaryMatrix, m: int, seed: int) -> RelocationMap:
-    rng = random.Random(seed)
-    reloc = RelocationMap(m, matrix, granularity="entry")
-    for r, c in matrix.entries:
-        reloc.assign_entry(r, c, rng.randrange(m))
-    return reloc
+def _potential_plan(u: UasInstance):
+    """(tree, loops) that decide whether ``u`` survives a relocation.
+
+    Each step is (x, y, e1, e2) over VN positions and host entry ids and
+    reads s(y) = s(x) + R(e1) - R(e2) mod M (see ``_detached_check_counts``).
+    With the first VN pinned to 0, the tree steps in discovery order solve
+    the one candidate potential; the set stays intact exactly when every
+    loop (non-tree check) agrees with it.
+    """
+    eids = u.deg2_entry_ids
+    by_cn = {cn: (x, y, eids[k1], eids[k2])
+             for cn, (x, y, k1, k2) in zip(u.deg2_cns, _deg2_cn_edges(u))}
+    tree_cns, loop_cns = _spanning_tree_split(u)
+    solved, tree = {0}, []
+    for cn in tree_cns:
+        x, y, e1, e2 = by_cn[cn]
+        if x not in solved:
+            x, y, e1, e2 = y, x, e2, e1
+        solved.add(y)
+        tree.append((x, y, e1, e2))
+    return tree, [by_cn[cn] for cn in loop_cns]
 
 
-def _mc_chunk(args) -> list[int]:
-    matrix, config, m, seed, start, stop = args
-    counts = []
+def _draw_values(n_entries: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Relocation values of trials start..stop-1, one column per host entry id."""
+    rows = []
     for t in range(start, stop):
-        reloc = _random_relocation(matrix, m, seed * _MC_STRIDE + t)
-        counts.append(enumerate_md_uas(assemble_md(matrix, reloc), config))
-    return counts
+        rng = random.Random(seed * _MC_STRIDE + t)
+        rows.append([rng.randrange(m) for _ in range(n_entries)])
+    return np.array(rows, dtype=np.int64)
+
+
+def _mc_chunk(args) -> np.ndarray:
+    """Surviving-instance counts of one trial range, in blocks of bounded size.
+
+    An intact host instance reappears once in each of the M copies.
+    """
+    plans, n_entries, m, seed, start, stop = args
+    step = max(1, _BLOCK_CELLS // n_entries)
+    counts = []
+    for t0 in range(start, stop, step):
+        r = _draw_values(n_entries, m, seed, t0, min(t0 + step, stop)).T
+        active = np.zeros(r.shape[1], dtype=np.int64)
+        for tree, loops in plans:
+            s = {0: 0}
+            for x, y, e1, e2 in tree:
+                s[y] = s[x] + r[e1] - r[e2]
+            intact = np.ones(r.shape[1], dtype=bool)
+            for x, y, e1, e2 in loops:
+                intact &= (s[x] + r[e1] - r[e2] - s[y]) % m == 0
+            active += intact
+        counts.append(m * active)
+    return np.concatenate(counts)
+
+
+def _mc_counts(host: BinaryMatrix, instances, m: int, seed: int, start: int, stop: int,
+               threads: int = 1) -> np.ndarray:
+    """Per-trial surviving-instance counts of trials start..stop-1.
+
+    Trial t draws one value per host entry, in entry order, from
+    ``random.Random(seed * _MC_STRIDE + t)``, so every chunking and thread
+    count sees the same relocations.
+    """
+    plans = [_potential_plan(u) for u in instances]
+    chunk = max(1, (stop - start) // (threads * 4))
+    jobs = [(plans, len(host.entries), m, seed, s, min(s + chunk, stop))
+            for s in range(start, stop, chunk)]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_mc_chunk, jobs))
+    else:
+        parts = [_mc_chunk(job) for job in jobs]
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -381,9 +445,13 @@ def monte_carlo_avg(
     Valid as an estimator of ``expected_md_instances`` only for
     configurations that are non-regenerable and stand-alone; both are
     checked, the first via the structural classifier and the second by
-    verifying the host's instances share no cycles pairwise.  The
-    standard error needs at least 2 trials.
+    verifying the host's instances share no cycles pairwise.  Then a
+    trial's MD count is M times the host instances left intact, which
+    ``_potential_plan`` decides without building the MD matrix.  Results
+    do not depend on ``threads``.  M must be an odd prime; the standard
+    error needs at least 2 trials.
     """
+    check_copies(m_copies)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if threads < 1:
@@ -396,18 +464,7 @@ def monte_carlo_avg(
         raise ValueError(f"host contains no {config.name} instances to average over")
     _assert_cycle_disjoint(instances)
 
-    chunk = max(1, trials // (threads * 4))
-    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    jobs = [(host, config, m_copies, seed, s, e) for s, e in ranges]
-    counts: list[int] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_mc_chunk, jobs):
-                counts.extend(part)
-    else:
-        for job in jobs:
-            counts.extend(_mc_chunk(job))
-
+    counts = _mc_counts(host, instances, m_copies, seed, 0, trials, threads)
     arr = np.asarray(counts, dtype=np.float64)
     mean = float(arr.mean())
     std_error = float(arr.std(ddof=1) / np.sqrt(trials))

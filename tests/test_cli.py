@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -216,6 +217,21 @@ class TestOracle:
             )
             means.append(line)
         assert means[0] != means[1]
+
+    def test_readme_example(self, k4file, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```text\n\$ mdreloc oracle (.*?)\n(.*?)```", readme, re.S)
+        argv = ["oracle", *block.group(1).split()]
+        argv[argv.index("--input") + 1] = k4file
+        assert main(argv) == 0
+        assert capsys.readouterr().out == block.group(2)
+
+    def test_composite_m_rejected(self, k4file, capsys):
+        rc = main(["oracle", "--input", k4file, "--uas", "4,0", "--M", "4", "--trials", "10"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "odd prime" in captured.err
+        assert captured.out == ""
 
     @pytest.fixture
     def no_pool(self, monkeypatch):

@@ -12,6 +12,7 @@ import mdreloc as md
 import mdreloc.oracle as oracle
 
 from conftest import array_host, arrangement_1, arrangement_2, k4_host
+from reference_mc import _mc_chunk as reference_mc_chunk
 from reference_fractions import (
     reference_exhaustive_fractions,
     reference_full_enumeration_fractions,
@@ -207,6 +208,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least 2 trials"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=trials)
 
+    @pytest.mark.parametrize("m_copies", [2, 4, 9])
+    def test_copies_not_odd_prime_rejected(self, m_copies):
+        with pytest.raises(ValueError, match="must be an odd prime"):
+            md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), m_copies, trials=10)
+
     def test_no_threads_rejected(self):
         with pytest.raises(ValueError, match="at least 1 thread"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=10, threads=0)
@@ -228,3 +234,77 @@ class TestMonteCarlo:
         assert res.expected == Fr(1, 25)
         assert res.host_instances == 1
         assert res.trials == 50
+
+    @pytest.mark.parametrize(
+        "m_copies, mean, std_error",
+        [(3, 0.1062, 0.0055439362841714105), (5, 0.0405, 0.004481962047851348)],
+    )
+    def test_criterion_7_stream_pinned(self, m_copies, mean, std_error):
+        # The assemble-and-recount trials gave exactly these figures.
+        res = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), m_copies, trials=10_000, seed=11)
+        assert (res.mean, res.std_error) == (mean, std_error)
+
+    def test_large_m_accepted(self):
+        res = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 101, trials=10_000, seed=3)
+        assert res.trials == 10_000
+        assert res.expected == Fr(1, 101**2)
+
+
+def two_k4_host() -> md.BinaryMatrix:
+    """Two K4 blocks on the diagonal: two stand-alone (4,0) instances."""
+    k4 = k4_host()
+    entries = list(k4.entries) + [(r + k4.n_rows, c + k4.n_cols) for r, c in k4.entries]
+    return md.BinaryMatrix.from_entries(2 * k4.n_rows, 2 * k4.n_cols, entries)
+
+
+def k33_host() -> md.BinaryMatrix:
+    """One check per edge of K3,3: a single stand-alone (6,0,3) instance.
+
+    Its spanning tree is no star, so the potential solve must orient steps
+    whose first VN is not yet solved.
+    """
+    pairs = [(i, j) for i in range(3) for j in range(3, 6)]
+    return md.BinaryMatrix.from_entries(9, 6, [(r, v) for r, pair in enumerate(pairs) for v in pair])
+
+
+HOSTS = {"k4": (k4_host(), md.UasConfig(4, 0, 3)), "two-k4": (two_k4_host(), md.UasConfig(4, 0, 3)),
+         "k33": (k33_host(), md.UasConfig(6, 0, 3))}
+
+
+class TestMonteCarloAgainstReference:
+    """Per-trial counts of the potential solve against assembling and recounting."""
+
+    @staticmethod
+    def batched(name, m_copies, seed, start, stop, threads=1):
+        host, config = HOSTS[name]
+        instances = md.enumerate_uas(md.build_graph(host), config)
+        return oracle._mc_counts(host, instances, m_copies, seed, start, stop, threads).tolist()
+
+    @staticmethod
+    def reference(name, m_copies, seed, start, stop):
+        host, config = HOSTS[name]
+        return reference_mc_chunk((host, config, m_copies, seed, start, stop))
+
+    # K3,3 survives with probability M^-4, so 600 trials at M=7 would all read 0.
+    @pytest.mark.parametrize(
+        "name, m_copies", [(n, m) for n in HOSTS for m in (3, 5, 7) if (n, m) != ("k33", 7)]
+    )
+    def test_counts_equal(self, name, m_copies):
+        expected = self.reference(name, m_copies, 7, 100, 700)
+        assert self.batched(name, m_copies, 7, 100, 700) == expected
+        assert any(expected)
+
+    @pytest.mark.parametrize("name", ["k4", "two-k4"])
+    def test_large_m(self, name):
+        assert self.batched(name, 101, 2, 0, 20) == self.reference(name, 101, 2, 0, 20)
+
+    @pytest.mark.parametrize("cells", [1, 30])
+    def test_small_draw_blocks(self, monkeypatch, cells):
+        # One trial (cells=1) or one to two trials (cells=30) per drawn block.
+        expected = self.reference("two-k4", 3, 1, 10, 70)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        assert self.batched("two-k4", 3, 1, 10, 70) == expected
+
+    def test_threads_match_serial_and_reference(self):
+        pooled = self.batched("two-k4", 3, 5, 0, 240, threads=2)
+        assert pooled == self.batched("two-k4", 3, 5, 0, 240) == self.reference("two-k4", 3, 5, 0, 240)
