@@ -12,6 +12,14 @@ The structural identities used throughout:
     d2 = (a * gamma - d1) / 2
     basis size = d2 - a + 1          (cycle rank of the degree-2 part)
 
+``enumerate_uas`` searches modulo the graph's own cyclic shifts.  Every
+MD matrix is fixed by the copy shift (VN and check copy j to j + 1), and
+a QC host or a circulant-relocated MD matrix by the circulant shift
+inside each p x p block.  The shifts are detected on the graph itself,
+never taken from the caller; sets are grown from one VN per orbit and
+expanded through the group, so the output is the plain search's list.
+A graph without such a free symmetry gets the plain search.
+
 Two canonical fixtures, ``4_2_g3`` and ``4_4_g4``, are shipped for tests
 and command-line experiments; they are the smallest problematic objects
 for column weights 3 and 4 respectively.
@@ -20,7 +28,10 @@ for column weights 3 and 4 respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
+from .relocation import is_prime
 from .tanner import BinaryMatrix, QcMatrix, TannerGraph, build_graph
 
 
@@ -162,12 +173,74 @@ def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
     )
 
 
+def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A free group of the graph's own cyclic shifts, as (VN map, CN map) pairs.
+
+    Only graphs with ids 0..R-1 and 0..C-1 are examined.  With
+    k = gcd(R, C), the candidate shifts are the copy shift by (R/q, C/q)
+    for each prime q | k, and the within-block circulant shift (x in block
+    x // p goes to position x + 1 mod p of the same block) for each p | k,
+    p > 1.  A candidate is kept only if it maps the edge set onto itself.
+    The group the kept shifts generate is returned if it has at most C
+    elements and acts freely on VNs (no element but the identity fixes a
+    VN, so every VN orbit has |G| members); otherwise only the identity.
+    The identity is always the first element.
+    """
+    n_r, n_c = len(g.cns), len(g.vns)
+    identity = (tuple(range(n_c)), tuple(range(n_r)))
+    if g.vns != identity[0] or g.cns != identity[1] or not g.edges:
+        return [identity]
+
+    def rotation(n: int, block: int, step: int) -> tuple[int, ...]:
+        return tuple(x - x % block + (x + step) % block for x in range(n))
+
+    k = gcd(n_r, n_c)
+    divisors = [d for d in range(2, k + 1) if k % d == 0]
+    cands = [
+        (rotation(n_c, n_c, n_c // q), rotation(n_r, n_r, n_r // q))
+        for q in divisors
+        if is_prime(q)
+    ]
+    cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in divisors]
+    edges = {(cn, vn) for cn, vn, _ in g.edges}
+    gens = [
+        (vmap, cmap)
+        for vmap, cmap in cands
+        if all((cmap[cn], vmap[vn]) in edges for cn, vn in edges)
+    ]
+    group = [identity]
+    seen = {identity}
+    for elem in group:
+        for vmap, cmap in gens:
+            new = (tuple(vmap[v] for v in elem[0]), tuple(cmap[c] for c in elem[1]))
+            if new in seen:
+                continue
+            if len(group) == n_c or any(v == x for v, x in enumerate(new[0])):
+                return [identity]
+            seen.add(new)
+            group.append(new)
+    return group
+
+
 def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     """All (a, d1) instances in the graph, sorted by VN tuple.
 
     Searches connected VN sets only (connectivity through shared checks),
-    growing each set from its smallest VN so every candidate is visited
-    once, and pruning as soon as any check reaches induced degree 3.
+    growing each set from its first VN in a fixed order so every
+    candidate is visited once, and pruning as soon as any check reaches
+    induced degree 3.
+
+    The search runs modulo the graph's own cyclic shifts (``_shift_group``:
+    the copy shift of an MD matrix, the circulant shift of a QC matrix).
+    VNs are ordered by (orbit, id), each orbit led by its smallest id, and
+    sets are grown only from each orbit's first VN: every set has an image
+    under the group whose first VN is one of those roots.  Each set found
+    is mapped through the whole group, images are deduplicated by VN
+    tuple, and the count is checked against the orbit identity
+    |G| * sum(1/r) = number of instances, where r is how many of the
+    set's VNs lie in its root's orbit.  When no shift survives detection
+    the group is the identity, every VN is a root and the search is the
+    plain one.
 
     The search keeps D, the number of checks of induced degree 1, up to
     date.  Adding a VN of degree gamma that touches t degree-1 checks
@@ -181,29 +254,35 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     checks it shares, and a shared check has induced degree 2.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
-    eligible = {v for v in g.vns if g.vn_degree(v) == gamma}
+    if a == 1:
+        # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
+        # could match, and the strict majority condition always fails.
+        return []
+    group = _shift_group(g)
+    size = len(group)
+    # The search works on ranks: order[i] is the VN of rank i, and the VNs
+    # of rank size*k .. size*k + size - 1 form the k-th orbit.
+    order = sorted(g.vns, key=lambda v: (min(vmap[v] for vmap, _ in group), v))
+    rank = {v: i for i, v in enumerate(order)}
+    eligible = {rank[v] for v in g.vns if g.vn_degree(v) == gamma}
 
     # VN adjacency via shared checks, restricted to eligible VNs.
     adj: dict[int, set[int]] = {v: set() for v in eligible}
     for cn in g.cns:
-        members = [vn for vn, _ in g.cn_adj[cn] if vn in eligible]
+        members = [rank[vn] for vn, _ in g.cn_adj[cn] if rank[vn] in eligible]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 adj[members[i]].add(members[j])
                 adj[members[j]].add(members[i])
     nbrs = {v: sorted(us) for v, us in adj.items()}
 
-    results: list[UasInstance] = []
-    if a == 1:
-        # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
-        # could match, and the strict majority condition always fails.
-        return results
-
-    checks = {v: [cn for cn, _ in g.vn_adj[v]] for v in eligible}
+    checks = {v: [cn for cn, _ in g.vn_adj[order[v]]] for v in eligible}
     # Induced degree of every check the current set touches (no zero keys),
     # and the number of those at degree 1.
     cn_count: dict[int, int] = {}
     n_deg1 = 0
+    # (VN ranks, degree-1 checks, degree-2 checks) of every set found.
+    found: list[tuple[list[int], set[int], set[int]]] = []
 
     def add_vn(vn: int) -> bool:
         """Bump induced check degrees; refuse if any would reach 3."""
@@ -239,7 +318,7 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
                 final1 = deg1.symmetric_difference(cns)
                 # Majority rule for the other VNs.
                 if all(2 * len(final1.intersection(checks[v])) < gamma for v in sub):
-                    results.append(_build_instance(g, sub + [w], final1, deg2 | shared))
+                    found.append((sub + [w], final1, deg2 | shared))
 
     def extend(sub: list[int], ext: list[int], root: int, closed: set[int]):
         if len(sub) == a - 1:
@@ -263,14 +342,28 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
                     sub.pop()
                 remove_vn(w)
 
-    for root in sorted(eligible):
+    for root in sorted(v for v in eligible if v % size == 0):
         add_vn(root)
         ext0 = [u for u in nbrs[root] if u > root]
         extend([root], ext0, root, {root} | set(ext0))
         remove_vn(root)
 
-    results.sort(key=lambda inst: inst.vns)
-    return results
+    instances: dict[tuple[int, ...], UasInstance] = {}
+    weight = Fraction(0)
+    for sub, deg1, deg2 in found:
+        vns = [order[v] for v in sub]
+        weight += Fraction(size, sum(v // size == sub[0] // size for v in sub))
+        for vmap, cmap in group:
+            image = tuple(sorted(vmap[v] for v in vns))
+            if image not in instances:
+                instances[image] = _build_instance(
+                    g, image, [cmap[cn] for cn in deg1], [cmap[cn] for cn in deg2]
+                )
+    if weight != len(instances):
+        raise AssertionError(
+            f"orbit expansion gave {len(instances)} instances, expected {weight}"
+        )
+    return [instances[k] for k in sorted(instances)]
 
 
 def involvement_counts(

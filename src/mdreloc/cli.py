@@ -99,6 +99,11 @@ def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, Can
         raise ConfigError(str(exc)) from None
 
 
+def _check_target_gamma(config: UasConfig, gamma: int | None) -> None:
+    if gamma is not None and config.gamma != gamma:
+        raise ConfigError(f"target gamma {config.gamma} differs from host column weight {gamma}")
+
+
 def _check_m(m: int) -> int:
     try:
         check_copies(m)
@@ -132,8 +137,7 @@ def cmd_analyze(args) -> int:
     if args.uas is None:
         return 0
     config, _ = _parse_uas_arg(args.uas, gamma)
-    if gamma is not None and config.gamma != gamma:
-        raise ConfigError(f"target gamma {config.gamma} differs from host column weight {gamma}")
+    _check_target_gamma(config, gamma)
     instances = enumerate_uas(graph, config)
     low, high = cycle_count_bounds(config)
     print(
@@ -227,6 +231,7 @@ def cmd_verify(args) -> int:
     matrix, _ = _load_matrix(args.md)
     gamma = check_regular_gamma(matrix)
     config, _ = _parse_uas_arg(args.uas, gamma)
+    _check_target_gamma(config, gamma)
     count = enumerate_md_uas(matrix, config)
     print(f"({config.a}, {config.d1}) instances: {count}")
     if args.expect is not None and count != args.expect:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdreloc as md
+from mdreloc.absorbing import _shift_group
 
 from conftest import array_host, k4_host
 from reference_uas import reference_enumerate_uas
@@ -272,6 +273,141 @@ class TestAgainstReference:
         m, gamma = host
         g = md.build_graph(m)
         for config in _legal_configs(range(1, 6), gamma):
+            assert _fields(md.enumerate_uas(g, config)) == _fields(
+                reference_enumerate_uas(g, config)
+            ), config
+
+
+def _design_graph(rows, cols, p, target, m, entry):
+    res = md.design_md(
+        array_host(rows, cols, p), m, md.UasConfig(*target), entry_granularity=entry
+    )
+    return md.build_graph(res.h_md)
+
+
+def _maps_edges_onto_itself(g, vmap, cmap):
+    edges = {(cn, vn) for cn, vn, _ in g.edges}
+    return {(cmap[cn], vmap[vn]) for cn, vn in edges} == edges
+
+
+def _block_shift(n, p):
+    return [x - x % p + (x + 1) % p for x in range(n)]
+
+
+@st.composite
+def relocated_qc_hosts(draw):
+    """(MD matrix, gamma): a random QC host, some blocks zero, relocated at M = 3 or 5.
+
+    gamma is one of the matrix's column weights, so zero blocks leave some
+    columns out of the search.
+    """
+    p = draw(st.integers(2, 4))
+    m_b, n_b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    blocks = {
+        (i, j): draw(st.integers(0, p - 1))
+        for i in range(m_b)
+        for j in range(n_b)
+        if draw(st.integers(0, 9))
+    }
+    if not blocks:
+        blocks[(0, 0)] = 0
+    qc = md.QcMatrix.from_blocks(p, m_b, n_b, blocks)
+    host = md.expand_qc(qc)
+    m = draw(st.sampled_from([3, 5]))
+    values = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        reloc = md.RelocationMap(m, host, qc=qc, granularity="circulant")
+        for bi, bj, _ in qc.circulants:
+            reloc.assign_circulant(bi, bj, draw(values))
+    else:
+        reloc = md.RelocationMap(m, host)
+        for r, c in host.entries:
+            reloc.assign_entry(r, c, draw(values))
+    h_md = md.assemble_md(host, reloc)
+    weights = sorted({d for d in h_md.column_degrees if d >= 2})
+    return h_md, draw(st.sampled_from(weights or [2]))
+
+
+class TestShiftSymmetry:
+    """The search modulo the graph's own cyclic shifts returns the reference list."""
+
+    @pytest.mark.parametrize("rows,cols,p", [(3, 3, 3), (3, 4, 5), (4, 4, 5), (3, 7, 11)])
+    def test_qc_host_group(self, rows, cols, p):
+        g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
+        assert len(_shift_group(g)) % p == 0
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        "rows,cols,p,target,m,entry,divisor,recounts",
+        [
+            (3, 4, 5, (5, 3, 3), 3, True, 3, [(5, 3, 3), (4, 4, 3)]),
+            (3, 4, 5, (4, 2, 3), 3, False, 15, [(4, 4, 3), (5, 5, 3)]),
+            (3, 3, 3, (4, 2, 3), 3, False, 9, [(4, 4, 3), (6, 4, 3), (6, 6, 3)]),
+            (3, 3, 3, (4, 2, 3), 3, True, 3, [(4, 4, 3), (5, 3, 3), (6, 0, 3), (6, 2, 3)]),
+            (3, 3, 5, (4, 2, 3), 5, False, 25, [(4, 4, 3), (5, 5, 3)]),
+            (3, 3, 5, (4, 2, 3), 5, True, 5, [(5, 3, 3), (6, 2, 3)]),
+        ],
+    )
+    def test_designed_md_matrices(self, rows, cols, p, target, m, entry, divisor, recounts):
+        g = _design_graph(rows, cols, p, target, m, entry)
+        assert len(_shift_group(g)) % divisor == 0
+        for recount in recounts:
+            config = md.UasConfig(*recount)
+            ref = reference_enumerate_uas(g, config)
+            assert ref, config
+            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_group_is_all_of_zm_times_zp(self):
+        # M = p = 3: copy shift and circulant shift give Z_3 x Z_3, not a cyclic group.
+        g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
+        group = _shift_group(g)
+        assert len(group) == 9
+        assert len(set(group)) == 9
+        assert all(_maps_edges_onto_itself(g, vmap, cmap) for vmap, cmap in group)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_moved_entry_breaks_symmetry(self):
+        g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
+        edges = [(cn, vn) for cn, vn, _ in g.edges]
+        cn, vn = edges[0]
+        free_col = next(v for v in g.vns if (cn, v) not in set(edges) and v > vn)
+        moved = md.BinaryMatrix.from_entries(
+            len(g.cns), len(g.vns), edges[1:] + [(cn, free_col)]
+        )
+        h = md.build_graph(moved)
+        assert len(_shift_group(h)) == 1
+        for config in _legal_configs(range(4, 7), 3):
+            assert _fields(md.enumerate_uas(h, config)) == _fields(
+                reference_enumerate_uas(h, config)
+            ), config
+
+    def test_non_free_group_falls_back(self):
+        # 4 x 4 blocks built from I, P^2 and P + P^3, each fixed by the
+        # rotation and the pair swap inside every block of 4.  Those shifts
+        # generate the dihedral group of order 8, whose reflections fix VNs.
+        eye = np.eye(4, dtype=int)
+        blocks = {"I": eye, "P2": np.roll(eye, 2, axis=1), "Z": 0 * eye}
+        blocks["Q"] = np.roll(eye, 1, axis=1) + np.roll(eye, 3, axis=1)
+        grid = [["P2", "Z", "P2"], ["P2", "Q", "Q"], ["I", "I", "Z"]]
+        m = md.BinaryMatrix.from_dense(np.block([[blocks[b] for b in row] for row in grid]))
+        g = md.build_graph(m)
+        for p in (2, 4):
+            assert _maps_edges_onto_itself(g, _block_shift(12, p), _block_shift(12, p))
+        assert len(_shift_group(g)) == 1
+        counts = {}
+        for config in _legal_configs(range(3, 6), 3):
+            ref = reference_enumerate_uas(g, config)
+            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+            counts[(config.a, config.d1)] = len(ref)
+        assert {k: n for k, n in counts.items() if n} == {(3, 1): 4, (4, 4): 16, (5, 3): 32}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=relocated_qc_hosts())
+    def test_relocated_qc_hosts(self, case):
+        h_md, gamma = case
+        g = md.build_graph(h_md)
+        for config in _legal_configs(range(2, 6), gamma):
             assert _fields(md.enumerate_uas(g, config)) == _fields(
                 reference_enumerate_uas(g, config)
             ), config

@@ -161,6 +161,39 @@ class TestDesignVerify:
         assert main(["verify", "--md", k4file, "--uas", "4,0"]) == 0
         assert "instances: 1" in capsys.readouterr().out
 
+    def test_verify_rejects_wrong_gamma(self, host33, tmp_path, capsys):
+        md_path = str(tmp_path / "out.alist")
+        assert main(["design", "--input", host33, "--uas", "4,2", "--M", "3", "--out-md", md_path]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--md", md_path, "--uas", "4,2,4", "--expect", "0"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "target gamma 4 differs from host column weight 3" in captured.err
+        assert captured.out == ""
+
+    def test_verify_irregular_host_with_explicit_gamma(self, tmp_path, capsys):
+        # K4 plus a fifth column of weight 1: irregular, one (4, 0, 3) set.
+        host = k4_host()
+        irregular = md.BinaryMatrix.from_entries(6, 5, list(host.entries) + [(0, 4)])
+        path = tmp_path / "irregular.alist"
+        path.write_text(md.write_alist(irregular))
+        assert main(["verify", "--md", str(path), "--uas", "4,0,3", "--expect", "1"]) == 0
+        assert capsys.readouterr().out == "(4, 0) instances: 1\n"
+        assert main(["verify", "--md", str(path), "--uas", "4,0"]) == 3
+        assert "explicit gamma" in capsys.readouterr().err
+
+    def test_readme_design_and_verify_examples(self, host33, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        monkeypatch.chdir(Path(host33).parent)
+        for command in ("design", "verify"):
+            # The command may continue over lines that end in a backslash.
+            block = re.search(
+                rf"```text\n\$ mdreloc {command} (.*?[^\\])\n(.*?)```", readme, re.S
+            )
+            argv = [command, *block.group(1).replace("\\\n", " ").split()]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == block.group(2), command
+
     def test_incomplete_design_exits_10(self, host33, tmp_path, monkeypatch, capsys):
         import mdreloc.cli as cli_mod
 
