@@ -366,19 +366,14 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     return [instances[k] for k in sorted(instances)]
 
 
-def involvement_counts(
-    instances, q: QcMatrix, active=None
-) -> dict[tuple[int, int], int]:
+def involvement_counts(instances, q: QcMatrix) -> dict[tuple[int, int], int]:
     """Per-circulant count of instances whose degree-2 edges touch it.
 
-    ``active`` is an optional boolean sequence aligned with ``instances``;
-    instances flagged False are skipped.  The result covers every nonzero
-    circulant of the base matrix, including zero counts.
+    The result covers every nonzero circulant of the base matrix,
+    including zero counts.
     """
     counts = {(bi, bj): 0 for bi, bj, _ in q.circulants}
-    for idx, inst in enumerate(instances):
-        if active is not None and not active[idx]:
-            continue
+    for inst in instances:
         blocks = set()
         for eid in inst.deg2_entry_ids:
             cn, vn = inst.graph.edge_by_id[eid]

@@ -12,9 +12,10 @@ Subcommands:
 * ``oracle``     Monte Carlo estimate of the expected surviving instances
 
 Exit codes: 0 success, 2 unreadable/unparsable input, 3 inconsistent
-configuration, 10 design finished with active instances left, 11 verify
-count differed from --expect, 141 standard output was closed early (for
-example by ``| head``), as a shell reports a command killed by SIGPIPE.
+configuration or an output file that cannot be written, 10 design
+finished with active instances left, 11 verify count differed from
+--expect, 141 standard output was closed early (for example by
+``| head``), as a shell reports a command killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ def _check_m(m: int) -> int:
 
 
 def _write_file(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

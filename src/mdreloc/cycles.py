@@ -236,7 +236,7 @@ def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
     for cn in subgraph.cns:
         if subgraph.cn_degree(cn) != 2:
             raise ValueError(f"cn {cn} has degree {subgraph.cn_degree(cn)}, expected 2")
-    if not _connected(subgraph):
+    if len(subgraph.components()) > 1:
         raise ValueError("subgraph must be connected")
 
     n_basic = len(subgraph.cns) - len(subgraph.vns) + 1
@@ -269,21 +269,3 @@ def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
         raise ValueError("no ordering with consecutive cycles sharing a check node")
     return CycleBasis(tuple(ordered), universe)
 
-
-def _connected(g: TannerGraph) -> bool:
-    nodes = [("c", c) for c in g.cns] + [("v", v) for v in g.vns]
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        kind, node = stack.pop()
-        if kind == "c":
-            nbrs = [("v", vn) for vn, _ in g.cn_adj[node]]
-        else:
-            nbrs = [("c", cn) for cn, _ in g.vn_adj[node]]
-        for nxt in nbrs:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)

@@ -4,8 +4,9 @@ The loop works on *units*: whole circulants for quasi-cyclic hosts,
 single entries otherwise (or when forced).  Each round counts how many
 still-active target instances involve each unassigned unit through a
 degree-2 edge, picks the most involved unit, lets every instance
-involving it vote for the relocation values that would break at least
-one of its basic cycles, and permanently assigns the winning value,
+involving it vote for the relocation values under which its potential
+solve fails (``relocation.intact``: no per-VN copy shift keeps all its
+degree-2 checks in one copy), and permanently assigns the winning value,
 preferring the auxiliary matrix that currently holds the fewest units.
 The loop stops when no active instance remains, or when no unit can
 attract a vote (the design is then reported incomplete rather than
@@ -18,15 +19,10 @@ import warnings as _warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .absorbing import UasConfig, enumerate_uas
-from .cycles import CycleBasis, minimum_cycle_basis
-from .relocation import (
-    RelocationMap,
-    alternating_value_sum,
-    assemble_md,
-    check_copies,
-    is_uas_active,
-)
+from .relocation import RelocationMap, activity_plans, assemble_md, check_copies, intact
 from .tanner import (
     BinaryMatrix,
     QcMatrix,
@@ -82,24 +78,19 @@ class DesignResult:
     report: DesignReport
 
 
-def vote(basis: CycleBasis, unit_entries, reloc: RelocationMap) -> frozenset[int]:
-    """Relocation values that would break at least one basic cycle.
+def vote(plans, unit_entries, values: np.ndarray, m: int) -> dict[int, int]:
+    """Per relocation value 1..M-1, how many of the planned instances it breaks.
 
-    Candidate values overlay all entries of the unit at once, holding
-    every other entry at its current value (unassigned entries count
-    as 0); a value gets the vote when some basic cycle's alternating sum
-    stops being divisible by M under the overlay.
+    ``plans`` comes from ``relocation.activity_plans``; ``values`` holds
+    every host entry's current value (unassigned entries are 0).  Column
+    xi - 1 of the trial values overlays xi on every entry of the unit, and
+    an instance counts for xi when its potential solve fails under that
+    column, so all values and instances take one ``intact`` call.
     """
-    unit = frozenset(unit_entries)
-    m = reloc.m_copies
-    votes = set()
-    for xi in range(1, m):
-        def overlaid(eid, _xi=xi):
-            return _xi if eid in unit else reloc.value(eid)
-
-        if any(alternating_value_sum(c, overlaid) % m for c in basis.cycles):
-            votes.add(xi)
-    return frozenset(votes)
+    trial = np.repeat(values[:, None], m - 1, axis=1)
+    trial[list(unit_entries)] = np.arange(1, m)
+    broken = (~intact(plans, trial, m)).sum(axis=0)
+    return dict(zip(range(1, m), broken.tolist()))
 
 
 def select_unit(counts: dict) -> Unit | None:
@@ -119,14 +110,10 @@ def _unit_table(
     """unit id -> entry ids it covers, in a stable order."""
     if use_circulants:
         assert qc is not None
-        table: dict[Unit, tuple[int, ...]] = {}
-        for bi, bj, k in sorted(qc.circulants):
-            eids = []
-            for r in range(qc.p):
-                pos = (bi * qc.p + r, bj * qc.p + (r + k) % qc.p)
-                eids.append(matrix.entry_index[pos])
-            table[("c", bi, bj)] = tuple(eids)
-        return table
+        return {
+            ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
+            for bi, bj, _ in sorted(qc.circulants)
+        }
     return {
         ("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)
     }
@@ -182,20 +169,18 @@ def design_md(
         _warnings.warn(note, stacklevel=2)
 
     units = _unit_table(matrix, qc, use_circulants)
-    unit_of_entry: dict[int, Unit] = {}
-    for unit, eids in units.items():
-        for eid in eids:
-            unit_of_entry[eid] = unit
+    unit_of_entry = {eid: unit for unit, eids in units.items() for eid in eids}
 
     instances = enumerate_uas(graph, config)
-    bases = [minimum_cycle_basis(inst.deg2_subgraph()) for inst in instances]
+    plans = activity_plans(instances)
     instance_units = [
         frozenset(unit_of_entry[eid] for eid in inst.deg2_entry_ids)
         for inst in instances
     ]
 
     reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
-    active = [is_uas_active(b, reloc) for b in bases]
+    values = np.zeros(len(matrix.entries), dtype=np.int64)
+    active = intact(plans, values[:, None], m_copies)[:, 0].tolist()
     aux_units = {xi: 0 for xi in range(1, m_copies)}
     assigned: set[Unit] = set()
     steps: list[StepRecord] = []
@@ -217,32 +202,19 @@ def design_md(
         if unit is None:
             break
         involved = [i for i in range(len(instances)) if unit in instance_units[i]]
-        tally = {xi: 0 for xi in range(1, m_copies)}
-        for i in involved:
-            for xi in vote(bases[i], units[unit], reloc):
-                tally[xi] += 1
-        top = max(tally.values())
-        if top == 0:
-            steps.append(
-                StepRecord(
-                    unit=unit,
-                    involvement=counts[unit],
-                    votes=tuple(sorted(tally.items())),
-                    chosen=None,
-                    active_before=active_count,
-                    active_after=active_count,
-                )
-            )
-            break
-        winners = [xi for xi, t in tally.items() if t == top]
-        chosen = min(winners, key=lambda xi: (aux_units[xi], xi))
-        if unit[0] == "c":
-            reloc.assign_circulant(unit[1], unit[2], chosen)
-        else:
-            reloc.assign_entry(unit[1], unit[2], chosen)
-        assigned.add(unit)
-        aux_units[chosen] += 1
-        active = [is_uas_active(b, reloc) for b in bases]
+        tally = vote(tuple(p[involved] for p in plans), units[unit], values, m_copies)
+        top, chosen = max(tally.values()), None
+        if top:
+            winners = [xi for xi, t in tally.items() if t == top]
+            chosen = min(winners, key=lambda xi: (aux_units[xi], xi))
+            if unit[0] == "c":
+                reloc.assign_circulant(unit[1], unit[2], chosen)
+            else:
+                reloc.assign_entry(unit[1], unit[2], chosen)
+            assigned.add(unit)
+            aux_units[chosen] += 1
+            values[list(units[unit])] = chosen
+            active = intact(plans, values[:, None], m_copies)[:, 0].tolist()
         steps.append(
             StepRecord(
                 unit=unit,
@@ -253,6 +225,8 @@ def design_md(
                 active_after=sum(active),
             )
         )
+        if chosen is None:
+            break
     else:
         if any(active):
             raise RuntimeError(

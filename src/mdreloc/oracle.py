@@ -41,14 +41,20 @@ from .absorbing import (
 )
 from .analysis import expected_md_instances
 from .cycles import enumerate_cycles, minimum_cycle_basis
-from .relocation import RelocationMap, check_copies, md_edge_copies
+from .relocation import (
+    _BLOCK_CELLS,
+    RelocationMap,
+    _deg2_cn_edges,
+    _spanning_tree_split,
+    activity_plans,
+    check_copies,
+    intact,
+    md_edge_copies,
+)
 from .tanner import BinaryMatrix, TannerGraph, build_graph
 
-
-# Cells per block: (assignment, potential) pairs in the detached-check kernel,
-# where blocks split rows and, for wider rows, potentials; (trial, entry)
-# values in the Monte Carlo draw.  Either way memory stays bounded.
-_BLOCK_CELLS = 1 << 18
+# ``_BLOCK_CELLS`` bounds the (assignment, potential) pairs of a detached-check
+# block and the (trial, entry) values of a Monte Carlo draw block.
 # Larger runs would not finish, so the kernel refuses them before any work.
 MAX_CHECK_PAIRS = 1 << 32
 
@@ -59,24 +65,6 @@ def _digits(m: int, width: int, start: int, stop: int) -> np.ndarray:
     out = np.empty((stop - start, width), dtype=np.min_scalar_type(m - 1))
     for k in range(width):
         out[:, k] = (idx // m**k) % m
-    return out
-
-
-def _deg2_cn_edges(u: UasInstance) -> list[tuple[int, int, int, int]]:
-    """Per degree-2 CN: (vn_index, vn_index, entry, entry) within the instance.
-
-    Entries are positions in ``u.deg2_entry_ids``, the columns of a row.
-    """
-    g = u.graph
-    vpos = {vn: i for i, vn in enumerate(u.vns)}
-    epos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    out = []
-    for cn in u.deg2_cns:
-        ends = [(vpos[vn], eid) for vn, eid in g.cn_adj[cn] if vn in vpos]
-        if len(ends) != 2:
-            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
-        (iu, e1), (iv, e2) = ends
-        out.append((iu, iv, epos[e1], epos[e2]))
     return out
 
 
@@ -163,35 +151,6 @@ class EmpiricalFractions:
     f_deep_inactive: Fraction
     f_basis_inactive: Fraction
     f_all_cycles_inactive: Fraction
-
-
-def _spanning_tree_split(u: UasInstance) -> tuple[list[int], list[int]]:
-    """Degree-2 CNs split into (tree, non-tree) over the VN contraction.
-
-    Tree CNs come in discovery order from the first VN, so each joins a
-    VN already reached to a new one; non-tree CNs are sorted.
-    """
-    g = u.graph
-    vset = set(u.vns)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in u.vns}
-    for cn in u.deg2_cns:
-        ends = [vn for vn, _ in g.cn_adj[cn] if vn in vset]
-        adj[ends[0]].append((cn, ends[1]))
-        adj[ends[1]].append((cn, ends[0]))
-    seen = {u.vns[0]}
-    tree: list[int] = []
-    stack = [u.vns[0]]
-    while stack:
-        at = stack.pop()
-        for cn, other in adj[at]:
-            if other not in seen:
-                seen.add(other)
-                tree.append(cn)
-                stack.append(other)
-    if len(seen) != len(u.vns):
-        raise ValueError("degree-2 subgraph is not connected")
-    non_tree = sorted(set(u.deg2_cns) - set(tree))
-    return tree, non_tree
 
 
 def _measured_fractions(u: UasInstance, m: int, total: int, rows_at) -> EmpiricalFractions:
@@ -299,29 +258,7 @@ def md_instance_subgraph(u: UasInstance, reloc: RelocationMap) -> TannerGraph:
 def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
     """Connected-component profile of the instance's MD subgraph."""
     g = md_instance_subgraph(u, reloc)
-    unvisited = {("v", v) for v in g.vns} | {("c", c) for c in g.cns}
-    comps = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        unvisited.discard(start)
-        vn_count = 0
-        deg1 = 0
-        while stack:
-            kind, node = stack.pop()
-            if kind == "v":
-                vn_count += 1
-                nbrs = [("c", cn) for cn, _ in g.vn_adj[node]]
-            else:
-                if g.cn_degree(node) == 1:
-                    deg1 += 1
-                nbrs = [("v", vn) for vn, _ in g.cn_adj[node]]
-            for nxt in nbrs:
-                if nxt in unvisited:
-                    unvisited.discard(nxt)
-                    stack.append(nxt)
-        comps.append((vn_count, deg1))
-    comps.sort()
+    comps = sorted((len(vns), sum(g.cn_degree(cn) == 1 for cn in cns)) for vns, cns in g.components())
     return MdObjectProfile(
         vn_count=sum(v for v, _ in comps),
         deg1_cn_count=sum(d for _, d in comps),
@@ -334,29 +271,6 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
 # Monte Carlo
 
 _MC_STRIDE = 1_000_003
-
-
-def _potential_plan(u: UasInstance):
-    """(tree, loops) that decide whether ``u`` survives a relocation.
-
-    Each step is (x, y, e1, e2) over VN positions and host entry ids and
-    reads s(y) = s(x) + R(e1) - R(e2) mod M (see ``_detached_check_counts``).
-    With the first VN pinned to 0, the tree steps in discovery order solve
-    the one candidate potential; the set stays intact exactly when every
-    loop (non-tree check) agrees with it.
-    """
-    eids = u.deg2_entry_ids
-    by_cn = {cn: (x, y, eids[k1], eids[k2])
-             for cn, (x, y, k1, k2) in zip(u.deg2_cns, _deg2_cn_edges(u))}
-    tree_cns, loop_cns = _spanning_tree_split(u)
-    solved, tree = {0}, []
-    for cn in tree_cns:
-        x, y, e1, e2 = by_cn[cn]
-        if x not in solved:
-            x, y, e1, e2 = y, x, e2, e1
-        solved.add(y)
-        tree.append((x, y, e1, e2))
-    return tree, [by_cn[cn] for cn in loop_cns]
 
 
 def _draw_values(n_entries: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -378,16 +292,7 @@ def _mc_chunk(args) -> np.ndarray:
     counts = []
     for t0 in range(start, stop, step):
         r = _draw_values(n_entries, m, seed, t0, min(t0 + step, stop)).T
-        active = np.zeros(r.shape[1], dtype=np.int64)
-        for tree, loops in plans:
-            s = {0: 0}
-            for x, y, e1, e2 in tree:
-                s[y] = s[x] + r[e1] - r[e2]
-            intact = np.ones(r.shape[1], dtype=bool)
-            for x, y, e1, e2 in loops:
-                intact &= (s[x] + r[e1] - r[e2] - s[y]) % m == 0
-            active += intact
-        counts.append(m * active)
+        counts.append(m * intact(plans, r, m).sum(axis=0))
     return np.concatenate(counts)
 
 
@@ -399,7 +304,7 @@ def _mc_counts(host: BinaryMatrix, instances, m: int, seed: int, start: int, sto
     ``random.Random(seed * _MC_STRIDE + t)``, so every chunking and thread
     count sees the same relocations.
     """
-    plans = [_potential_plan(u) for u in instances]
+    plans = activity_plans(instances)
     chunk = max(1, (stop - start) // (threads * 4))
     jobs = [(plans, len(host.entries), m, seed, s, min(s + chunk, stop))
             for s in range(start, stop, chunk)]
@@ -447,7 +352,7 @@ def monte_carlo_avg(
     checked, the first via the structural classifier and the second by
     verifying the host's instances share no cycles pairwise.  Then a
     trial's MD count is M times the host instances left intact, which
-    ``_potential_plan`` decides without building the MD matrix.  Results
+    ``relocation.intact`` decides without building the MD matrix.  Results
     do not depend on ``threads``.  M must be an odd prime; the standard
     error needs at least 2 trials.
     """

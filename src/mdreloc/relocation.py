@@ -10,11 +10,16 @@ matrix holds exactly the host entries whose value is (i - j) mod M.
 A cycle of the host survives inside a single copy structure iff its
 alternating entry-value sum vanishes mod M; such cycles (and absorbing
 sets all of whose cycles satisfy this) are called *active* here.
+``is_uas_active`` reads that definition off basic cycles one at a time;
+``intact``, which the designer and the Monte Carlo run, decides the same
+for many instances and maps at once by a spanning-tree potential solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cycles import Cycle
 from .tanner import BinaryMatrix, ParseError, QcMatrix, expand_qc
@@ -90,15 +95,9 @@ class RelocationMap:
             raise ValueError("no circulant table attached to this map")
         if (bi, bj) not in self.qc.shift_of_block:
             raise ValueError(f"block ({bi}, {bj}) is a zero circulant")
-        k = self.qc.shift_of_block[(bi, bj)]
-        p = self.qc.p
-        eids = []
-        for r in range(p):
-            pos = (bi * p + r, bj * p + (r + k) % p)
-            eid = self.matrix.entry_index[pos]
-            if eid in self._entry_values:
-                raise ValueError(f"block ({bi}, {bj}) overlaps an assigned entry")
-            eids.append(eid)
+        eids = [self.matrix.entry_index[pos] for pos in self.qc.block_positions(bi, bj)]
+        if any(eid in self._entry_values for eid in eids):
+            raise ValueError(f"block ({bi}, {bj}) overlaps an assigned entry")
         for eid in eids:
             self._entry_values[eid] = ell
         self._units.append(("c", bi, bj, ell))
@@ -207,6 +206,124 @@ def is_uas_active(basis, reloc: RelocationMap) -> bool:
     basic cycles forces activity of every cycle in the span.
     """
     return all(is_cycle_active(c, reloc) for c in basis.cycles)
+
+
+# Cells per block: (instance, VN, column) potentials solved at once by
+# ``intact``; the oracle blocks its own kernels by the same budget.
+_BLOCK_CELLS = 1 << 18
+
+
+def _deg2_cn_edges(u) -> list[tuple[int, int, int, int]]:
+    """Per degree-2 CN of instance ``u``: (vn_index, vn_index, entry, entry).
+
+    Entries are positions in ``u.deg2_entry_ids``, the columns of a row.
+    """
+    g = u.graph
+    vpos = {vn: i for i, vn in enumerate(u.vns)}
+    epos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
+    out = []
+    for cn in u.deg2_cns:
+        ends = [(vpos[vn], eid) for vn, eid in g.cn_adj[cn] if vn in vpos]
+        if len(ends) != 2:
+            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
+        (iu, e1), (iv, e2) = ends
+        out.append((iu, iv, epos[e1], epos[e2]))
+    return out
+
+
+def _spanning_tree_split(u) -> tuple[list[int], list[int]]:
+    """Degree-2 CNs split into (tree, non-tree) over the VN contraction.
+
+    Tree CNs come in discovery order from the first VN, so each joins a
+    VN already reached to a new one; non-tree CNs are sorted.
+    """
+    g = u.graph
+    vset = set(u.vns)
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in u.vns}
+    for cn in u.deg2_cns:
+        ends = [vn for vn, _ in g.cn_adj[cn] if vn in vset]
+        adj[ends[0]].append((cn, ends[1]))
+        adj[ends[1]].append((cn, ends[0]))
+    seen = {u.vns[0]}
+    tree: list[int] = []
+    stack = [u.vns[0]]
+    while stack:
+        at = stack.pop()
+        for cn, other in adj[at]:
+            if other not in seen:
+                seen.add(other)
+                tree.append(cn)
+                stack.append(other)
+    if len(seen) != len(u.vns):
+        raise ValueError("degree-2 subgraph is not connected")
+    non_tree = sorted(set(u.deg2_cns) - set(tree))
+    return tree, non_tree
+
+
+def _potential_plan(u):
+    """(tree, loops) that decide whether instance ``u`` survives a relocation.
+
+    A potential gives each VN a copy shift s.  A check with edge e1 at VN
+    x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
+    mod M, so each step is (x, y, e1, e2) over VN positions and host
+    entry ids and reads s(y) = s(x) + R(e1) - R(e2).  With the first VN
+    pinned to 0, the tree steps in discovery order solve the one candidate
+    potential; the set stays intact exactly when every loop (non-tree
+    check) agrees with it.  That is the paper's test, every cycle's
+    alternating sum 0 mod M, read on the fundamental cycles.
+    """
+    eids = u.deg2_entry_ids
+    by_cn = {cn: (x, y, eids[k1], eids[k2])
+             for cn, (x, y, k1, k2) in zip(u.deg2_cns, _deg2_cn_edges(u))}
+    tree_cns, loop_cns = _spanning_tree_split(u)
+    solved, tree = {0}, []
+    for cn in tree_cns:
+        x, y, e1, e2 = by_cn[cn]
+        if x not in solved:
+            x, y, e1, e2 = y, x, e2, e1
+        solved.add(y)
+        tree.append((x, y, e1, e2))
+    return tree, [by_cn[cn] for cn in loop_cns]
+
+
+def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
+    """The instances' potential plans stacked as (tree, loops) int64 arrays.
+
+    Layer i of each array holds instance i's (x, y, e1, e2) steps.  All
+    instances must have the same VN and degree-2 check counts, as the
+    instances of one (a, d1) configuration do.
+    """
+    plans = [_potential_plan(u) for u in instances]
+    widths = [len(steps) for steps in plans[0]] if plans else [0, 0]
+    return tuple(np.array([p[k] for p in plans], dtype=np.int64).reshape(len(plans), widths[k], 4)
+                 for k in (0, 1))
+
+
+def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
+    """Bool (instances, columns): instance i survives the map in column j.
+
+    ``plans`` comes from ``activity_plans``; ``values`` holds one row per
+    host entry id and one column per relocation map.  Each instance is
+    solved for its potential and checked on its loops (see
+    ``_potential_plan``).  Instances go in blocks of at most
+    ``_BLOCK_CELLS`` (instance, VN, column) cells, and at least one
+    instance per block.
+    """
+    tree, loops = plans
+    n_vns, cols = tree.shape[1] + 1, values.shape[1]
+    step = max(1, _BLOCK_CELLS // (n_vns * cols))
+    out = np.empty((len(tree), cols), dtype=bool)
+    for b0 in range(0, len(tree), step):
+        block_tree, block_loops = tree[b0:b0 + step], loops[b0:b0 + step]
+        at = np.arange(len(block_tree))
+        s = np.zeros((len(block_tree), n_vns, cols), dtype=np.int64)
+        for x, y, e1, e2 in block_tree.transpose(1, 2, 0):
+            s[at, y] = s[at, x] + values[e1] - values[e2]
+        ok = np.ones((len(block_tree), cols), dtype=bool)
+        for x, y, e1, e2 in block_loops.transpose(1, 2, 0):
+            ok &= (s[at, x] + values[e1] - values[e2] - s[at, y]) % m == 0
+        out[b0:b0 + step] = ok
+    return out
 
 
 # ---------------------------------------------------------------------------

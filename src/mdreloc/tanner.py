@@ -155,6 +155,11 @@ class QcMatrix:
     def shift_of_block(self) -> dict[tuple[int, int], int]:
         return {(bi, bj): k for bi, bj, k in self.circulants}
 
+    def block_positions(self, bi: int, bj: int) -> tuple[tuple[int, int], ...]:
+        """Expanded (row, col) positions of the nonzero circulant at block (bi, bj)."""
+        k, p = self.shift_of_block[(bi, bj)], self.p
+        return tuple((bi * p + r, bj * p + (r + k) % p) for r in range(p))
+
     def block_of_entry(self, row: int, col: int) -> tuple[int, int]:
         if not (0 <= row < self.m_b * self.p and 0 <= col < self.n_b * self.p):
             raise ValueError(f"position ({row}, {col}) outside the expanded matrix")
@@ -201,6 +206,25 @@ class TannerGraph:
     def cn_degree(self, cn: int) -> int:
         return len(self.cn_adj[cn])
 
+    def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Connected components as sorted (vns, cns), isolated nodes included."""
+        nbrs = {("v", v): [("c", c) for c, _ in self.vn_adj[v]] for v in self.vns}
+        nbrs.update({("c", c): [("v", v) for v, _ in self.cn_adj[c]] for c in self.cns})
+        unvisited, out = set(nbrs), []
+        while unvisited:
+            stack = [min(unvisited)]
+            unvisited.discard(stack[0])
+            found = []
+            while stack:
+                found.append(stack.pop())
+                for nxt in nbrs[found[-1]]:
+                    if nxt in unvisited:
+                        unvisited.discard(nxt)
+                        stack.append(nxt)
+            found.sort()
+            out.append((tuple(n for k, n in found if k == "v"), tuple(n for k, n in found if k == "c")))
+        return out
+
     def subgraph(self, vns, cns) -> "TannerGraph":
         """Induced subgraph on the given node subsets, keeping entry-ids."""
         vset, cset = set(vns), set(cns)
@@ -216,11 +240,7 @@ def build_graph(m: BinaryMatrix) -> TannerGraph:
 
 def expand_qc(q: QcMatrix) -> BinaryMatrix:
     """Expand circulant powers into the full (m_b*p) x (n_b*p) matrix."""
-    entries = []
-    for bi, bj, k in q.circulants:
-        base_r, base_c = bi * q.p, bj * q.p
-        for r in range(q.p):
-            entries.append((base_r + r, base_c + (r + k) % q.p))
+    entries = [pos for bi, bj, _ in q.circulants for pos in q.block_positions(bi, bj)]
     return BinaryMatrix.from_entries(q.m_b * q.p, q.n_b * q.p, entries)
 
 

@@ -1,0 +1,182 @@
+"""Reference designer: the cycle-basis loop the potential-solve designer replaced.
+
+Kept verbatim as a differential oracle.  Every host instance gets a
+minimum cycle basis, and activity and votes are read off its basic
+cycles' alternating sums one entry at a time, so it shares no activity
+code with ``mdreloc.designer.design_md``.  Only the unit table, the
+precondition notes, unit selection and the result types are shared.
+"""
+
+from __future__ import annotations
+
+import warnings as _warnings
+from fractions import Fraction
+
+from mdreloc.absorbing import UasConfig, enumerate_uas
+from mdreloc.cycles import CycleBasis, minimum_cycle_basis
+from mdreloc.designer import (
+    DesignReport,
+    DesignResult,
+    StepRecord,
+    Unit,
+    _precondition_warnings,
+    _unit_table,
+    select_unit,
+)
+from mdreloc.relocation import (
+    RelocationMap,
+    alternating_value_sum,
+    assemble_md,
+    check_copies,
+    is_uas_active,
+)
+from mdreloc.tanner import QcMatrix, build_graph, check_regular_gamma, expand_qc
+
+
+def vote(basis: CycleBasis, unit_entries, reloc: RelocationMap) -> frozenset[int]:
+    """Relocation values that would break at least one basic cycle.
+
+    Candidate values overlay all entries of the unit at once, holding
+    every other entry at its current value (unassigned entries count
+    as 0); a value gets the vote when some basic cycle's alternating sum
+    stops being divisible by M under the overlay.
+    """
+    unit = frozenset(unit_entries)
+    m = reloc.m_copies
+    votes = set()
+    for xi in range(1, m):
+        def overlaid(eid, _xi=xi):
+            return _xi if eid in unit else reloc.value(eid)
+
+        if any(alternating_value_sum(c, overlaid) % m for c in basis.cycles):
+            votes.add(xi)
+    return frozenset(votes)
+
+
+def design_md(
+    host,
+    m_copies: int,
+    config: UasConfig,
+    *,
+    entry_granularity: bool = False,
+) -> DesignResult:
+    """Run the full design loop and assemble the MD matrix.
+
+    ``host`` is a QcMatrix (relocating circulants unless
+    ``entry_granularity``) or a BinaryMatrix (always entries).  M must be
+    an odd prime and the host column weight must match the target's.
+    Structural preconditions (no 4-cycles, no smaller-d1 siblings) are
+    checked and reported as warnings, not errors.
+    """
+    check_copies(m_copies)
+    if isinstance(host, QcMatrix):
+        matrix, qc = expand_qc(host), host
+    else:
+        matrix, qc = host, None
+    gamma = check_regular_gamma(matrix)
+    if gamma != config.gamma:
+        raise ValueError(
+            f"host column weight {gamma} does not match target gamma {config.gamma}"
+        )
+    use_circulants = qc is not None and not entry_granularity
+    granularity = "circulant" if use_circulants else "entry"
+    graph = build_graph(matrix)
+
+    notes = _precondition_warnings(matrix, graph, config)
+    for note in notes:
+        _warnings.warn(note, stacklevel=2)
+
+    units = _unit_table(matrix, qc, use_circulants)
+    unit_of_entry: dict[int, Unit] = {}
+    for unit, eids in units.items():
+        for eid in eids:
+            unit_of_entry[eid] = unit
+
+    instances = enumerate_uas(graph, config)
+    bases = [minimum_cycle_basis(inst.deg2_subgraph()) for inst in instances]
+    instance_units = [
+        frozenset(unit_of_entry[eid] for eid in inst.deg2_entry_ids)
+        for inst in instances
+    ]
+
+    reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
+    active = [is_uas_active(b, reloc) for b in bases]
+    aux_units = {xi: 0 for xi in range(1, m_copies)}
+    assigned: set[Unit] = set()
+    steps: list[StepRecord] = []
+
+    # Each non-final pass assigns one unit, so len(units) + 1 passes always
+    # suffice; running out anyway means the bookkeeping is corrupted.
+    for _ in range(len(units) + 1):
+        active_count = sum(active)
+        if active_count == 0:
+            break
+        counts = {u: 0 for u in units if u not in assigned}
+        for i, is_active in enumerate(active):
+            if not is_active:
+                continue
+            for unit in instance_units[i]:
+                if unit in counts:
+                    counts[unit] += 1
+        unit = select_unit(counts)
+        if unit is None:
+            break
+        involved = [i for i in range(len(instances)) if unit in instance_units[i]]
+        tally = {xi: 0 for xi in range(1, m_copies)}
+        for i in involved:
+            for xi in vote(bases[i], units[unit], reloc):
+                tally[xi] += 1
+        top = max(tally.values())
+        if top == 0:
+            steps.append(
+                StepRecord(
+                    unit=unit,
+                    involvement=counts[unit],
+                    votes=tuple(sorted(tally.items())),
+                    chosen=None,
+                    active_before=active_count,
+                    active_after=active_count,
+                )
+            )
+            break
+        winners = [xi for xi, t in tally.items() if t == top]
+        chosen = min(winners, key=lambda xi: (aux_units[xi], xi))
+        if unit[0] == "c":
+            reloc.assign_circulant(unit[1], unit[2], chosen)
+        else:
+            reloc.assign_entry(unit[1], unit[2], chosen)
+        assigned.add(unit)
+        aux_units[chosen] += 1
+        active = [is_uas_active(b, reloc) for b in bases]
+        steps.append(
+            StepRecord(
+                unit=unit,
+                involvement=counts[unit],
+                votes=tuple(sorted(tally.items())),
+                chosen=chosen,
+                active_before=active_count,
+                active_after=sum(active),
+            )
+        )
+    else:
+        if any(active):
+            raise RuntimeError(
+                "design loop exhausted the unit budget with active instances left"
+            )
+
+    od_active = sum(active)
+    report = DesignReport(
+        m_copies=m_copies,
+        config=config,
+        od_instances=len(instances),
+        baseline_md_instances=m_copies * len(instances),
+        od_active_final=od_active,
+        final_active=m_copies * od_active,
+        total_units=len(units),
+        relocated_units=len(assigned),
+        relocated_fraction=Fraction(len(assigned), len(units)) if units else Fraction(0),
+        aux_counts=tuple(aux_units[xi] for xi in range(1, m_copies)),
+        steps=tuple(steps),
+        warnings=tuple(notes),
+    )
+    return DesignResult(assemble_md(matrix, reloc), reloc, report)

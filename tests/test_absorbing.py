@@ -426,12 +426,3 @@ class TestInvolvement:
             for inst in instances
         )
         assert sum(counts.values()) == expected_total
-
-    def test_active_filter(self):
-        qc = array_host(3, 3, 3)
-        g = md.build_graph(md.expand_qc(qc))
-        instances = md.enumerate_uas(g, md.UasConfig(4, 2, 3))
-        none_active = md.involvement_counts(instances, qc, active=[False] * len(instances))
-        assert set(none_active.values()) == {0}
-        all_active = md.involvement_counts(instances, qc, active=[True] * len(instances))
-        assert all_active == md.involvement_counts(instances, qc)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import ast
 import dataclasses
 import os
 import re
@@ -365,9 +366,40 @@ class TestEntryPoints:
         assert "Traceback" not in err
         assert "BrokenPipeError" not in err
 
+    @pytest.mark.parametrize("flag", ["--out-md", "--out-reloc", "--report"])
+    def test_unwritable_output_exits_3(self, host33, tmp_path, source_env, flag):
+        target = str(tmp_path / "missing" / "out.txt")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdreloc", "design", "--input", host33, "--uas", "4,2",
+             "--M", "3", flag, target],
+            capture_output=True, text=True, env=source_env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exits_2(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "mdreloc", "verify", "--uas", "4,2"],
             capture_output=True, text=True, env=source_env,
         )
         assert proc.returncode == 2
+
+
+class TestReadmeLibrary:
+    def test_block_results(self):
+        """Run the README Library block; each commented expression must repr as its comment."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        source = re.search(r"## Library.*?```python\n(.*?)```", readme, re.S).group(1)
+        lines = source.splitlines()
+        scope: dict = {}
+        seen = []
+        for node in ast.parse(source).body:
+            comment = lines[node.end_lineno - 1].partition("#")[2]
+            if not (isinstance(node, ast.Expr) and comment):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+                continue
+            expected = comment.split(":")[0].strip()
+            assert repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)) == expected
+            seen.append(expected)
+        assert seen == ["True", "0", "Fraction(24, 25)", "0", "0"]

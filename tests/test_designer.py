@@ -2,12 +2,20 @@
 
 from fractions import Fraction as Fr
 
+import warnings
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdreloc as md
 from mdreloc.designer import REPORT_TSV_HEADER
+from mdreloc.relocation import activity_plans
 
 from conftest import array_host, k4_host, lift_identity
+from reference_designer import design_md as reference_design_md
+from reference_designer import vote as reference_vote
 
 
 def run_quiet(*args, **kwargs):
@@ -16,21 +24,45 @@ def run_quiet(*args, **kwargs):
 
 
 class TestVote:
-    def test_single_entry_breaks_both_cycles(self, uas_4_2, basis_4_2):
-        zero = md.RelocationMap(3, uas_4_2.incidence)
-        assert md.vote(basis_4_2, (8,), zero) == frozenset({1, 2})
-        assert md.vote(basis_4_2, (0,), zero) == frozenset({1, 2})
+    @pytest.fixture
+    def plans(self, inst_4_2):
+        return activity_plans([inst_4_2])
 
-    def test_paired_entries_cancel(self, uas_4_2, basis_4_2):
+    def test_single_entry_breaks_both_cycles(self, uas_4_2, basis_4_2, plans):
+        zero = md.RelocationMap(3, uas_4_2.incidence)
+        values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
+        for eid in (8, 0):
+            assert md.vote(plans, (eid,), values, 3) == {1: 1, 2: 1}
+            assert reference_vote(basis_4_2, (eid,), zero) == frozenset({1, 2})
+
+    def test_paired_entries_cancel(self, uas_4_2, basis_4_2, plans):
         # both halves of the shared check shift together, so every cycle
         # keeps its zero sum and no value gets a vote
         zero = md.RelocationMap(3, uas_4_2.incidence)
-        assert md.vote(basis_4_2, (8, 9), zero) == frozenset()
+        values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
+        assert md.vote(plans, (8, 9), values, 3) == {1: 0, 2: 0}
+        assert reference_vote(basis_4_2, (8, 9), zero) == frozenset()
 
-    def test_votes_respect_existing_values(self, uas_4_2, basis_4_2):
+    def test_votes_respect_existing_values(self, uas_4_2, basis_4_2, plans):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 3, 1)
-        assert md.vote(basis_4_2, (8,), reloc) == frozenset({2})
+        values = np.array([reloc.value(e) for e in range(len(uas_4_2.incidence.entries))])
+        assert md.vote(plans, (8,), values, 3) == {1: 0, 2: 1}
+        assert reference_vote(basis_4_2, (8,), reloc) == frozenset({2})
+
+    def test_tally_counts_instances(self):
+        # Every (4, 2) instance of a host against the per-instance reference votes.
+        host = md.expand_qc(array_host(3, 5, 5))
+        instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
+        reloc = md.RelocationMap(5, host)
+        reloc.assign_entry(*host.entries[3], 2)
+        values = np.array([reloc.value(e) for e in range(len(host.entries))])
+        for unit in [(0,), (3, 4), (10, 20, 30)]:
+            expected = {xi: 0 for xi in range(1, 5)}
+            for inst in instances:
+                for xi in reference_vote(md.minimum_cycle_basis(inst.deg2_subgraph()), unit, reloc):
+                    expected[xi] += 1
+            assert md.vote(activity_plans(instances), unit, values, 5) == expected
 
 
 class TestSelectUnit:
@@ -165,3 +197,74 @@ class TestReportOutput:
         assert "target (4, 2)" in text
         assert "step 1" in text
         assert "final active instances: 0" in text
+
+
+def assert_same_design(host, m_copies, config, entry_granularity):
+    """design_md equals the cycle-basis reference on every reported field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = md.design_md(host, m_copies, config, entry_granularity=entry_granularity)
+        try:
+            ref = reference_design_md(host, m_copies, config, entry_granularity=entry_granularity)
+        except ValueError as exc:
+            # On hosts with 4-cycles the reference can fail to order an
+            # instance's minimum cycle basis; then check the final activity
+            # against the copy-alignment search instead.
+            assert "consecutive cycles" in str(exc)
+            graph = md.build_graph(md.expand_qc(host))
+            left = [md.min_detached_checks(u, got.relocation) == 0
+                    for u in md.enumerate_uas(graph, config)]
+            assert got.report.od_active_final == sum(left)
+            return got
+    assert got.report == ref.report
+    assert got.relocation.to_text() == ref.relocation.to_text()
+    assert got.h_md.entries == ref.h_md.entries
+    return got
+
+
+class TestAgainstReference:
+    """The potential-solve designer against the cycle-basis loop it replaced."""
+
+    # Every ladder host, target, M and granularity appears at least once; the
+    # (5,3) and (6,2) rows include the designs CHANGES.md records for D6.
+    @pytest.mark.parametrize(
+        "shape, target, m_copies, entry",
+        [
+            ((3, 3, 3), (4, 2), 3, False),
+            ((3, 3, 3), (4, 2), 3, True),
+            ((3, 3, 3), (6, 0), 5, True),
+            ((3, 4, 5), (5, 3), 3, True),
+            ((3, 4, 5), (6, 2), 5, False),
+            ((3, 5, 5), (4, 2), 5, True),
+            ((3, 5, 5), (6, 0), 3, False),
+            ((3, 5, 5), (6, 2), 5, False),
+            ((3, 5, 7), (5, 3), 5, False),
+            ((3, 5, 7), (6, 0), 3, True),
+            ((3, 7, 11), (4, 2), 3, False),
+            ((3, 7, 11), (4, 2), 5, True),
+            ((3, 7, 11), (6, 2), 3, False),
+            ((3, 11, 13), (4, 2), 3, False),
+            ((4, 5, 5), (4, 4), 5, False),
+            ((4, 7, 7), (4, 4), 3, True),
+        ],
+    )
+    def test_ladder(self, shape, target, m_copies, entry):
+        config = md.UasConfig(*target, shape[0])
+        got = assert_same_design(array_host(*shape), m_copies, config, entry)
+        assert got.report.steps
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5, 7]),
+        cols=st.integers(3, 4),
+        target=st.sampled_from([(4, 2), (5, 3), (6, 2), (6, 0)]),
+        m_copies=st.sampled_from([3, 5]),
+        entry=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_qc_hosts(self, p, cols, target, m_copies, entry, data):
+        shifts = data.draw(st.lists(st.integers(0, p - 1), min_size=3 * cols, max_size=3 * cols))
+        host = md.QcMatrix.from_blocks(
+            p, 3, cols, {(i, j): shifts[i * cols + j] for i in range(3) for j in range(cols)}
+        )
+        assert_same_design(host, m_copies, md.UasConfig(*target, 3), entry)

@@ -1,13 +1,27 @@
 """Relocation maps, cycle activity, and MD matrix assembly."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdreloc as md
+import mdreloc.relocation as relocation
+from mdreloc.relocation import activity_plans, intact
 
 from conftest import arrangement_1, arrangement_2, array_host
+
+
+@functools.lru_cache
+def activity_set(name):
+    """A set's instance and the matrix its entry ids index: a reference set or a (6,2) instance."""
+    if name == "6_2_g3":
+        host = md.expand_qc(array_host(3, 4, 5))
+        return md.enumerate_uas(md.build_graph(host), md.UasConfig(6, 2, 3))[0], host
+    fix = md.canonical_uas(name)
+    return fix.instance(), fix.incidence
 
 
 class TestPrimality:
@@ -158,6 +172,47 @@ class TestActivity:
         original = md.alternating_value_sum(cycle, reloc.value)
         assert (turned % 3 == 0) == (original % 3 == 0)
         assert turned % 3 in ((original % 3), (-original) % 3)
+
+
+class TestIntact:
+    """The potential-solve kernel against the cycle definition and the alignment search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["4_2_g3", "4_4_g4", "6_2_g3"]), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_agrees_with_cycle_basis_and_detached_checks(self, name, m_copies, data):
+        inst, matrix = activity_set(name)
+        basis = md.minimum_cycle_basis(inst.deg2_subgraph())
+        maps = []
+        for _ in range(4):
+            reloc = md.RelocationMap(m_copies, matrix)
+            for eid in inst.entry_ids:
+                reloc.assign_entry(*matrix.entries[eid], data.draw(st.integers(0, m_copies - 1)))
+            maps.append(reloc)
+        values = np.array([[r.value(e) for r in maps] for e in range(len(matrix.entries))])
+        got = intact(activity_plans([inst]), values, m_copies)
+        assert got.shape == (1, len(maps))
+        for col, reloc in enumerate(maps):
+            assert got[0, col] == md.is_uas_active(basis, reloc)
+            assert got[0, col] == (md.min_detached_checks(inst, reloc) == 0)
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_blocks_split_instances(self, monkeypatch, cells):
+        host = md.expand_qc(array_host(3, 5, 5))
+        instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
+        values = np.random.default_rng(3).integers(0, 5, size=(len(host.entries), 6))
+        whole = intact(activity_plans(instances), values, 5)
+        monkeypatch.setattr(relocation, "_BLOCK_CELLS", cells)
+        assert (intact(activity_plans(instances), values, 5) == whole).all()
+        reloc = md.RelocationMap(5, host)
+        for eid, (r, c) in enumerate(host.entries):
+            reloc.assign_entry(r, c, int(values[eid, 0]))
+        expected = [md.is_uas_active(md.minimum_cycle_basis(u.deg2_subgraph()), reloc)
+                    for u in instances]
+        assert whole[:, 0].tolist() == expected
+        assert 0 < sum(expected) < len(instances)
+
+    def test_no_instances(self):
+        assert intact(activity_plans([]), np.zeros((5, 3), dtype=np.int64), 3).shape == (0, 3)
 
 
 class TestSplit:

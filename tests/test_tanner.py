@@ -74,6 +74,14 @@ class TestQcMatrix:
                 col = bj * 5 + (r + k) % 5
                 assert (row, col) in m.entry_index
 
+    def test_block_positions(self):
+        q = array_host(3, 4, 5)
+        assert q.block_positions(2, 3) == ((10, 16), (11, 17), (12, 18), (13, 19), (14, 15))
+        assert [pos for bi, bj, _ in q.circulants for pos in q.block_positions(bi, bj)] == sorted(
+            md.expand_qc(q).entries, key=lambda rc: (rc[0] // 5, rc[1] // 5, rc[0]))
+        with pytest.raises(KeyError):
+            md.QcMatrix.from_blocks(3, 1, 2, {(0, 0): 1}).block_positions(0, 1)
+
 
 class TestTannerGraph:
     def test_edges_sorted_by_entry_id(self):
@@ -92,6 +100,15 @@ class TestTannerGraph:
         g = md.build_graph(ring_matrix())
         sub = g.subgraph(vns=(0, 1), cns=(0, 4))
         assert {e[2] for e in sub.edges} == {0, 1, 8}
+
+    def test_components(self):
+        g = md.build_graph(ring_matrix())
+        assert g.components() == [((0, 1, 2, 3), (0, 1, 2, 3, 4))]
+        split = g.subgraph(vns=(0, 2, 3), cns=(0, 4, 2))
+        assert sorted(split.components()) == [((0,), (0, 4)), ((2, 3), (2,))]
+        isolated = md.TannerGraph((7,), (1,), ())
+        assert sorted(isolated.components()) == [((), (7,)), ((1,), ())]
+        assert md.TannerGraph((), (), ()).components() == []
 
     def test_regular_gamma(self):
         assert md.check_regular_gamma(md.expand_qc(array_host(3, 3, 5))) == 3
