@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 
 from .relocation import is_prime
-from .tanner import BinaryMatrix, QcMatrix, TannerGraph, build_graph
+from .tanner import BinaryMatrix, TannerGraph, build_graph
 
 
 @dataclass(frozen=True)
@@ -364,26 +364,6 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
             f"orbit expansion gave {len(instances)} instances, expected {weight}"
         )
     return [instances[k] for k in sorted(instances)]
-
-
-def involvement_counts(instances, q: QcMatrix) -> dict[tuple[int, int], int]:
-    """Per-circulant count of instances whose degree-2 edges touch it.
-
-    The result covers every nonzero circulant of the base matrix,
-    including zero counts.
-    """
-    counts = {(bi, bj): 0 for bi, bj, _ in q.circulants}
-    for inst in instances:
-        blocks = set()
-        for eid in inst.deg2_entry_ids:
-            cn, vn = inst.graph.edge_by_id[eid]
-            block = q.block_of_entry(cn, vn)
-            if block not in counts:
-                raise ValueError(f"entry ({cn}, {vn}) falls in a zero circulant {block}")
-            blocks.add(block)
-        for block in blocks:
-            counts[block] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,12 @@ from .absorbing import (
     cycle_count_bounds,
     degree2_check_count,
     enumerate_uas,
-    involvement_counts,
 )
 from .analysis import TSV_HEADER, basis_intersections, fraction_report, tsv_row
 from .cycles import enumerate_cycles, minimum_cycle_basis
 from .designer import design_md, report_log, report_tsv
 from .oracle import enumerate_md_uas, exhaustive_fractions, monte_carlo_avg
-from .relocation import check_copies
+from .relocation import check_copies, involvement, unit_table
 from .tanner import (
     BinaryMatrix,
     ParseError,
@@ -150,9 +149,10 @@ def cmd_analyze(args) -> int:
         f" cycle count in [{low}, {high}]"
     )
     if qc is not None and instances:
-        counts_by_block = involvement_counts(instances, qc)
+        units = unit_table(matrix, qc)
+        counts = involvement(instances, units).sum(axis=0).tolist()
         print("per-circulant involvement (block_row block_col count):")
-        for (bi, bj), cnt in sorted(counts_by_block.items()):
+        for (_, bi, bj), cnt in zip(units, counts):
             print(f"  {bi} {bj} {cnt}")
     return 0
 
@@ -179,17 +179,17 @@ def _fraction_instance(args):
 def cmd_fractions(args) -> int:
     m = _check_m(args.m)
     config, instance, label = _fraction_instance(args)
-    basis = minimum_cycle_basis(instance.deg2_subgraph())
+    try:
+        basis = minimum_cycle_basis(instance.deg2_subgraph())
+        emp = exhaustive_fractions(instance, m) if args.oracle else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     groups = basis_intersections(basis)
     report = fraction_report(
         basis.size, m, len(groups.exclusive_groups), len(groups.shared_groups)
     )
     header, row = TSV_HEADER, tsv_row(label, report)
-    if args.oracle:
-        try:
-            emp = exhaustive_fractions(instance, m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    if emp is not None:
         header += "\temp_f_nof\temp_f_nou\temp_f_not\temp_f_noc\tmatch"
         ok = (
             emp.f_basis_inactive == report.f_basis_inactive

@@ -22,7 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from .absorbing import UasConfig, enumerate_uas
-from .relocation import RelocationMap, activity_plans, assemble_md, check_copies, intact
+from .relocation import (
+    RelocationMap,
+    activity_plans,
+    assemble_md,
+    check_copies,
+    intact,
+    involvement,
+    unit_table,
+)
 from .tanner import (
     BinaryMatrix,
     QcMatrix,
@@ -104,21 +112,6 @@ def select_unit(counts: dict) -> Unit | None:
     return None if best is None else best[1]
 
 
-def _unit_table(
-    matrix: BinaryMatrix, qc: QcMatrix | None, use_circulants: bool
-) -> dict[Unit, tuple[int, ...]]:
-    """unit id -> entry ids it covers, in a stable order."""
-    if use_circulants:
-        assert qc is not None
-        return {
-            ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
-            for bi, bj, _ in sorted(qc.circulants)
-        }
-    return {
-        ("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)
-    }
-
-
 def _precondition_warnings(matrix, graph, config) -> list[str]:
     notes = []
     if not check_no_4cycles(graph):
@@ -168,19 +161,16 @@ def design_md(
     for note in notes:
         _warnings.warn(note, stacklevel=2)
 
-    units = _unit_table(matrix, qc, use_circulants)
-    unit_of_entry = {eid: unit for unit, eids in units.items() for eid in eids}
+    units = unit_table(matrix, qc if use_circulants else None)
+    column = {unit: j for j, unit in enumerate(units)}
 
     instances = enumerate_uas(graph, config)
     plans = activity_plans(instances)
-    instance_units = [
-        frozenset(unit_of_entry[eid] for eid in inst.deg2_entry_ids)
-        for inst in instances
-    ]
+    touches = involvement(instances, units)
 
     reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
     values = np.zeros(len(matrix.entries), dtype=np.int64)
-    active = intact(plans, values[:, None], m_copies)[:, 0].tolist()
+    active = intact(plans, values[:, None], m_copies)[:, 0]
     aux_units = {xi: 0 for xi in range(1, m_copies)}
     assigned: set[Unit] = set()
     steps: list[StepRecord] = []
@@ -188,20 +178,15 @@ def design_md(
     # Each non-final pass assigns one unit, so len(units) + 1 passes always
     # suffice; running out anyway means the bookkeeping is corrupted.
     for _ in range(len(units) + 1):
-        active_count = sum(active)
+        active_count = int(active.sum())
         if active_count == 0:
             break
-        counts = {u: 0 for u in units if u not in assigned}
-        for i, is_active in enumerate(active):
-            if not is_active:
-                continue
-            for unit in instance_units[i]:
-                if unit in counts:
-                    counts[unit] += 1
+        hits = touches[active].sum(axis=0).tolist()
+        counts = {u: hits[j] for u, j in column.items() if u not in assigned}
         unit = select_unit(counts)
         if unit is None:
             break
-        involved = [i for i in range(len(instances)) if unit in instance_units[i]]
+        involved = touches[:, column[unit]]
         tally = vote(tuple(p[involved] for p in plans), units[unit], values, m_copies)
         top, chosen = max(tally.values()), None
         if top:
@@ -214,7 +199,7 @@ def design_md(
             assigned.add(unit)
             aux_units[chosen] += 1
             values[list(units[unit])] = chosen
-            active = intact(plans, values[:, None], m_copies)[:, 0].tolist()
+            active = intact(plans, values[:, None], m_copies)[:, 0]
         steps.append(
             StepRecord(
                 unit=unit,
@@ -222,7 +207,7 @@ def design_md(
                 votes=tuple(sorted(tally.items())),
                 chosen=chosen,
                 active_before=active_count,
-                active_after=sum(active),
+                active_after=int(active.sum()),
             )
         )
         if chosen is None:
@@ -233,7 +218,7 @@ def design_md(
                 "design loop exhausted the unit budget with active instances left"
             )
 
-    od_active = sum(active)
+    od_active = int(active.sum())
     report = DesignReport(
         m_copies=m_copies,
         config=config,

@@ -44,8 +44,7 @@ from .cycles import enumerate_cycles, minimum_cycle_basis
 from .relocation import (
     _BLOCK_CELLS,
     RelocationMap,
-    _deg2_cn_edges,
-    _spanning_tree_split,
+    _potential_plan,
     activity_plans,
     check_copies,
     intact,
@@ -90,8 +89,11 @@ def _detached_check_counts(u: UasInstance, m: int, total: int, rows_at, weights=
     one copy of the check), i.e. R(e1) - R(e2) = s(y) - s(x): one row
     difference against one potential target.  Also counts, per matrix of
     signed cycle weights, the rows on which every cycle sum is nonzero.
+    The checks are the steps of ``u``'s potential plan.
     """
-    checks = _deg2_cn_edges(u)
+    tree, loops = _potential_plan(u)
+    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
+    checks = [(x, y, pos[e1], pos[e2]) for x, y, e1, e2 in tree + loops]
     n_pots = m ** (u.a - 1)
     if total * n_pots > MAX_CHECK_PAIRS:
         raise ValueError(f"{total} assignments x {n_pots} potentials at M={m}"
@@ -185,10 +187,9 @@ def exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     reduction against raw enumeration.
     """
     m = m_copies
-    _, non_tree = _spanning_tree_split(u)
+    _, loops = _potential_plan(u)
     pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    vset = set(u.vns)
-    designated = [pos[min(e for vn, e in u.graph.cn_adj[cn] if vn in vset)] for cn in non_tree]
+    designated = [pos[min(e1, e2)] for _, _, e1, e2 in loops]
 
     def rows_at(start: int, stop: int) -> np.ndarray:
         rows = np.zeros((stop - start, len(pos)), dtype=np.min_scalar_type(m - 1))

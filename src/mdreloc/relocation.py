@@ -13,6 +13,9 @@ sets all of whose cycles satisfy this) are called *active* here.
 ``is_uas_active`` reads that definition off basic cycles one at a time;
 ``intact``, which the designer and the Monte Carlo run, decides the same
 for many instances and maps at once by a spanning-tree potential solve.
+``unit_table`` and ``involvement`` map relocation units (circulants or
+entries) to entry ids and to the instances they touch, for the designer
+and ``analyze``.
 """
 
 from __future__ import annotations
@@ -121,12 +124,6 @@ class RelocationMap:
     def assigned_entry_ids(self) -> frozenset[int]:
         return frozenset(self._entry_values)
 
-    def copy(self) -> "RelocationMap":
-        dup = RelocationMap(self.m_copies, self.matrix, self.qc, self.granularity)
-        dup._entry_values = dict(self._entry_values)
-        dup._units = list(self._units)
-        return dup
-
     def to_text(self) -> str:
         out = [f"reloc M={self.m_copies} granularity={self.granularity}"]
         for unit in self._units:
@@ -170,6 +167,32 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
     return reloc
 
 
+def unit_table(matrix: BinaryMatrix, qc: QcMatrix | None = None) -> dict[tuple, tuple[int, ...]]:
+    """Relocation unit -> the host entry ids it covers, sorted by unit.
+
+    Units are the circulants ('c', bi, bj) of ``qc``, or the single
+    entries ('e', row, col) of ``matrix`` when ``qc`` is None.
+    """
+    if qc is None:
+        return {("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)}
+    return {
+        ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
+        for bi, bj, _ in sorted(qc.circulants)
+    }
+
+
+def involvement(instances, units: dict) -> np.ndarray:
+    """Bool (instances, units): instance i has a degree-2 edge in unit j.
+
+    Units are the keys of a ``unit_table``, in its order.
+    """
+    column = {eid: j for j, eids in enumerate(units.values()) for eid in eids}
+    out = np.zeros((len(instances), len(units)), dtype=bool)
+    for i, u in enumerate(instances):
+        out[i, [column[eid] for eid in u.deg2_entry_ids]] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Activity of cycles and absorbing sets
 
@@ -189,14 +212,9 @@ def alternating_value_sum(cycle: Cycle, value) -> int:
     return total
 
 
-def alternating_sum(cycle: Cycle, reloc: RelocationMap) -> int:
-    """Signed relocation-value sum along the cycle (see alternating_value_sum)."""
-    return alternating_value_sum(cycle, reloc.value)
-
-
 def is_cycle_active(cycle: Cycle, reloc: RelocationMap) -> bool:
     """A cycle stays a within-copy cycle iff its alternating sum is 0 mod M."""
-    return alternating_sum(cycle, reloc) % reloc.m_copies == 0
+    return alternating_value_sum(cycle, reloc.value) % reloc.m_copies == 0
 
 
 def is_uas_active(basis, reloc: RelocationMap) -> bool:
@@ -213,77 +231,42 @@ def is_uas_active(basis, reloc: RelocationMap) -> bool:
 _BLOCK_CELLS = 1 << 18
 
 
-def _deg2_cn_edges(u) -> list[tuple[int, int, int, int]]:
-    """Per degree-2 CN of instance ``u``: (vn_index, vn_index, entry, entry).
-
-    Entries are positions in ``u.deg2_entry_ids``, the columns of a row.
-    """
-    g = u.graph
-    vpos = {vn: i for i, vn in enumerate(u.vns)}
-    epos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    out = []
-    for cn in u.deg2_cns:
-        ends = [(vpos[vn], eid) for vn, eid in g.cn_adj[cn] if vn in vpos]
-        if len(ends) != 2:
-            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
-        (iu, e1), (iv, e2) = ends
-        out.append((iu, iv, epos[e1], epos[e2]))
-    return out
-
-
-def _spanning_tree_split(u) -> tuple[list[int], list[int]]:
-    """Degree-2 CNs split into (tree, non-tree) over the VN contraction.
-
-    Tree CNs come in discovery order from the first VN, so each joins a
-    VN already reached to a new one; non-tree CNs are sorted.
-    """
-    g = u.graph
-    vset = set(u.vns)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in u.vns}
-    for cn in u.deg2_cns:
-        ends = [vn for vn, _ in g.cn_adj[cn] if vn in vset]
-        adj[ends[0]].append((cn, ends[1]))
-        adj[ends[1]].append((cn, ends[0]))
-    seen = {u.vns[0]}
-    tree: list[int] = []
-    stack = [u.vns[0]]
-    while stack:
-        at = stack.pop()
-        for cn, other in adj[at]:
-            if other not in seen:
-                seen.add(other)
-                tree.append(cn)
-                stack.append(other)
-    if len(seen) != len(u.vns):
-        raise ValueError("degree-2 subgraph is not connected")
-    non_tree = sorted(set(u.deg2_cns) - set(tree))
-    return tree, non_tree
-
-
 def _potential_plan(u):
     """(tree, loops) that decide whether instance ``u`` survives a relocation.
 
     A potential gives each VN a copy shift s.  A check with edge e1 at VN
     x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
     mod M, so each step is (x, y, e1, e2) over VN positions and host
-    entry ids and reads s(y) = s(x) + R(e1) - R(e2).  With the first VN
-    pinned to 0, the tree steps in discovery order solve the one candidate
-    potential; the set stays intact exactly when every loop (non-tree
-    check) agrees with it.  That is the paper's test, every cycle's
-    alternating sum 0 mod M, read on the fundamental cycles.
+    entry ids and reads s(y) = s(x) + R(e1) - R(e2).  One walk over the
+    degree-2 checks from the first VN (pinned to 0) gives the tree steps,
+    each oriented from the VN it was reached from, so in order they solve
+    the one candidate potential; the set stays intact exactly when every
+    loop (non-tree check, sorted by check id) agrees with it.  That is the
+    paper's test, every cycle's alternating sum 0 mod M, read on the
+    fundamental cycles.
     """
-    eids = u.deg2_entry_ids
-    by_cn = {cn: (x, y, eids[k1], eids[k2])
-             for cn, (x, y, k1, k2) in zip(u.deg2_cns, _deg2_cn_edges(u))}
-    tree_cns, loop_cns = _spanning_tree_split(u)
-    solved, tree = {0}, []
-    for cn in tree_cns:
-        x, y, e1, e2 = by_cn[cn]
-        if x not in solved:
-            x, y, e1, e2 = y, x, e2, e1
-        solved.add(y)
-        tree.append((x, y, e1, e2))
-    return tree, [by_cn[cn] for cn in loop_cns]
+    vpos = {vn: i for i, vn in enumerate(u.vns)}
+    steps, adj = {}, [[] for _ in u.vns]
+    for cn in u.deg2_cns:
+        ends = [(vpos[vn], eid) for vn, eid in u.graph.cn_adj[cn] if vn in vpos]
+        if len(ends) != 2:
+            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
+        (x, e1), (y, e2) = ends
+        steps[cn] = (x, y, e1, e2)
+        adj[x].append((cn, y, e1, e2))
+        adj[y].append((cn, x, e2, e1))
+    seen, tree, stack = {0}, [], [0]
+    while stack:
+        at = stack.pop()
+        for cn, other, e_at, e_other in adj[at]:
+            if other not in seen:
+                seen.add(other)
+                tree.append((at, other, e_at, e_other))
+                stack.append(other)
+                del steps[cn]
+    if len(seen) != len(u.vns):
+        raise ValueError("degree-2 subgraph is not connected")
+    return tree, [steps[cn] for cn in sorted(steps)]
 
 
 def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:

@@ -160,11 +160,6 @@ class QcMatrix:
         k, p = self.shift_of_block[(bi, bj)], self.p
         return tuple((bi * p + r, bj * p + (r + k) % p) for r in range(p))
 
-    def block_of_entry(self, row: int, col: int) -> tuple[int, int]:
-        if not (0 <= row < self.m_b * self.p and 0 <= col < self.n_b * self.p):
-            raise ValueError(f"position ({row}, {col}) outside the expanded matrix")
-        return (row // self.p, col // self.p)
-
 
 @dataclass(frozen=True)
 class TannerGraph:

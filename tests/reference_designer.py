@@ -20,7 +20,6 @@ from mdreloc.designer import (
     StepRecord,
     Unit,
     _precondition_warnings,
-    _unit_table,
     select_unit,
 )
 from mdreloc.relocation import (
@@ -29,6 +28,7 @@ from mdreloc.relocation import (
     assemble_md,
     check_copies,
     is_uas_active,
+    unit_table,
 )
 from mdreloc.tanner import QcMatrix, build_graph, check_regular_gamma, expand_qc
 
@@ -86,7 +86,7 @@ def design_md(
     for note in notes:
         _warnings.warn(note, stacklevel=2)
 
-    units = _unit_table(matrix, qc, use_circulants)
+    units = unit_table(matrix, qc if use_circulants else None)
     unit_of_entry: dict[int, Unit] = {}
     for unit, eids in units.items():
         for eid in eids:

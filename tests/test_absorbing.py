@@ -411,18 +411,3 @@ class TestShiftSymmetry:
             assert _fields(md.enumerate_uas(g, config)) == _fields(
                 reference_enumerate_uas(g, config)
             ), config
-
-
-class TestInvolvement:
-    def test_counts_cover_all_instances(self):
-        qc = array_host(3, 3, 3)
-        g = md.build_graph(md.expand_qc(qc))
-        instances = md.enumerate_uas(g, md.UasConfig(4, 2, 3))
-        counts = md.involvement_counts(instances, qc)
-        assert set(counts) == set(qc.shift_of_block)
-        assert all(0 <= c <= len(instances) for c in counts.values())
-        expected_total = sum(
-            len({qc.block_of_entry(*inst.graph.edge_by_id[e]) for e in inst.deg2_entry_ids})
-            for inst in instances
-        )
-        assert sum(counts.values()) == expected_total

@@ -65,6 +65,13 @@ class TestAnalyze:
         assert "target (4, 2): 27 instances" in out
         assert "d2=5, basic cycles=2, cycle count in [3, 3]" in out
 
+    def test_per_circulant_involvement(self, host33, capsys):
+        assert main(["analyze", "--input", host33, "--uas", "4,2"]) == 0
+        _, block = capsys.readouterr().out.split(
+            "per-circulant involvement (block_row block_col count):\n"
+        )
+        assert block.splitlines() == [f"  {bi} {bj} 24" for bi in range(3) for bj in range(3)]
+
     def test_plain_alist_input(self, k4file, capsys):
         assert main(["analyze", "--input", k4file, "--uas", "4,0"]) == 0
         out = capsys.readouterr().out
@@ -377,6 +384,29 @@ class TestEntryPoints:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
         assert "Traceback" not in proc.stderr
+
+    def test_fractions_without_chained_basis_exits_3(self, tmp_path, source_env):
+        # The (4,2) instance on VNs (0, 1, 3, 5) of a 3x3 p=3 host with
+        # 4-cycles: its basic cycles cannot be ordered so that consecutive
+        # cycles share a check node.
+        shifts = [[0, 2, 0], [1, 0, 1], [1, 1, 2]]
+        host = md.expand_qc(md.QcMatrix.from_blocks(
+            3, 3, 3, {(i, j): shifts[i][j] for i in range(3) for j in range(3)}))
+        vns = (0, 1, 3, 5)
+        rows = sorted({r for r, c in host.entries if c in vns})
+        inst = md.BinaryMatrix.from_entries(len(rows), len(vns), [
+            (rows.index(r), vns.index(c)) for r, c in host.entries if c in vns])
+        path = tmp_path / "inst.alist"
+        path.write_text(md.write_alist(inst))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdreloc", "fractions", "--uas", "4,2,3", "--M", "3",
+             "--input", str(path)],
+            capture_output=True, text=True, env=source_env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: no ordering with consecutive cycles sharing a check node\n"
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_usage_error_exits_2(self, source_env):
         proc = subprocess.run(

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import mdreloc as md
 import mdreloc.relocation as relocation
-from mdreloc.relocation import activity_plans, intact
+from mdreloc.absorbing import _build_instance
+from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
 
 from conftest import arrangement_1, arrangement_2, array_host
 
@@ -73,13 +74,6 @@ class TestRelocationMap:
         with pytest.raises(ValueError, match="out of range"):
             reloc.assign_entry(4, 1, -1)
 
-    def test_copy_is_independent(self, uas_4_2):
-        reloc = arrangement_1(uas_4_2.incidence)
-        clone = reloc.copy()
-        clone.assign_entry(0, 0, 1)
-        assert reloc.value_at(0, 0) == 0
-        assert clone.value_at(0, 0) == 1
-
     def test_circulant_granularity(self):
         qc = array_host(2, 2, 3)
         m = md.expand_qc(qc)
@@ -137,13 +131,13 @@ class TestActivity:
         blue, red = basis_4_2.cycles
         reloc = arrangement_1(uas_4_2.incidence)
         # blue: +0 -0 +1 -1 +0 -0 ; red: +0 -0 +0 -0 +1 -1
-        assert md.alternating_sum(blue, reloc) % 3 == 0
-        assert md.alternating_sum(red, reloc) % 3 == 0
+        assert md.alternating_value_sum(blue, reloc.value) % 3 == 0
+        assert md.alternating_value_sum(red, reloc.value) % 3 == 0
         assert md.is_uas_active(basis_4_2, reloc)
 
     def test_breaking_arrangement(self, uas_4_2, basis_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        sums = [md.alternating_sum(c, reloc) % 3 for c in basis_4_2.cycles]
+        sums = [md.alternating_value_sum(c, reloc.value) % 3 for c in basis_4_2.cycles]
         assert all(s != 0 for s in sums)
         assert not md.is_uas_active(basis_4_2, reloc)
         assert not any(md.is_cycle_active(c, reloc) for c in basis_4_2.cycles)
@@ -213,6 +207,50 @@ class TestIntact:
 
     def test_no_instances(self):
         assert intact(activity_plans([]), np.zeros((5, 3), dtype=np.int64), 3).shape == (0, 3)
+
+
+class TestPotentialPlan:
+    def test_degree_three_check_rejected(self):
+        # Check 0 joins all three VNs; checks 1 and 2 chain them.
+        m = md.BinaryMatrix.from_entries(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)])
+        inst = _build_instance(md.build_graph(m), (0, 1, 2), (), (0, 1, 2))
+        with pytest.raises(ValueError, match="check 0 has induced degree 3, expected 2"):
+            _potential_plan(inst)
+
+    def test_disconnected_degree2_part_rejected(self):
+        # Two VN pairs, each joined by its own check.
+        m = md.BinaryMatrix.from_entries(2, 4, [(0, 0), (0, 1), (1, 2), (1, 3)])
+        inst = _build_instance(md.build_graph(m), (0, 1, 2, 3), (), (0, 1))
+        with pytest.raises(ValueError, match="degree-2 subgraph is not connected"):
+            _potential_plan(inst)
+
+
+class TestUnits:
+    """The unit table and the instance x unit incidence the designer and analyze share."""
+
+    @pytest.mark.parametrize("cols, p", [(3, 3), (5, 5)])
+    def test_circulant_units_and_involvement(self, cols, p):
+        qc = array_host(3, cols, p)
+        host = md.expand_qc(qc)
+        units = unit_table(host, qc)
+        assert list(units) == sorted(("c", bi, bj) for bi, bj, _ in qc.circulants)
+        for (_, bi, bj), eids in units.items():
+            assert eids == tuple(host.entry_index[pos] for pos in qc.block_positions(bi, bj))
+        instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
+        touches = involvement(instances, units)
+        assert touches.shape == (len(instances), len(units))
+        for row, inst in zip(touches, instances):
+            edges = [inst.graph.edge_by_id[eid] for eid in inst.deg2_entry_ids]
+            blocks = {("c", r // p, c // p) for r, c in edges}
+            assert {unit for unit, hit in zip(units, row) if hit} == blocks
+
+    def test_entry_units(self, uas_4_2, inst_4_2):
+        matrix = uas_4_2.incidence
+        units = unit_table(matrix)
+        assert list(units) == sorted(units) == [("e", r, c) for r, c in matrix.entries]
+        assert list(units.values()) == [(eid,) for eid in range(len(matrix.entries))]
+        touches = involvement([inst_4_2], units)
+        assert np.flatnonzero(touches[0]).tolist() == list(inst_4_2.deg2_entry_ids)
 
 
 class TestSplit:

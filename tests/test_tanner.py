@@ -56,11 +56,6 @@ class TestQcMatrix:
         m = md.expand_qc(q)
         assert m.entries == ((0, 1), (1, 2), (2, 0))
 
-    def test_block_of_entry(self):
-        q = array_host(2, 2, 3)
-        assert q.block_of_entry(4, 5) == (1, 1)
-        assert q.shift_of_block[(1, 1)] == 1
-
     def test_shift_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             md.QcMatrix.from_blocks(3, 1, 1, {(0, 0): 3})
