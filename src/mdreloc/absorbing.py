@@ -176,15 +176,17 @@ def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
 def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A free group of the graph's own cyclic shifts, as (VN map, CN map) pairs.
 
-    Only graphs with ids 0..R-1 and 0..C-1 are examined.  With
-    k = gcd(R, C), the candidate shifts are the copy shift by (R/q, C/q)
-    for each prime q | k, and the within-block circulant shift (x in block
-    x // p goes to position x + 1 mod p of the same block) for each p | k,
-    p > 1.  A candidate is kept only if it maps the edge set onto itself.
-    The group the kept shifts generate is returned if it has at most C
-    elements and acts freely on VNs (no element but the identity fixes a
-    VN, so every VN orbit has |G| members); otherwise only the identity.
-    The identity is always the first element.
+    The maps act on positions in ``g.vns`` and ``g.cns``.  Only graphs
+    with ids 0..C-1 and 0..R-1, where positions are ids, are examined;
+    any other graph gets the identity alone.  With k = gcd(R, C), the
+    candidate shifts are the copy shift by (R/q, C/q) for each prime
+    q | k, and the within-block circulant shift (x in block x // p goes to
+    position x + 1 mod p of the same block) for each p | k, p > 1, in
+    that order.  A candidate is kept only if it maps the edge set onto
+    itself.  The group is then grown greedily: each kept shift joins the
+    generators only if the group they generate still acts freely on VNs
+    (no element but the identity fixes a VN, so every VN orbit has |G|
+    members).  The identity is always the first element.
     """
     n_r, n_c = len(g.cns), len(g.vns)
     identity = (tuple(range(n_c)), tuple(range(n_r)))
@@ -193,6 +195,21 @@ def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]
 
     def rotation(n: int, block: int, step: int) -> tuple[int, ...]:
         return tuple(x - x % block + (x + step) % block for x in range(n))
+
+    def free_closure(gens):
+        """The group the maps generate, or None if an element fixes a VN."""
+        group = [identity]
+        seen = {identity}
+        for elem in group:
+            for vmap, cmap in gens:
+                new = (tuple(vmap[v] for v in elem[0]), tuple(cmap[c] for c in elem[1]))
+                if new in seen:
+                    continue
+                if any(v == x for v, x in enumerate(new[0])):
+                    return None
+                seen.add(new)
+                group.append(new)
+        return group
 
     k = gcd(n_r, n_c)
     divisors = [d for d in range(2, k + 1) if k % d == 0]
@@ -203,22 +220,13 @@ def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     ]
     cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in divisors]
     edges = {(cn, vn) for cn, vn, _ in g.edges}
-    gens = [
-        (vmap, cmap)
-        for vmap, cmap in cands
-        if all((cmap[cn], vmap[vn]) in edges for cn, vn in edges)
-    ]
-    group = [identity]
-    seen = {identity}
-    for elem in group:
-        for vmap, cmap in gens:
-            new = (tuple(vmap[v] for v in elem[0]), tuple(cmap[c] for c in elem[1]))
-            if new in seen:
-                continue
-            if len(group) == n_c or any(v == x for v, x in enumerate(new[0])):
-                return [identity]
-            seen.add(new)
-            group.append(new)
+    group, gens = [identity], []
+    for vmap, cmap in cands:
+        if all((cmap[cn], vmap[vn]) in edges for cn, vn in edges):
+            grown = free_closure(gens + [(vmap, cmap)])
+            if grown is not None:
+                group = grown
+                gens.append((vmap, cmap))
     return group
 
 
@@ -232,26 +240,33 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
 
     The search runs modulo the graph's own cyclic shifts (``_shift_group``:
     the copy shift of an MD matrix, the circulant shift of a QC matrix).
-    VNs are ordered by (orbit, id), each orbit led by its smallest id, and
-    sets are grown only from each orbit's first VN: every set has an image
-    under the group whose first VN is one of those roots.  Each set found
-    is mapped through the whole group, images are deduplicated by VN
-    tuple, and the count is checked against the orbit identity
+    VNs are ordered by (orbit, position), each orbit led by its first VN,
+    and sets are grown only from each orbit's first VN: every set has an
+    image under the group whose first VN is one of those roots.  Each set
+    found is mapped through the whole group, images are deduplicated by
+    VN tuple, and the count is checked against the orbit identity
     |G| * sum(1/r) = number of instances, where r is how many of the
     set's VNs lie in its root's orbit.  When no shift survives detection
     the group is the identity, every VN is a root and the search is the
     plain one.
 
-    The search keeps D, the number of checks of induced degree 1, up to
-    date.  Adding a VN of degree gamma that touches t degree-1 checks
-    changes D by gamma - 2t, with 0 <= t <= gamma, so with r VNs still
-    to add a branch is dropped unless D - gamma*r <= d1 <= D + gamma*r.
-    The last VN is not searched for: a set of a - 1 VNs is completed only
-    by a candidate that touches no degree-2 check and exactly
-    t = (D + gamma - d1) / 2 degree-1 checks, which makes D = d1; the
-    majority rule then needs 2t > gamma for that VN and is tested for the
-    others.  No connectivity test is needed: every set grows through
-    checks it shares, and a shared check has induced degree 2.
+    The state of a set is two bitmasks of checks, one bit per check at
+    its position in ``g.cns``: ``one`` holds the checks of induced degree
+    1 and ``two`` those of degree 2.  A VN whose mask m meets ``two`` is
+    refused (a check would reach degree 3); otherwise it makes
+    one ^ m the degree-1 checks and two | (one & m) the degree-2 ones.
+    D, the number of degree-1 checks, is ``one.bit_count()``.  Adding a
+    VN of degree gamma that touches t degree-1 checks changes D by
+    gamma - 2t, with 0 <= t <= gamma, so with r VNs still to add a branch
+    is dropped unless D - gamma*r <= d1 <= D + gamma*r.  The last VN is
+    not searched for: a set of a - 1 VNs is completed only by a
+    candidate with ``m & two == 0`` and exactly
+    t = (D + gamma - d1) / 2 bits in ``m & one``, which makes D = d1; the
+    majority rule then needs 2t > gamma for that VN and, for each other
+    VN v, fewer than gamma / 2 of v's checks among the final degree-1
+    ones.  No connectivity test is needed: every set grows through checks
+    it shares, and a shared check has induced degree 2.  Masks become
+    check ids only for the sets found.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
     if a == 1:
@@ -260,104 +275,87 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
         return []
     group = _shift_group(g)
     size = len(group)
-    # The search works on ranks: order[i] is the VN of rank i, and the VNs
-    # of rank size*k .. size*k + size - 1 form the k-th orbit.
-    order = sorted(g.vns, key=lambda v: (min(vmap[v] for vmap, _ in group), v))
-    rank = {v: i for i, v in enumerate(order)}
-    eligible = {rank[v] for v in g.vns if g.vn_degree(v) == gamma}
+    # The search works on ranks: order[i] is the position in g.vns of the
+    # VN of rank i, and ranks size*k .. size*k + size - 1 form the k-th orbit.
+    order = sorted(range(len(g.vns)), key=lambda v: (min(vmap[v] for vmap, _ in group), v))
+    rank = {g.vns[v]: i for i, v in enumerate(order)}
+    bit = {cn: 1 << i for i, cn in enumerate(g.cns)}
+    # Check mask of every eligible VN rank (degree gamma); 0 for the rest.
+    mask = [0] * len(order)
+    for i, v in enumerate(order):
+        adj_v = g.vn_adj[g.vns[v]]
+        if len(adj_v) == gamma:
+            mask[i] = sum(bit[cn] for cn, _ in adj_v)
 
     # VN adjacency via shared checks, restricted to eligible VNs.
-    adj: dict[int, set[int]] = {v: set() for v in eligible}
+    adj: list[set[int]] = [set() for _ in order]
     for cn in g.cns:
-        members = [rank[vn] for vn, _ in g.cn_adj[cn] if rank[vn] in eligible]
+        members = [rank[vn] for vn, _ in g.cn_adj[cn] if mask[rank[vn]]]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 adj[members[i]].add(members[j])
                 adj[members[j]].add(members[i])
-    nbrs = {v: sorted(us) for v, us in adj.items()}
+    nbrs = [sorted(us) for us in adj]
 
-    checks = {v: [cn for cn, _ in g.vn_adj[order[v]]] for v in eligible}
-    # Induced degree of every check the current set touches (no zero keys),
-    # and the number of those at degree 1.
-    cn_count: dict[int, int] = {}
-    n_deg1 = 0
-    # (VN ranks, degree-1 checks, degree-2 checks) of every set found.
-    found: list[tuple[list[int], set[int], set[int]]] = []
+    # (VN ranks, degree-1 check mask, degree-2 check mask) of every set found.
+    found: list[tuple[list[int], int, int]] = []
 
-    def add_vn(vn: int) -> bool:
-        """Bump induced check degrees; refuse if any would reach 3."""
-        nonlocal n_deg1
-        cns = checks[vn]
-        if 2 in map(cn_count.get, cns):
-            return False
-        for cn in cns:
-            k = cn_count[cn] = cn_count.get(cn, 0) + 1
-            n_deg1 += 1 if k == 1 else -1
-        return True
-
-    def remove_vn(vn: int):
-        nonlocal n_deg1
-        for cn in checks[vn]:
-            k = cn_count.pop(cn) - 1
-            if k:
-                cn_count[cn] = k
-            n_deg1 += 1 if k else -1
-
-    def finish(sub: list[int], ext: list[int]):
+    def finish(sub: list[int], ext: list[int], one: int, two: int):
         """Complete a set of a - 1 VNs with each candidate that makes D = d1."""
-        t, odd = divmod(n_deg1 + gamma - d1, 2)
+        t, odd = divmod(one.bit_count() + gamma - d1, 2)
         if odd or 2 * t <= gamma:
             # The last VN would keep gamma - t >= t degree-1 checks.
             return
-        deg1 = {cn for cn, k in cn_count.items() if k == 1}
-        deg2 = cn_count.keys() - deg1
         for w in ext:
-            cns = checks[w]
-            shared = deg1.intersection(cns)
-            if len(shared) == t and deg2.isdisjoint(cns):
-                final1 = deg1.symmetric_difference(cns)
+            m = mask[w]
+            if not m & two and (m & one).bit_count() == t:
+                final1 = one ^ m
                 # Majority rule for the other VNs.
-                if all(2 * len(final1.intersection(checks[v])) < gamma for v in sub):
-                    found.append((sub + [w], final1, deg2 | shared))
+                if all(2 * (final1 & mask[v]).bit_count() < gamma for v in sub):
+                    found.append((sub + [w], final1, two | (one & m)))
 
-    def extend(sub: list[int], ext: list[int], root: int, closed: set[int]):
+    def extend(sub: list[int], ext: list[int], root: int, closed: set[int], one: int, two: int):
         if len(sub) == a - 1:
-            finish(sub, ext)
+            finish(sub, ext, one, two)
             return
         reach = gamma * (a - len(sub) - 1)
-        ext = list(ext)
-        while ext:
-            w = ext.pop(0)
-            closed.add(w)
-            if add_vn(w):
-                if n_deg1 - reach <= d1 <= n_deg1 + reach:
-                    # Exclusive new neighbours keep every connected set
-                    # reachable by exactly one insertion order.
-                    new_ext = ext + [
-                        u for u in nbrs[w] if u > root and u not in closed
-                    ]
-                    closed_new = closed | set(new_ext)
-                    sub.append(w)
-                    extend(sub, new_ext, root, closed_new)
-                    sub.pop()
-                remove_vn(w)
+        for i, w in enumerate(ext):
+            m = mask[w]
+            if m & two:
+                continue
+            one_w = one ^ m
+            n_deg1 = one_w.bit_count()
+            if n_deg1 - reach <= d1 <= n_deg1 + reach:
+                # Exclusive new neighbours keep every connected set
+                # reachable by exactly one insertion order.  ``closed``
+                # already holds every member of ``ext``.
+                new_ext = ext[i + 1 :] + [u for u in nbrs[w] if u > root and u not in closed]
+                sub.append(w)
+                extend(sub, new_ext, root, closed | set(new_ext), one_w, two | (one & m))
+                sub.pop()
 
-    for root in sorted(v for v in eligible if v % size == 0):
-        add_vn(root)
-        ext0 = [u for u in nbrs[root] if u > root]
-        extend([root], ext0, root, {root} | set(ext0))
-        remove_vn(root)
+    for root in range(0, len(order), size):
+        if mask[root]:
+            ext0 = [u for u in nbrs[root] if u > root]
+            extend([root], ext0, root, {root} | set(ext0), mask[root], 0)
+
+    def positions(bits: int) -> list[int]:
+        return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
     instances: dict[tuple[int, ...], UasInstance] = {}
     weight = Fraction(0)
     for sub, deg1, deg2 in found:
         vns = [order[v] for v in sub]
+        cns1, cns2 = positions(deg1), positions(deg2)
         weight += Fraction(size, sum(v // size == sub[0] // size for v in sub))
         for vmap, cmap in group:
-            image = tuple(sorted(vmap[v] for v in vns))
+            image = tuple(sorted(g.vns[vmap[v]] for v in vns))
             if image not in instances:
                 instances[image] = _build_instance(
-                    g, image, [cmap[cn] for cn in deg1], [cmap[cn] for cn in deg2]
+                    g,
+                    image,
+                    [g.cns[cmap[i]] for i in cns1],
+                    [g.cns[cmap[i]] for i in cns2],
                 )
     if weight != len(instances):
         raise AssertionError(

@@ -267,6 +267,33 @@ class TestAgainstReference:
         assert len(ref) == count
         assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_md_matrix_wider_than_64_checks(self):
+        # 75 checks: the check masks need more than one machine word.
+        res = md.design_md(
+            array_host(3, 4, 5), 5, md.UasConfig(4, 2, 3), entry_granularity=True
+        )
+        assert res.h_md.n_rows == 75
+        g = md.build_graph(res.h_md)
+        config = md.UasConfig(4, 4, 3)
+        ref = reference_enumerate_uas(g, config)
+        assert len(ref) == 380
+        assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
+
+    def test_subgraph_with_sparse_ids(self):
+        # Check and VN ids are neither dense nor starting at 0, so check
+        # positions in g.cns differ from the ids the instances report.
+        host = md.build_graph(md.expand_qc(array_host(3, 4, 5)))
+        g = host.subgraph(range(3, 20), [c for c in host.cns if c % 4 != 1])
+        assert g.cns != tuple(range(len(g.cns)))
+        assert g.vns != tuple(range(len(g.vns)))
+        total = 0
+        for config in _legal_configs(range(2, 7), 3):
+            ref = reference_enumerate_uas(g, config)
+            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+            total += len(ref)
+        assert total
+
     @settings(max_examples=100, deadline=None)
     @given(host=irregular_hosts())
     def test_irregular_column_weights(self, host):
@@ -385,7 +412,8 @@ class TestShiftSymmetry:
     def test_non_free_group_falls_back(self):
         # 4 x 4 blocks built from I, P^2 and P + P^3, each fixed by the
         # rotation and the pair swap inside every block of 4.  Those shifts
-        # generate the dihedral group of order 8, whose reflections fix VNs.
+        # generate the dihedral group of order 8, whose reflections fix VNs,
+        # so only a free subgroup of it may be kept.
         eye = np.eye(4, dtype=int)
         blocks = {"I": eye, "P2": np.roll(eye, 2, axis=1), "Z": 0 * eye}
         blocks["Q"] = np.roll(eye, 1, axis=1) + np.roll(eye, 3, axis=1)
@@ -394,7 +422,12 @@ class TestShiftSymmetry:
         g = md.build_graph(m)
         for p in (2, 4):
             assert _maps_edges_onto_itself(g, _block_shift(12, p), _block_shift(12, p))
-        assert len(_shift_group(g)) == 1
+        group = _shift_group(g)
+        assert len(group) > 1
+        assert all(
+            all(v != x for v, x in enumerate(vmap)) for vmap, _ in group[1:]
+        ), "an element other than the identity fixes a VN"
+        assert all(_maps_edges_onto_itself(g, vmap, cmap) for vmap, cmap in group)
         counts = {}
         for config in _legal_configs(range(3, 6), 3):
             ref = reference_enumerate_uas(g, config)
