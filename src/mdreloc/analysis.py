@@ -29,16 +29,14 @@ from .relocation import check_copies
 class BasisIntersections:
     """CN-sharing structure of a cycle basis.
 
-    ``cycle_cn_sets[i]`` holds the CNs of basic cycle i; ``exclusive_parts[i]``
-    those appearing in no other basic cycle; ``shared_parts`` the nonempty
-    pairwise intersections keyed by cycle-index pair.  ``exclusive_groups``
-    and ``shared_groups`` are the same data deduplicated as unordered CN
-    groups (sorted tuples), which is what the fraction formulas consume.
+    ``cycle_cn_sets[i]`` holds the CNs of basic cycle i.
+    ``exclusive_groups`` are the nonempty sets of CNs that appear in one
+    basic cycle and no other; ``shared_groups`` the nonempty pairwise
+    intersections of basic cycles.  Both are deduplicated as sorted
+    tuples, which is what the fraction formulas consume.
     """
 
     cycle_cn_sets: tuple[frozenset[int], ...]
-    exclusive_parts: tuple[frozenset[int], ...]
-    shared_parts: tuple[tuple[tuple[int, int], frozenset[int]], ...]
     exclusive_groups: tuple[tuple[int, ...], ...]
     shared_groups: tuple[tuple[int, ...], ...]
 
@@ -51,24 +49,12 @@ def basis_intersections(basis: CycleBasis) -> BasisIntersections:
     """Exclusive and pairwise-shared CN groups of the basic cycles."""
     cn_sets = tuple(frozenset(c.cns) for c in basis.cycles)
     n = len(cn_sets)
-    shared = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = cn_sets[i] & cn_sets[j]
-            if inter:
-                shared.append(((i, j), inter))
-    exclusive = []
-    for i in range(n):
-        others = frozenset().union(*(cn_sets[j] for j in range(n) if j != i)) if n > 1 else frozenset()
-        exclusive.append(cn_sets[i] - others)
-    dedup_excl = sorted({tuple(sorted(d)) for d in exclusive if d})
-    dedup_shared = sorted({tuple(sorted(s)) for _, s in shared})
+    shared = [cn_sets[i] & cn_sets[j] for i in range(n) for j in range(i + 1, n)]
+    exclusive = [cn_sets[i].difference(*(cn_sets[j] for j in range(n) if j != i)) for i in range(n)]
     return BasisIntersections(
         cycle_cn_sets=cn_sets,
-        exclusive_parts=tuple(exclusive),
-        shared_parts=tuple(shared),
-        exclusive_groups=tuple(dedup_excl),
-        shared_groups=tuple(dedup_shared),
+        exclusive_groups=tuple(sorted({tuple(sorted(d)) for d in exclusive if d})),
+        shared_groups=tuple(sorted({tuple(sorted(s)) for s in shared if s})),
     )
 
 

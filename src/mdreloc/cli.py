@@ -167,7 +167,9 @@ def _fraction_instance(args):
     if args.uas is None:
         raise ConfigError("--uas is required to classify the input instance")
     matrix, _ = _load_matrix(args.input)
-    config, _ = _parse_uas_arg(args.uas, check_regular_gamma(matrix))
+    gamma = check_regular_gamma(matrix)
+    config, _ = _parse_uas_arg(args.uas, gamma)
+    _check_target_gamma(config, gamma)
     instances = enumerate_uas(build_graph(matrix), config)
     if len(instances) != 1:
         raise ConfigError(
@@ -215,6 +217,7 @@ def cmd_design(args) -> int:
     host = qc if qc is not None else matrix
     gamma = check_regular_gamma(matrix)
     config, _ = _parse_uas_arg(args.uas, gamma)
+    _check_target_gamma(config, gamma)
     try:
         result = design_md(
             host, m, config, entry_granularity=args.entry_granularity
@@ -252,6 +255,7 @@ def cmd_oracle(args) -> int:
     matrix, _ = _load_matrix(args.input)
     gamma = check_regular_gamma(matrix)
     config, _ = _parse_uas_arg(args.uas, gamma)
+    _check_target_gamma(config, gamma)
     try:
         result = monte_carlo_avg(
             matrix, config, m, args.trials, seed=args.seed, threads=args.threads

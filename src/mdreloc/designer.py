@@ -16,6 +16,7 @@ forced).
 from __future__ import annotations
 
 import warnings as _warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from .relocation import (
     check_copies,
     intact,
     involvement,
-    unit_table,
 )
 from .tanner import (
     BinaryMatrix,
@@ -101,17 +101,6 @@ def vote(plans, unit_entries, values: np.ndarray, m: int) -> dict[int, int]:
     return dict(zip(range(1, m), broken.tolist()))
 
 
-def select_unit(counts: dict) -> Unit | None:
-    """Unit with the highest count, smallest unit id on ties; None if all zero."""
-    best: tuple[int, Unit] | None = None
-    for unit, cnt in counts.items():
-        if cnt <= 0:
-            continue
-        if best is None or cnt > best[0] or (cnt == best[0] and unit < best[1]):
-            best = (cnt, unit)
-    return None if best is None else best[1]
-
-
 def _precondition_warnings(matrix, graph, config) -> list[str]:
     notes = []
     if not check_no_4cycles(graph):
@@ -161,18 +150,15 @@ def design_md(
     for note in notes:
         _warnings.warn(note, stacklevel=2)
 
-    units = unit_table(matrix, qc if use_circulants else None)
-    column = {unit: j for j, unit in enumerate(units)}
+    reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
+    assign = reloc.assign_circulant if use_circulants else reloc.assign_entry
+    units = list(reloc.units)
 
     instances = enumerate_uas(graph, config)
     plans = activity_plans(instances)
-    touches = involvement(instances, units)
+    touches = involvement(instances, reloc.units)
 
-    reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
-    values = np.zeros(len(matrix.entries), dtype=np.int64)
-    active = intact(plans, values[:, None], m_copies)[:, 0]
-    aux_units = {xi: 0 for xi in range(1, m_copies)}
-    assigned: set[Unit] = set()
+    active = intact(plans, reloc.values[:, None], m_copies)[:, 0]
     steps: list[StepRecord] = []
 
     # Each non-final pass assigns one unit, so len(units) + 1 passes always
@@ -181,29 +167,25 @@ def design_md(
         active_count = int(active.sum())
         if active_count == 0:
             break
-        hits = touches[active].sum(axis=0).tolist()
-        counts = {u: hits[j] for u, j in column.items() if u not in assigned}
-        unit = select_unit(counts)
-        if unit is None:
+        # Units are sorted, so argmax breaks ties to the smallest unit.
+        # An assigned unit's column is cleared, so only free units count.
+        hits = touches[active].sum(axis=0)
+        j = int(hits.argmax())
+        if hits[j] == 0:
             break
-        involved = touches[:, column[unit]]
-        tally = vote(tuple(p[involved] for p in plans), units[unit], values, m_copies)
+        unit, involved = units[j], touches[:, j]
+        tally = vote(tuple(p[involved] for p in plans), reloc.units[unit], reloc.values, m_copies)
         top, chosen = max(tally.values()), None
         if top:
-            winners = [xi for xi, t in tally.items() if t == top]
-            chosen = min(winners, key=lambda xi: (aux_units[xi], xi))
-            if unit[0] == "c":
-                reloc.assign_circulant(unit[1], unit[2], chosen)
-            else:
-                reloc.assign_entry(unit[1], unit[2], chosen)
-            assigned.add(unit)
-            aux_units[chosen] += 1
-            values[list(units[unit])] = chosen
-            active = intact(plans, values[:, None], m_copies)[:, 0]
+            aux = Counter(ell for *_, ell in reloc.assigned_units)
+            chosen = min((xi for xi, t in tally.items() if t == top), key=lambda xi: (aux[xi], xi))
+            assign(*unit[1:], chosen)
+            touches[:, j] = False
+            active = intact(plans, reloc.values[:, None], m_copies)[:, 0]
         steps.append(
             StepRecord(
                 unit=unit,
-                involvement=counts[unit],
+                involvement=int(hits[j]),
                 votes=tuple(sorted(tally.items())),
                 chosen=chosen,
                 active_before=active_count,
@@ -219,6 +201,8 @@ def design_md(
             )
 
     od_active = int(active.sum())
+    relocated = reloc.assigned_units
+    aux = Counter(ell for *_, ell in relocated)
     report = DesignReport(
         m_copies=m_copies,
         config=config,
@@ -227,9 +211,9 @@ def design_md(
         od_active_final=od_active,
         final_active=m_copies * od_active,
         total_units=len(units),
-        relocated_units=len(assigned),
-        relocated_fraction=Fraction(len(assigned), len(units)) if units else Fraction(0),
-        aux_counts=tuple(aux_units[xi] for xi in range(1, m_copies)),
+        relocated_units=len(relocated),
+        relocated_fraction=Fraction(len(relocated), len(units)) if units else Fraction(0),
+        aux_counts=tuple(aux[xi] for xi in range(1, m_copies)),
         steps=tuple(steps),
         warnings=tuple(notes),
     )

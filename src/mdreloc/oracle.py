@@ -46,9 +46,9 @@ from .relocation import (
     RelocationMap,
     _potential_plan,
     activity_plans,
+    assemble_md,
     check_copies,
     intact,
-    md_edge_copies,
 )
 from .tanner import BinaryMatrix, TannerGraph, build_graph
 
@@ -127,7 +127,7 @@ def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     The minimum is 0 exactly when the set reappears intact in every copy
     (see ``_detached_check_counts`` for the search over alignments).
     """
-    row = np.array([[reloc.value(eid) for eid in u.deg2_entry_ids]], dtype=np.int64)
+    row = reloc.values[None, list(u.deg2_entry_ids)]
     hist, _ = _detached_check_counts(u, reloc.m_copies, 1, lambda start, stop: row)
     return int(np.flatnonzero(hist)[0])
 
@@ -235,25 +235,17 @@ class MdObjectProfile:
 
 
 def md_instance_subgraph(u: UasInstance, reloc: RelocationMap) -> TannerGraph:
-    """The M copies of the instance's own edges, labeled as in the MD matrix.
+    """The instance's part of the MD matrix: its VN and check copies, induced.
 
-    CN copy i of host row r gets id i * n_rows + r, VN copy j of host
-    column c gets id j * n_cols + c, matching the assembled MD matrix so
-    the two constructions can be compared entry for entry.
+    CN copy i of host row r has id i * n_rows + r and VN copy j of host
+    column c has id j * n_cols + c, as in ``assemble_md``, whose entry
+    ids the edges keep.
     """
-    g = u.graph
-    m = reloc.m_copies
     n_rows, n_cols = reloc.matrix.n_rows, reloc.matrix.n_cols
-    placed = []
-    for eid in u.entry_ids:
-        cn, vn = g.edge_by_id[eid]
-        for ci, cj in md_edge_copies(reloc.value(eid), m):
-            placed.append((ci * n_rows + cn, cj * n_cols + vn))
-    placed.sort()
-    edges = tuple((r, c, i) for i, (r, c) in enumerate(placed))
-    cns = tuple(sorted({r for r, _ in placed}))
-    vns = tuple(sorted({c for _, c in placed}))
-    return TannerGraph(cns, vns, edges)
+    copies = range(reloc.m_copies)
+    vns = [j * n_cols + vn for j in copies for vn in u.vns]
+    cns = [i * n_rows + cn for i in copies for cn in u.deg1_cns + u.deg2_cns]
+    return build_graph(assemble_md(reloc.matrix, reloc)).subgraph(vns, cns)
 
 
 def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:

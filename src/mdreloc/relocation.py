@@ -1,11 +1,15 @@
 """Relocation maps and the multi-copy (MD) parity-check construction.
 
 A relocation map attaches a value in [0, M) to every nonzero entry of a
-host matrix.  The MD matrix is an M x M grid of blocks over the host
-shape: entries with value 0 stay on the diagonal blocks, and an entry
-with value L is moved so that variable-node copy j is checked in
-check-node copy (j + L) mod M.  Equivalently block (i, j) of the MD
-matrix holds exactly the host entries whose value is (i - j) mod M.
+host matrix.  ``RelocationMap`` is the one place that state lives: its
+``units`` table maps each relocation unit (a circulant or an entry) to
+the entry ids it covers, and its ``values`` vector holds one value per
+host entry id.  The designer, the MD assembly and the oracles read both.
+The MD matrix is an M x M grid of blocks over the host shape: entries
+with value 0 stay on the diagonal blocks, and an entry with value L is
+moved so that variable-node copy j is checked in check-node copy
+(j + L) mod M.  Equivalently block (i, j) of the MD matrix holds exactly
+the host entries whose value is (i - j) mod M.
 
 A cycle of the host survives inside a single copy structure iff its
 alternating entry-value sum vanishes mod M; such cycles (and absorbing
@@ -13,19 +17,19 @@ sets all of whose cycles satisfy this) are called *active* here.
 ``is_uas_active`` reads that definition off basic cycles one at a time;
 ``intact``, which the designer and the Monte Carlo run, decides the same
 for many instances and maps at once by a spanning-tree potential solve.
-``unit_table`` and ``involvement`` map relocation units (circulants or
-entries) to entry ids and to the instances they touch, for the designer
-and ``analyze``.
+``involvement`` maps relocation units to the instances they touch, for
+the designer and ``analyze``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cycles import Cycle
-from .tanner import BinaryMatrix, ParseError, QcMatrix, expand_qc
+from .tanner import BinaryMatrix, ParseError, QcMatrix, _Lines, _to_text, expand_qc
 
 GRANULARITIES = ("circulant", "entry")
 
@@ -47,12 +51,33 @@ def check_copies(m_copies: int) -> None:
         raise ValueError(f"number of copies {m_copies} must be an odd prime")
 
 
-class RelocationMap:
-    """Mutable assignment of relocation values to units of a host matrix.
+def unit_table(matrix: BinaryMatrix, qc: QcMatrix | None = None) -> dict[tuple, tuple[int, ...]]:
+    """Relocation unit -> the host entry ids it covers, sorted by unit.
 
-    Units are either single entries or whole circulants (the latter needs
-    the quasi-cyclic structure).  Each unit may be assigned once; entries
-    not covered by any assignment have value 0.
+    Units are the circulants ('c', bi, bj) of ``qc``, or the single
+    entries ('e', row, col) of ``matrix`` when ``qc`` is None.
+    """
+    if qc is None:
+        return {("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)}
+    return {
+        ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
+        for bi, bj, _ in sorted(qc.circulants)
+    }
+
+
+def _unit_name(unit: tuple) -> str:
+    kind, i, j = unit
+    return f"entry ({i}, {j})" if kind == "e" else f"block ({i}, {j})"
+
+
+class RelocationMap:
+    """Assignment of relocation values to the units of a host matrix.
+
+    ``units`` is the map's ``unit_table``: whole circulants at circulant
+    granularity (which needs the quasi-cyclic structure), single entries
+    otherwise, and a map assigns only units of its own granularity.  Each
+    unit may be assigned once.  ``values`` is a read-only int64 vector
+    holding every host entry's value; entries of unassigned units are 0.
     """
 
     def __init__(
@@ -73,73 +98,75 @@ class RelocationMap:
         self.matrix = matrix
         self.qc = qc
         self.granularity = granularity
-        self._entry_values: dict[int, int] = {}
-        self._units: list[tuple] = []
+        self._values = np.zeros(len(matrix.entries), dtype=np.int64)
+        self.values = self._values.view()
+        self.values.flags.writeable = False
+        self._assigned: dict[tuple, int] = {}
 
-    def _check_value(self, ell: int):
+    @cached_property
+    def units(self) -> dict[tuple, tuple[int, ...]]:
+        """The map's ``unit_table``: its units and the entry ids each covers."""
+        return unit_table(self.matrix, self.qc if self.granularity == "circulant" else None)
+
+    def _assign(self, unit: tuple, eids: tuple[int, ...] | None, ell: int):
+        """Give ``unit`` value ``ell``; ``eids`` are its entry ids, None if the host lacks it."""
+        kind, i, j = unit
         if not (0 <= ell < self.m_copies):
             raise ValueError(f"relocation value {ell} out of range [0, {self.m_copies})")
+        if kind != self.granularity[0]:
+            raise ValueError(
+                f"a map of {self.granularity} granularity cannot assign {_unit_name(unit)}")
+        if eids is None:
+            raise ValueError(f"({i}, {j}) is not a nonzero position of the host" if kind == "e"
+                             else f"block ({i}, {j}) is a zero circulant")
+        if unit in self._assigned:
+            raise ValueError(f"{_unit_name(unit)} already assigned")
+        self._assigned[unit] = ell
+        for eid in eids:
+            self._values[eid] = ell
 
     def assign_entry(self, row: int, col: int, ell: int):
         """Assign one entry, identified by its matrix position."""
-        self._check_value(ell)
         eid = self.matrix.entry_index.get((row, col))
-        if eid is None:
-            raise ValueError(f"({row}, {col}) is not a nonzero position of the host")
-        if eid in self._entry_values:
-            raise ValueError(f"entry ({row}, {col}) already assigned")
-        self._entry_values[eid] = ell
-        self._units.append(("e", row, col, ell))
+        self._assign(("e", row, col), None if eid is None else (eid,), ell)
 
     def assign_circulant(self, bi: int, bj: int, ell: int):
         """Assign all p entries of one circulant block."""
-        self._check_value(ell)
-        if self.qc is None:
-            raise ValueError("no circulant table attached to this map")
-        if (bi, bj) not in self.qc.shift_of_block:
-            raise ValueError(f"block ({bi}, {bj}) is a zero circulant")
-        eids = [self.matrix.entry_index[pos] for pos in self.qc.block_positions(bi, bj)]
-        if any(eid in self._entry_values for eid in eids):
-            raise ValueError(f"block ({bi}, {bj}) overlaps an assigned entry")
-        for eid in eids:
-            self._entry_values[eid] = ell
-        self._units.append(("c", bi, bj, ell))
+        self._assign(("c", bi, bj), self.units.get(("c", bi, bj)), ell)
 
     def value(self, entry_id: int) -> int:
         """Relocation value of an entry-id (0 when unassigned)."""
-        return self._entry_values.get(entry_id, 0)
+        return self._values.item(entry_id)
 
     def value_at(self, row: int, col: int) -> int:
         eid = self.matrix.entry_index.get((row, col))
         if eid is None:
             raise ValueError(f"({row}, {col}) is not a nonzero position of the host")
-        return self._entry_values.get(eid, 0)
+        return self._values.item(eid)
 
     @property
     def assigned_units(self) -> tuple[tuple, ...]:
         """Assignments in order, as ('c', bi, bj, ell) / ('e', row, col, ell)."""
-        return tuple(self._units)
+        return tuple((*unit, ell) for unit, ell in self._assigned.items())
 
     @property
     def assigned_entry_ids(self) -> frozenset[int]:
-        return frozenset(self._entry_values)
+        return frozenset(eid for unit in self._assigned for eid in self.units[unit])
 
     def to_text(self) -> str:
         out = [f"reloc M={self.m_copies} granularity={self.granularity}"]
-        for unit in self._units:
+        for unit in self.assigned_units:
             out.append(" ".join(str(t) for t in unit))
         return "\n".join(out) + "\n"
 
 
 def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> RelocationMap:
     """Parse the text produced by ``RelocationMap.to_text``."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
+    cur = _Lines(_to_text(text))
+    first = next(iter(cur), None)
+    if first is None:
         raise ParseError("empty relocation file", 1)
-    ln0, header = lines[0]
+    ln0, header = first
     toks = header.split()
     if len(toks) != 3 or toks[0] != "reloc":
         raise ParseError("expected header 'reloc M=<M> granularity=<g>'", ln0)
@@ -153,7 +180,7 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
         reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
     except ValueError as exc:
         raise ParseError(str(exc), ln0) from None
-    for ln, raw in lines[1:]:
+    for ln, raw in cur:
         toks = raw.split()
         try:
             if toks[0] == "c" and len(toks) == 4:
@@ -165,20 +192,6 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
         except ValueError as exc:
             raise ParseError(str(exc), ln) from None
     return reloc
-
-
-def unit_table(matrix: BinaryMatrix, qc: QcMatrix | None = None) -> dict[tuple, tuple[int, ...]]:
-    """Relocation unit -> the host entry ids it covers, sorted by unit.
-
-    Units are the circulants ('c', bi, bj) of ``qc``, or the single
-    entries ('e', row, col) of ``matrix`` when ``qc`` is None.
-    """
-    if qc is None:
-        return {("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)}
-    return {
-        ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
-        for bi, bj, _ in sorted(qc.circulants)
-    }
 
 
 def involvement(instances, units: dict) -> np.ndarray:
@@ -324,17 +337,12 @@ class MdParts:
 def split_matrices(matrix: BinaryMatrix, reloc: RelocationMap) -> MdParts:
     """Split the host into M same-shape matrices by relocation value."""
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(reloc.m_copies)]
-    for eid, (r, c) in enumerate(matrix.entries):
-        buckets[reloc.value(eid)].append((r, c))
+    for pos, ell in zip(matrix.entries, reloc.values.tolist()):
+        buckets[ell].append(pos)
     parts = tuple(
         BinaryMatrix.from_entries(matrix.n_rows, matrix.n_cols, b) for b in buckets
     )
     return MdParts(reloc.m_copies, parts)
-
-
-def md_edge_copies(ell: int, m_copies: int) -> tuple[tuple[int, int], ...]:
-    """(check copy, variable copy) pairs an entry of value ell induces."""
-    return tuple(((j + ell) % m_copies, j) for j in range(m_copies))
 
 
 def assemble_md(matrix: BinaryMatrix, reloc: RelocationMap) -> BinaryMatrix:
@@ -342,13 +350,15 @@ def assemble_md(matrix: BinaryMatrix, reloc: RelocationMap) -> BinaryMatrix:
 
     Row/column copy j occupies the j-th block of rows/columns, so MD
     position (i * n_rows + r, j * n_cols + c) is nonzero iff the host has
-    an entry at (r, c) with relocation value (i - j) mod M.
+    an entry at (r, c) with relocation value (i - j) mod M: an entry of
+    value ell joins VN copy j to check copy (j + ell) mod M.
     """
     if reloc.matrix.entries != matrix.entries:
         raise ValueError("relocation map was built for a different host")
-    m = reloc.m_copies
-    out = []
-    for eid, (r, c) in enumerate(matrix.entries):
-        for ci, cj in md_edge_copies(reloc.value(eid), m):
-            out.append((ci * matrix.n_rows + r, cj * matrix.n_cols + c))
-    return BinaryMatrix.from_entries(m * matrix.n_rows, m * matrix.n_cols, out)
+    m, n_rows, n_cols = reloc.m_copies, matrix.n_rows, matrix.n_cols
+    out = [
+        ((j + ell) % m * n_rows + r, j * n_cols + c)
+        for (r, c), ell in zip(matrix.entries, reloc.values.tolist())
+        for j in range(m)
+    ]
+    return BinaryMatrix.from_entries(m * n_rows, m * n_cols, out)

@@ -272,22 +272,35 @@ def _to_text(data) -> str:
 
 
 class _Lines:
-    """Line cursor that reports 1-indexed positions in parse errors."""
+    """Line cursor of the alist, qc and reloc parsers.
+
+    Blank lines are skipped, and positions are 1-indexed as parse errors
+    report them.
+    """
 
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next_ints(self, what: str) -> tuple[int, list[int]]:
+    def __iter__(self):
+        """The remaining nonblank lines, stripped, as (line number, text)."""
         while self.pos < len(self.lines):
             self.pos += 1
             raw = self.lines[self.pos - 1].strip()
             if raw:
-                try:
-                    return self.pos, [int(tok) for tok in raw.split()]
-                except ValueError:
-                    raise ParseError(f"expected integers for {what}", self.pos) from None
+                yield self.pos, raw
+
+    def next_line(self, what: str) -> tuple[int, str]:
+        for found in self:
+            return found
         raise ParseError(f"unexpected end of file, missing {what}", len(self.lines) + 1)
+
+    def next_ints(self, what: str) -> tuple[int, list[int]]:
+        ln, raw = self.next_line(what)
+        try:
+            return ln, [int(tok) for tok in raw.split()]
+        except ValueError:
+            raise ParseError(f"expected integers for {what}", ln) from None
 
 
 def parse_alist(text) -> BinaryMatrix:
@@ -386,20 +399,11 @@ def write_alist(m: BinaryMatrix) -> str:
 def parse_qc(text) -> QcMatrix:
     """Parse the circulant-power table format into a QcMatrix."""
     cur = _Lines(_to_text(text))
-    lines = cur.lines
 
-    def next_line(what):
-        while cur.pos < len(lines):
-            cur.pos += 1
-            raw = lines[cur.pos - 1].strip()
-            if raw:
-                return cur.pos, raw
-        raise ParseError(f"unexpected end of file, missing {what}", len(lines) + 1)
-
-    ln, magic = next_line("the 'qc 1' header")
+    ln, magic = cur.next_line("the 'qc 1' header")
     if magic.split() != ["qc", "1"]:
         raise ParseError("expected header 'qc 1'", ln)
-    ln, p_line = next_line("the 'p <size>' line")
+    ln, p_line = cur.next_line("the 'p <size>' line")
     toks = p_line.split()
     if len(toks) != 2 or toks[0] != "p":
         raise ParseError("expected 'p <size>'", ln)
@@ -407,7 +411,7 @@ def parse_qc(text) -> QcMatrix:
         p = int(toks[1])
     except ValueError:
         raise ParseError("circulant size must be an integer", ln) from None
-    ln, dims = next_line("the 'rows <m_b> cols <n_b>' line")
+    ln, dims = cur.next_line("the 'rows <m_b> cols <n_b>' line")
     toks = dims.split()
     if len(toks) != 4 or toks[0] != "rows" or toks[2] != "cols":
         raise ParseError("expected 'rows <m_b> cols <n_b>'", ln)
@@ -418,7 +422,7 @@ def parse_qc(text) -> QcMatrix:
 
     blocks = {}
     for bi in range(m_b):
-        ln, row = next_line(f"base row {bi + 1}")
+        ln, row = cur.next_line(f"base row {bi + 1}")
         toks = row.split()
         if len(toks) != n_b:
             raise ParseError(f"base row {bi + 1}: expected {n_b} tokens, got {len(toks)}", ln)

@@ -4,7 +4,8 @@ Kept verbatim as a differential oracle.  Every host instance gets a
 minimum cycle basis, and activity and votes are read off its basic
 cycles' alternating sums one entry at a time, so it shares no activity
 code with ``mdreloc.designer.design_md``.  Only the unit table, the
-precondition notes, unit selection and the result types are shared.
+precondition notes and the result types are shared; ``select_unit``
+picks units by a dict scan, independently of the designer's argmax.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from mdreloc.designer import (
     StepRecord,
     Unit,
     _precondition_warnings,
-    select_unit,
 )
 from mdreloc.relocation import (
     RelocationMap,
@@ -31,6 +31,17 @@ from mdreloc.relocation import (
     unit_table,
 )
 from mdreloc.tanner import QcMatrix, build_graph, check_regular_gamma, expand_qc
+
+
+def select_unit(counts: dict) -> Unit | None:
+    """Unit with the highest count, smallest unit id on ties; None if all zero."""
+    best: tuple[int, Unit] | None = None
+    for unit, cnt in counts.items():
+        if cnt <= 0:
+            continue
+        if best is None or cnt > best[0] or (cnt == best[0] and unit < best[1]):
+            best = (cnt, unit)
+    return None if best is None else best[1]
 
 
 def vote(basis: CycleBasis, unit_entries, reloc: RelocationMap) -> frozenset[int]:

@@ -234,6 +234,19 @@ class TestDesignVerify:
         assert text.startswith("reloc M=3 granularity=entry")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input"],
+    ["verify", "--md"],
+    ["design", "--M", "3", "--input"],
+    ["oracle", "--M", "3", "--input"],
+    ["fractions", "--M", "3", "--input"],
+])
+def test_target_gamma_mismatch_exits_3(k4file, capsys, argv):
+    # The gamma-3 K4 against a gamma-4 target: every subcommand refuses it the same way.
+    assert main([*argv, k4file, "--uas", "4,0,4"]) == 3
+    assert capsys.readouterr().err == "error: target gamma 4 differs from host column weight 3\n"
+
+
 class TestOracle:
     def test_reports_agreement(self, k4file, capsys):
         rc = main([

@@ -12,6 +12,7 @@ import mdreloc.relocation as relocation
 from mdreloc.absorbing import _build_instance
 from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
 
+import reference_md
 from conftest import arrangement_1, arrangement_2, array_host
 
 
@@ -67,6 +68,33 @@ class TestRelocationMap:
         with pytest.raises(ValueError, match="already assigned"):
             reloc.assign_entry(4, 1, 2)
 
+    def test_zero_value_counts_as_assigned(self, uas_4_2):
+        reloc = md.RelocationMap(3, uas_4_2.incidence)
+        reloc.assign_entry(4, 1, 0)
+        assert reloc.assigned_units == (("e", 4, 1, 0),)
+        assert reloc.assigned_entry_ids == frozenset({8})
+        with pytest.raises(ValueError, match="already assigned"):
+            reloc.assign_entry(4, 1, 2)
+        assert reloc.value(8) == 0
+
+    def test_values_are_read_only(self, uas_4_2):
+        reloc = arrangement_2(uas_4_2.incidence)
+        assert reloc.values.tolist() == [reloc.value(e) for e in range(12)]
+        with pytest.raises(ValueError, match="read-only"):
+            reloc.values[0] = 1
+
+    def test_map_assigns_only_its_own_granularity(self):
+        qc = array_host(2, 2, 3)
+        m = md.expand_qc(qc)
+        entry_map = md.RelocationMap(3, m, qc=qc)
+        with pytest.raises(ValueError, match="entry granularity cannot assign block"):
+            entry_map.assign_circulant(0, 1, 1)
+        circulant_map = md.RelocationMap(3, m, qc=qc, granularity="circulant")
+        with pytest.raises(ValueError, match="circulant granularity cannot assign entry"):
+            circulant_map.assign_entry(0, 0, 1)
+        assert entry_map.assigned_units == circulant_map.assigned_units == ()
+        assert not entry_map.values.any() and not circulant_map.values.any()
+
     def test_value_out_of_range_rejected(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         with pytest.raises(ValueError, match="out of range"):
@@ -119,6 +147,12 @@ class TestRelocFile:
         text = "reloc M=3 granularity=entry\ne 4 1\n"
         with pytest.raises(md.ParseError, match="line 2"):
             md.parse_reloc(text, uas_4_2.incidence)
+
+    def test_circulant_line_refused_by_entry_map(self):
+        qc = array_host(2, 2, 3)
+        text = "reloc M=3 granularity=entry\ne 0 0 1\n\nc 0 1 2\n"
+        with pytest.raises(md.ParseError, match="line 4: a map of entry granularity"):
+            md.parse_reloc(text, md.expand_qc(qc), qc=qc)
 
     def test_circulant_line_needs_table(self, uas_4_2):
         text = "reloc M=3 granularity=circulant\nc 0 0 1\n"
@@ -270,11 +304,6 @@ class TestSplit:
 
 
 class TestAssembly:
-    def test_edge_copies_follow_block_rule(self):
-        assert md.md_edge_copies(0, 3) == ((0, 0), (1, 1), (2, 2))
-        assert md.md_edge_copies(1, 3) == ((1, 0), (2, 1), (0, 2))
-        assert md.md_edge_copies(2, 3) == ((2, 0), (0, 1), (1, 2))
-
     @pytest.mark.parametrize("m_copies", [3, 5])
     def test_block_layout(self, uas_4_2, m_copies):
         host = uas_4_2.incidence
@@ -318,3 +347,46 @@ class TestMdCycleStructure:
         assert min(lengths) == 12
         # the two 6-cycles wind through all three copies before closing
         assert lengths.count(18) == 2
+
+
+def assert_same_lift(matrix, reloc, instances):
+    """assemble_md and md_instance_subgraph equal the per-edge reference lift."""
+    h_md = md.assemble_md(matrix, reloc)
+    assert h_md == reference_md.assemble_md(matrix, reloc)
+    for inst in instances:
+        got = md.md_instance_subgraph(inst, reloc)
+        ref = reference_md.md_instance_subgraph(inst, reloc)
+        assert (got.cns, got.vns) == (ref.cns, ref.vns)
+        assert {(cn, vn) for cn, vn, _ in got.edges} == {(cn, vn) for cn, vn, _ in ref.edges}
+    return h_md
+
+
+class TestAgainstReferenceLift:
+    """The value-vector lift against the per-edge lift it replaced."""
+
+    @pytest.mark.parametrize("shape, target, m_copies", [((3, 5, 5), (4, 2), 3), ((4, 5, 5), (4, 4), 5)])
+    @pytest.mark.parametrize("entry", [False, True])
+    def test_designed_matrices(self, shape, target, m_copies, entry):
+        qc = array_host(*shape)
+        config = md.UasConfig(*target, shape[0])
+        res = md.design_md(qc, m_copies, config, entry_granularity=entry)
+        assert res.relocation.granularity == ("entry" if entry else "circulant")
+        host = md.expand_qc(qc)
+        instances = md.enumerate_uas(md.build_graph(host), config)
+        assert assert_same_lift(host, res.relocation, instances) == res.h_md
+
+    @settings(max_examples=30, deadline=None)
+    @given(m_copies=st.sampled_from([3, 5, 7]), circulant=st.booleans(), data=st.data())
+    def test_random_maps(self, m_copies, circulant, data):
+        qc = array_host(3, 4, 5)
+        host = md.expand_qc(qc)
+        granularity = "circulant" if circulant else "entry"
+        reloc = md.RelocationMap(m_copies, host, qc=qc, granularity=granularity)
+        assign = reloc.assign_circulant if circulant else reloc.assign_entry
+        for unit in data.draw(st.permutations(list(reloc.units))):
+            if data.draw(st.booleans()):
+                assign(*unit[1:], data.draw(st.integers(0, m_copies - 1)))
+        graph = md.build_graph(host)
+        instances = [u for target in ((4, 2), (6, 2))
+                     for u in md.enumerate_uas(graph, md.UasConfig(*target, 3))[:3]]
+        assert_same_lift(host, reloc, instances)
