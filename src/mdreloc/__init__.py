@@ -47,21 +47,15 @@ from .oracle import (
     enumerate_md_uas,
     exhaustive_fractions,
     full_enumeration_fractions,
-    md_instance_subgraph,
     md_object_profile,
     min_detached_checks,
     monte_carlo_avg,
 )
 from .relocation import (
-    MdParts,
     RelocationMap,
-    alternating_value_sum,
     assemble_md,
-    is_cycle_active,
     is_prime,
-    is_uas_active,
     parse_reloc,
-    split_matrices,
 )
 from .tanner import (
     BinaryMatrix,
@@ -107,12 +101,7 @@ __all__ = [
     "classify_config",
     "RelocationMap",
     "parse_reloc",
-    "alternating_value_sum",
-    "is_cycle_active",
-    "is_uas_active",
     "is_prime",
-    "MdParts",
-    "split_matrices",
     "assemble_md",
     "BasisIntersections",
     "FractionReport",
@@ -129,7 +118,6 @@ __all__ = [
     "enumerate_md_uas",
     "MdObjectProfile",
     "md_object_profile",
-    "md_instance_subgraph",
     "MonteCarloResult",
     "monte_carlo_avg",
     "design_md",

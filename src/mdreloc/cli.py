@@ -128,6 +128,10 @@ def cmd_analyze(args) -> int:
     matrix, qc = _load_matrix(args.input)
     graph = build_graph(matrix)
     gamma = check_regular_gamma(matrix)
+    config = None
+    if args.uas is not None:
+        config, _ = _parse_uas_arg(args.uas, gamma)
+        _check_target_gamma(config, gamma)
     print(f"matrix: {matrix.n_rows} x {matrix.n_cols}, {len(matrix.entries)} entries")
     if qc is not None:
         print(f"quasi-cyclic: p={qc.p}, base {qc.m_b} x {qc.n_b}, {len(qc.circulants)} circulants")
@@ -137,10 +141,8 @@ def cmd_analyze(args) -> int:
     by_len = Counter(c.length for c in cycles)
     counts = ", ".join(f"{n}: {by_len[n]}" for n in sorted(by_len)) or "none"
     print(f"cycles up to length {args.max_cycle_len}: {len(cycles)} ({counts})")
-    if args.uas is None:
+    if config is None:
         return 0
-    config, _ = _parse_uas_arg(args.uas, gamma)
-    _check_target_gamma(config, gamma)
     instances = enumerate_uas(graph, config)
     low, high = cycle_count_bounds(config)
     print(
@@ -183,13 +185,13 @@ def cmd_fractions(args) -> int:
     config, instance, label = _fraction_instance(args)
     try:
         basis = minimum_cycle_basis(instance.deg2_subgraph())
+        groups = basis_intersections(basis)
+        report = fraction_report(
+            basis.size, m, len(groups.exclusive_groups), len(groups.shared_groups)
+        )
         emp = exhaustive_fractions(instance, m) if args.oracle else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    groups = basis_intersections(basis)
-    report = fraction_report(
-        basis.size, m, len(groups.exclusive_groups), len(groups.shared_groups)
-    )
     header, row = TSV_HEADER, tsv_row(label, report)
     if emp is not None:
         header += "\temp_f_nof\temp_f_nou\temp_f_not\temp_f_noc\tmatch"

@@ -14,6 +14,8 @@ the designer:
 * ``monte_carlo_avg`` estimates the expected surviving-instance count
   under uniform random relocation, scoring blocks of trials on the host
   with one potential solve per instance instead of recounting MD matrices.
+* ``md_object_profile`` reads the shape of an instance's lift off the
+  same potential solve; the tests compare it with a per-edge lift.
 
 The first three share one detached-check kernel, ``_detached_check_counts``.
 Assignments stream through it in blocks of at most ``_BLOCK_CELLS``
@@ -46,11 +48,10 @@ from .relocation import (
     RelocationMap,
     _potential_plan,
     activity_plans,
-    assemble_md,
     check_copies,
     intact,
 )
-from .tanner import BinaryMatrix, TannerGraph, build_graph
+from .tanner import BinaryMatrix, build_graph
 
 # ``_BLOCK_CELLS`` bounds the (assignment, potential) pairs of a detached-check
 # block and the (trial, entry) values of a Monte Carlo draw block.
@@ -234,30 +235,20 @@ class MdObjectProfile:
     components: tuple[tuple[int, int], ...]
 
 
-def md_instance_subgraph(u: UasInstance, reloc: RelocationMap) -> TannerGraph:
-    """The instance's part of the MD matrix: its VN and check copies, induced.
-
-    CN copy i of host row r has id i * n_rows + r and VN copy j of host
-    column c has id j * n_cols + c, as in ``assemble_md``, whose entry
-    ids the edges keep.
-    """
-    n_rows, n_cols = reloc.matrix.n_rows, reloc.matrix.n_cols
-    copies = range(reloc.m_copies)
-    vns = [j * n_cols + vn for j in copies for vn in u.vns]
-    cns = [i * n_rows + cn for i in copies for cn in u.deg1_cns + u.deg2_cns]
-    return build_graph(assemble_md(reloc.matrix, reloc)).subgraph(vns, cns)
-
-
 def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
-    """Connected-component profile of the instance's MD subgraph."""
-    g = md_instance_subgraph(u, reloc)
-    comps = sorted((len(vns), sum(g.cn_degree(cn) == 1 for cn in cns)) for vns, cns in g.components())
-    return MdObjectProfile(
-        vn_count=sum(v for v, _ in comps),
-        deg1_cn_count=sum(d for _, d in comps),
-        connected=len(comps) == 1,
-        components=tuple(comps),
-    )
+    """Connected-component profile of the instance's part of the MD matrix.
+
+    The MD graph is a Z_M voltage lift of the host, so the instance lifts
+    to one component per coset of the subgroup of Z_M its cycle sums
+    generate.  M is an odd prime (``check_copies``), so that subgroup is
+    trivial, giving M disjoint copies, exactly when ``intact`` passes, and
+    all of Z_M, giving one object of M * a VNs, otherwise.  Every lifted
+    check keeps its host degree, so no MD matrix is built.
+    """
+    a, d1, m = u.a, u.d1, reloc.m_copies
+    if intact(activity_plans([u]), reloc.values[:, None], m)[0, 0]:
+        return MdObjectProfile(m * a, m * d1, False, ((a, d1),) * m)
+    return MdObjectProfile(m * a, m * d1, True, ((m * a, m * d1),))
 
 
 # ---------------------------------------------------------------------------

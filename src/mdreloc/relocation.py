@@ -14,21 +14,19 @@ the host entries whose value is (i - j) mod M.
 A cycle of the host survives inside a single copy structure iff its
 alternating entry-value sum vanishes mod M; such cycles (and absorbing
 sets all of whose cycles satisfy this) are called *active* here.
-``is_uas_active`` reads that definition off basic cycles one at a time;
-``intact``, which the designer and the Monte Carlo run, decides the same
-for many instances and maps at once by a spanning-tree potential solve.
+``intact``, the library's one activity test, decides this for many
+instances and maps at once by a spanning-tree potential solve; the
+designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
 ``involvement`` maps relocation units to the instances they touch, for
 the designer and ``analyze``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cycles import Cycle
 from .tanner import BinaryMatrix, ParseError, QcMatrix, _Lines, _to_text, expand_qc
 
 GRANULARITIES = ("circulant", "entry")
@@ -138,20 +136,10 @@ class RelocationMap:
         """Relocation value of an entry-id (0 when unassigned)."""
         return self._values.item(entry_id)
 
-    def value_at(self, row: int, col: int) -> int:
-        eid = self.matrix.entry_index.get((row, col))
-        if eid is None:
-            raise ValueError(f"({row}, {col}) is not a nonzero position of the host")
-        return self._values.item(eid)
-
     @property
     def assigned_units(self) -> tuple[tuple, ...]:
         """Assignments in order, as ('c', bi, bj, ell) / ('e', row, col, ell)."""
         return tuple((*unit, ell) for unit, ell in self._assigned.items())
-
-    @property
-    def assigned_entry_ids(self) -> frozenset[int]:
-        return frozenset(eid for unit in self._assigned for eid in self.units[unit])
 
     def to_text(self) -> str:
         out = [f"reloc M={self.m_copies} granularity={self.granularity}"]
@@ -207,36 +195,7 @@ def involvement(instances, units: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Activity of cycles and absorbing sets
-
-
-def alternating_value_sum(cycle: Cycle, value) -> int:
-    """Signed sum of per-entry values along the cycle traversal.
-
-    ``value`` maps entry-id -> int.  Signs alternate -, +, -, ... along
-    the canonical step order.  Which entry takes which sign depends on
-    the traversal's starting point and direction, but divisibility by M
-    does not, and that is the only property read off this value.
-    """
-    total = 0
-    for i, (_, _, eid) in enumerate(cycle.steps):
-        v = value(eid)
-        total += v if i % 2 else -v
-    return total
-
-
-def is_cycle_active(cycle: Cycle, reloc: RelocationMap) -> bool:
-    """A cycle stays a within-copy cycle iff its alternating sum is 0 mod M."""
-    return alternating_value_sum(cycle, reloc.value) % reloc.m_copies == 0
-
-
-def is_uas_active(basis, reloc: RelocationMap) -> bool:
-    """An absorbing set reappears per copy iff all its basic cycles are active.
-
-    ``basis`` is a CycleBasis of the degree-2 subgraph; activity of the
-    basic cycles forces activity of every cycle in the span.
-    """
-    return all(is_cycle_active(c, reloc) for c in basis.cycles)
+# Activity
 
 
 # Cells per block: (instance, VN, column) potentials solved at once by
@@ -324,25 +283,6 @@ def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # MD assembly
-
-
-@dataclass(frozen=True)
-class MdParts:
-    """The host split by relocation value: parts[0] keeps value-0 entries."""
-
-    m_copies: int
-    parts: tuple[BinaryMatrix, ...]
-
-
-def split_matrices(matrix: BinaryMatrix, reloc: RelocationMap) -> MdParts:
-    """Split the host into M same-shape matrices by relocation value."""
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(reloc.m_copies)]
-    for pos, ell in zip(matrix.entries, reloc.values.tolist()):
-        buckets[ell].append(pos)
-    parts = tuple(
-        BinaryMatrix.from_entries(matrix.n_rows, matrix.n_cols, b) for b in buckets
-    )
-    return MdParts(reloc.m_copies, parts)
 
 
 def assemble_md(matrix: BinaryMatrix, reloc: RelocationMap) -> BinaryMatrix:

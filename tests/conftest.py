@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import mdreloc as md
@@ -74,3 +75,16 @@ def arrangement_2(incidence: md.BinaryMatrix) -> md.RelocationMap:
     reloc.assign_entry(2, 3, 1)
     reloc.assign_entry(3, 0, 1)
     return reloc
+
+
+def assert_block_layout(h_md: md.BinaryMatrix, host: md.BinaryMatrix, reloc: md.RelocationMap, label=None):
+    """Block (i, j) of the MD matrix holds exactly the host entries of value (i - j) mod M."""
+    m, r, c = reloc.m_copies, host.n_rows, host.n_cols
+    assert (h_md.n_rows, h_md.n_cols) == (m * r, m * c), label
+    dense = h_md.to_dense()
+    values = reloc.values.tolist()
+    for i in range(m):
+        for j in range(m):
+            rows, cols = np.nonzero(dense[i * r : (i + 1) * r, j * c : (j + 1) * c])
+            want = {pos for pos, ell in zip(host.entries, values) if ell == (i - j) % m}
+            assert set(zip(rows.tolist(), cols.tolist())) == want, (label, i, j)

@@ -24,13 +24,13 @@ from mdreloc.designer import (
 )
 from mdreloc.relocation import (
     RelocationMap,
-    alternating_value_sum,
     assemble_md,
     check_copies,
-    is_uas_active,
     unit_table,
 )
 from mdreloc.tanner import QcMatrix, build_graph, check_regular_gamma, expand_qc
+
+from reference_activity import alternating_value_sum, is_uas_active
 
 
 def select_unit(counts: dict) -> Unit | None:

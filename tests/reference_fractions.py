@@ -21,10 +21,11 @@ from mdreloc import (
     EmpiricalFractions,
     RelocationMap,
     UasInstance,
-    alternating_value_sum,
     enumerate_cycles,
     minimum_cycle_basis,
 )
+
+from reference_activity import alternating_value_sum
 
 
 @lru_cache(maxsize=32)

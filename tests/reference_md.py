@@ -1,11 +1,11 @@
-"""Reference MD lift: the per-edge assembly and instance subgraph ``relocation`` replaced.
+"""Reference MD lift: the per-edge assembly and instance subgraph.
 
 Kept verbatim as a differential oracle.  Both read one relocation value
 per host entry through ``RelocationMap.value`` and place each entry's M
 copies by ``md_edge_copies``, so they share no lifting code with
 ``mdreloc.relocation.assemble_md`` (which reads the map's value vector)
-or with ``mdreloc.oracle.md_instance_subgraph`` (an induced subgraph of
-the assembled matrix).
+or with ``mdreloc.oracle.md_object_profile`` (which reads the shape of
+an instance's lift off the ``intact`` potential solve).
 """
 
 from __future__ import annotations

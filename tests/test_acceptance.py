@@ -17,8 +17,10 @@ from fractions import Fraction as Fr
 import numpy as np
 
 import mdreloc as md
+from mdreloc.relocation import activity_plans, intact
 
-from conftest import array_host, arrangement_1, arrangement_2, k4_host, lift_identity
+from conftest import array_host, arrangement_1, arrangement_2, assert_block_layout, k4_host, lift_identity
+from reference_activity import is_cycle_active, is_uas_active
 
 
 @contextmanager
@@ -63,13 +65,13 @@ def test_criterion_2_reference_arrangements():
         fix, inst, basis = reference("4_2_g3")
 
         keep = arrangement_1(fix.incidence)
-        assert md.is_uas_active(basis, keep)
+        assert is_uas_active(basis, keep)
         assert md.md_object_profile(inst, keep) == md.MdObjectProfile(
             12, 6, False, ((4, 2), (4, 2), (4, 2))
         )
 
         split = arrangement_2(fix.incidence)
-        assert not md.is_uas_active(basis, split)
+        assert not is_uas_active(basis, split)
         assert md.md_object_profile(inst, split) == md.MdObjectProfile(
             12, 6, True, ((12, 6),)
         )
@@ -152,24 +154,30 @@ def test_criterion_5_activity_equivalences():
             all_cycles = md.enumerate_cycles(inst.deg2_subgraph(), 4 * inst.a)
             variants = [(c, turned_variants(c)) for c in all_cycles]
             rng = random.Random(20240501)
+            plans = activity_plans([inst])
             for m_copies, trials in ((3, 10_000), (5, 2_000)):
+                values, verdicts = [], []
                 for _ in range(trials):
                     reloc = md.RelocationMap(m_copies, fix.incidence)
                     for r, c in fix.incidence.entries:
                         ell = rng.randrange(m_copies)
                         if ell:
                             reloc.assign_entry(r, c, ell)
-                    active = md.is_uas_active(basis, reloc)
+                    active = is_uas_active(basis, reloc)
                     beta = md.min_detached_checks(inst, reloc)
                     span_active = all(
-                        md.is_cycle_active(c, reloc) for c in all_cycles
+                        is_cycle_active(c, reloc) for c in all_cycles
                     )
                     assert active == (beta == 0) == span_active
-                    assert md.is_uas_active(alt, reloc) == active
+                    assert is_uas_active(alt, reloc) == active
                     for cyc, (rot, rev) in variants:
-                        verdict = md.is_cycle_active(cyc, reloc)
-                        assert md.is_cycle_active(rot, reloc) == verdict
-                        assert md.is_cycle_active(rev, reloc) == verdict
+                        verdict = is_cycle_active(cyc, reloc)
+                        assert is_cycle_active(rot, reloc) == verdict
+                        assert is_cycle_active(rev, reloc) == verdict
+                    values.append(reloc.values)
+                    verdicts.append(active)
+                got = intact(plans, np.stack(values, axis=1), m_copies)
+                assert got[0].tolist() == verdicts
 
 
 def test_criterion_6_designer_closure():
@@ -193,15 +201,7 @@ def test_criterion_6_designer_closure():
             assert md.check_regular_gamma(res.h_md) == config.gamma, label
             assert md.check_no_4cycles(md.build_graph(res.h_md)), label
 
-            expanded = md.expand_qc(host)
-            parts = md.split_matrices(expanded, res.relocation)
-            dense = res.h_md.to_dense()
-            r, c = expanded.n_rows, expanded.n_cols
-            for i in range(m_copies):
-                for j in range(m_copies):
-                    block = dense[i * r : (i + 1) * r, j * c : (j + 1) * c]
-                    want = parts.parts[(i - j) % m_copies].to_dense()
-                    assert np.array_equal(block, want), label
+            assert_block_layout(res.h_md, md.expand_qc(host), res.relocation, label)
             assert time.perf_counter() - t0 < 60.0, label
 
 

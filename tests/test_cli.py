@@ -126,6 +126,15 @@ class TestFractions:
         assert "checking limit" in captured.err
         assert captured.out == ""
 
+    def test_cycle_free_instance_exits_3(self, tmp_path, capsys):
+        # Two VNs under one check: a (2,0) set with no cycle to relocate.
+        path = tmp_path / "pair.alist"
+        path.write_text(md.write_alist(md.BinaryMatrix.from_entries(1, 2, [(0, 0), (0, 1)])))
+        assert main(["fractions", "--input", str(path), "--uas", "2,0,1", "--M", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least one basic cycle\n"
+        assert captured.out == ""
+
     def test_composite_m_rejected(self, capsys):
         assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "4"]) == 3
         assert "odd prime" in capsys.readouterr().err
@@ -244,7 +253,9 @@ class TestDesignVerify:
 def test_target_gamma_mismatch_exits_3(k4file, capsys, argv):
     # The gamma-3 K4 against a gamma-4 target: every subcommand refuses it the same way.
     assert main([*argv, k4file, "--uas", "4,0,4"]) == 3
-    assert capsys.readouterr().err == "error: target gamma 4 differs from host column weight 3\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: target gamma 4 differs from host column weight 3\n"
+    assert captured.out == ""
 
 
 class TestOracle:
@@ -445,4 +456,4 @@ class TestReadmeLibrary:
             expected = comment.split(":")[0].strip()
             assert repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)) == expected
             seen.append(expected)
-        assert seen == ["True", "0", "Fraction(24, 25)", "0", "0"]
+        assert seen == ["((4, 2), (4, 2), (4, 2))", "0", "Fraction(24, 25)", "0", "0"]

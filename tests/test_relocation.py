@@ -13,7 +13,8 @@ from mdreloc.absorbing import _build_instance
 from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
 
 import reference_md
-from conftest import arrangement_1, arrangement_2, array_host
+from reference_activity import alternating_value_sum, is_cycle_active, is_uas_active
+from conftest import arrangement_1, arrangement_2, array_host, assert_block_layout
 
 
 @functools.lru_cache
@@ -47,15 +48,14 @@ class TestRelocationMap:
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         assert all(reloc.value(e) == 0 for e in range(12))
         assert reloc.assigned_units == ()
-        assert reloc.assigned_entry_ids == frozenset()
 
     def test_assign_entry(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 1, 2)
-        assert reloc.value_at(4, 1) == 2
+        assert uas_4_2.incidence.entry_index[4, 1] == 8
         assert reloc.value(8) == 2
         assert reloc.assigned_units == (("e", 4, 1, 2),)
-        assert reloc.assigned_entry_ids == frozenset({8})
+        assert np.flatnonzero(reloc.values).tolist() == [8]
 
     def test_zero_position_rejected(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
@@ -72,7 +72,6 @@ class TestRelocationMap:
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 1, 0)
         assert reloc.assigned_units == (("e", 4, 1, 0),)
-        assert reloc.assigned_entry_ids == frozenset({8})
         with pytest.raises(ValueError, match="already assigned"):
             reloc.assign_entry(4, 1, 2)
         assert reloc.value(8) == 0
@@ -108,7 +107,8 @@ class TestRelocationMap:
         reloc = md.RelocationMap(5, m, qc=qc, granularity="circulant")
         reloc.assign_circulant(0, 1, 4)
         for r in range(3):
-            assert reloc.value_at(r, 3 + r % 3) == 4
+            assert reloc.value(m.entry_index[r, 3 + r % 3]) == 4
+        assert np.count_nonzero(reloc.values) == 3
         assert reloc.assigned_units == (("c", 0, 1, 4),)
         with pytest.raises(ValueError):
             reloc.assign_circulant(0, 1, 2)
@@ -165,20 +165,20 @@ class TestActivity:
         blue, red = basis_4_2.cycles
         reloc = arrangement_1(uas_4_2.incidence)
         # blue: +0 -0 +1 -1 +0 -0 ; red: +0 -0 +0 -0 +1 -1
-        assert md.alternating_value_sum(blue, reloc.value) % 3 == 0
-        assert md.alternating_value_sum(red, reloc.value) % 3 == 0
-        assert md.is_uas_active(basis_4_2, reloc)
+        assert alternating_value_sum(blue, reloc.value) % 3 == 0
+        assert alternating_value_sum(red, reloc.value) % 3 == 0
+        assert is_uas_active(basis_4_2, reloc)
 
     def test_breaking_arrangement(self, uas_4_2, basis_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        sums = [md.alternating_value_sum(c, reloc.value) % 3 for c in basis_4_2.cycles]
+        sums = [alternating_value_sum(c, reloc.value) % 3 for c in basis_4_2.cycles]
         assert all(s != 0 for s in sums)
-        assert not md.is_uas_active(basis_4_2, reloc)
-        assert not any(md.is_cycle_active(c, reloc) for c in basis_4_2.cycles)
+        assert not is_uas_active(basis_4_2, reloc)
+        assert not any(is_cycle_active(c, reloc) for c in basis_4_2.cycles)
 
     def test_zero_map_is_active(self, uas_4_2, basis_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
-        assert md.is_uas_active(basis_4_2, reloc)
+        assert is_uas_active(basis_4_2, reloc)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -196,8 +196,8 @@ class TestActivity:
         steps = cycle.steps[shift:] + cycle.steps[:shift]
         if data.draw(st.booleans()):
             steps = steps[::-1]
-        turned = md.alternating_value_sum(md.Cycle(steps), reloc.value)
-        original = md.alternating_value_sum(cycle, reloc.value)
+        turned = alternating_value_sum(md.Cycle(steps), reloc.value)
+        original = alternating_value_sum(cycle, reloc.value)
         assert (turned % 3 == 0) == (original % 3 == 0)
         assert turned % 3 in ((original % 3), (-original) % 3)
 
@@ -220,7 +220,7 @@ class TestIntact:
         got = intact(activity_plans([inst]), values, m_copies)
         assert got.shape == (1, len(maps))
         for col, reloc in enumerate(maps):
-            assert got[0, col] == md.is_uas_active(basis, reloc)
+            assert got[0, col] == is_uas_active(basis, reloc)
             assert got[0, col] == (md.min_detached_checks(inst, reloc) == 0)
 
     @pytest.mark.parametrize("cells", [1, 7, 50])
@@ -234,7 +234,7 @@ class TestIntact:
         reloc = md.RelocationMap(5, host)
         for eid, (r, c) in enumerate(host.entries):
             reloc.assign_entry(r, c, int(values[eid, 0]))
-        expected = [md.is_uas_active(md.minimum_cycle_basis(u.deg2_subgraph()), reloc)
+        expected = [is_uas_active(md.minimum_cycle_basis(u.deg2_subgraph()), reloc)
                     for u in instances]
         assert whole[:, 0].tolist() == expected
         assert 0 < sum(expected) < len(instances)
@@ -287,22 +287,6 @@ class TestUnits:
         assert np.flatnonzero(touches[0]).tolist() == list(inst_4_2.deg2_entry_ids)
 
 
-class TestSplit:
-    def test_breaking_arrangement_split(self, uas_4_2):
-        reloc = arrangement_2(uas_4_2.incidence)
-        parts = md.split_matrices(uas_4_2.incidence, reloc)
-        assert parts.m_copies == 3
-        assert parts.parts[1].entries == ((2, 3), (3, 0))
-        assert parts.parts[2].entries == ()
-        assert len(parts.parts[0].entries) == 10
-
-    def test_parts_partition_host(self, uas_4_2):
-        reloc = arrangement_1(uas_4_2.incidence)
-        parts = md.split_matrices(uas_4_2.incidence, reloc)
-        union = sorted(e for p in parts.parts for e in p.entries)
-        assert tuple(union) == uas_4_2.incidence.entries
-
-
 class TestAssembly:
     @pytest.mark.parametrize("m_copies", [3, 5])
     def test_block_layout(self, uas_4_2, m_copies):
@@ -310,17 +294,7 @@ class TestAssembly:
         reloc = md.RelocationMap(m_copies, host)
         reloc.assign_entry(4, 1, 1)
         reloc.assign_entry(2, 3, m_copies - 1)
-        h_md = md.assemble_md(host, reloc)
-        assert h_md.n_rows == m_copies * host.n_rows
-        assert h_md.n_cols == m_copies * host.n_cols
-        parts = md.split_matrices(host, reloc)
-        dense = h_md.to_dense()
-        r, c = host.n_rows, host.n_cols
-        for i in range(m_copies):
-            for j in range(m_copies):
-                block = dense[i * r : (i + 1) * r, j * c : (j + 1) * c]
-                want = parts.parts[(i - j) % m_copies].to_dense()
-                assert np.array_equal(block, want)
+        assert_block_layout(md.assemble_md(host, reloc), host, reloc)
 
     def test_column_weight_preserved(self, uas_4_2):
         h_md = md.assemble_md(uas_4_2.incidence, arrangement_2(uas_4_2.incidence))
@@ -336,33 +310,38 @@ class TestAssembly:
 class TestMdCycleStructure:
     def test_intact_arrangement_keeps_short_cycles(self, uas_4_2, inst_4_2):
         reloc = arrangement_1(uas_4_2.incidence)
-        sub = md.md_instance_subgraph(inst_4_2, reloc)
+        sub = reference_md.md_instance_subgraph(inst_4_2, reloc)
         lengths = sorted(c.length for c in md.enumerate_cycles(sub, 20))
         assert lengths == [6, 6, 6, 6, 6, 6, 8, 8, 8]
 
     def test_broken_arrangement_stretches_cycles(self, uas_4_2, inst_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        sub = md.md_instance_subgraph(inst_4_2, reloc)
+        sub = reference_md.md_instance_subgraph(inst_4_2, reloc)
         lengths = sorted(c.length for c in md.enumerate_cycles(sub, 20))
         assert min(lengths) == 12
         # the two 6-cycles wind through all three copies before closing
         assert lengths.count(18) == 2
 
 
+def reference_profile(u, reloc):
+    """The instance's profile read off the components of the per-edge reference lift."""
+    g = reference_md.md_instance_subgraph(u, reloc)
+    comps = sorted((len(vns), sum(g.cn_degree(cn) == 1 for cn in cns)) for vns, cns in g.components())
+    return md.MdObjectProfile(sum(v for v, _ in comps), sum(d for _, d in comps),
+                              len(comps) == 1, tuple(comps))
+
+
 def assert_same_lift(matrix, reloc, instances):
-    """assemble_md and md_instance_subgraph equal the per-edge reference lift."""
+    """assemble_md and md_object_profile equal the per-edge reference lift."""
     h_md = md.assemble_md(matrix, reloc)
     assert h_md == reference_md.assemble_md(matrix, reloc)
     for inst in instances:
-        got = md.md_instance_subgraph(inst, reloc)
-        ref = reference_md.md_instance_subgraph(inst, reloc)
-        assert (got.cns, got.vns) == (ref.cns, ref.vns)
-        assert {(cn, vn) for cn, vn, _ in got.edges} == {(cn, vn) for cn, vn, _ in ref.edges}
+        assert md.md_object_profile(inst, reloc) == reference_profile(inst, reloc)
     return h_md
 
 
 class TestAgainstReferenceLift:
-    """The value-vector lift against the per-edge lift it replaced."""
+    """The value-vector lift and the intact-derived profiles against the per-edge lift."""
 
     @pytest.mark.parametrize("shape, target, m_copies", [((3, 5, 5), (4, 2), 3), ((4, 5, 5), (4, 4), 5)])
     @pytest.mark.parametrize("entry", [False, True])
