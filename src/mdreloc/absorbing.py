@@ -180,13 +180,13 @@ def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     with ids 0..C-1 and 0..R-1, where positions are ids, are examined;
     any other graph gets the identity alone.  With k = gcd(R, C), the
     candidate shifts are the copy shift by (R/q, C/q) for each prime
-    q | k, and the within-block circulant shift (x in block x // p goes to
-    position x + 1 mod p of the same block) for each p | k, p > 1, in
-    that order.  A candidate is kept only if it maps the edge set onto
-    itself.  The group is then grown greedily: each kept shift joins the
-    generators only if the group they generate still acts freely on VNs
-    (no element but the identity fixes a VN, so every VN orbit has |G|
-    members).  The identity is always the first element.
+    q | k, then the within-block circulant shift (x in block x // p goes
+    to position x + 1 mod p of the same block) for each p | k, p > 1,
+    largest p first.  A candidate is kept only if it maps the edge set
+    onto itself.  The group is then grown greedily: each kept shift joins
+    the generators only if the group they generate still acts freely on
+    VNs (no element but the identity fixes a VN, so every VN orbit has
+    |G| members).  The identity is always the first element.
     """
     n_r, n_c = len(g.cns), len(g.vns)
     identity = (tuple(range(n_c)), tuple(range(n_r)))
@@ -218,7 +218,7 @@ def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]
         for q in divisors
         if is_prime(q)
     ]
-    cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in divisors]
+    cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in reversed(divisors)]
     edges = {(cn, vn) for cn, vn, _ in g.edges}
     group, gens = [identity], []
     for vmap, cmap in cands:

@@ -17,11 +17,12 @@ the designer:
 * ``md_object_profile`` reads the shape of an instance's lift off the
   same potential solve; the tests compare it with a per-edge lift.
 
-The first three share one detached-check kernel, ``_detached_check_counts``.
-Assignments stream through it in blocks of at most ``_BLOCK_CELLS``
-(assignment, potential) cells, so its memory is bounded for every a and
-M; a run of more than ``MAX_CHECK_PAIRS`` such pairs is refused with
-``ValueError`` before any work.
+The first three share one detached-check kernel, ``_detached_check_counts``,
+which scores vectors of check differences R(e1) - R(e2) with multiplicities;
+the full enumeration histograms its raw assignments into them.  Rows stream
+through it in blocks of at most ``_BLOCK_CELLS`` (row, potential) cells, so
+its memory is bounded for every a and M; a run of more than MAX_CHECK_PAIRS
+(assignment, potential) pairs is refused with ``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -80,45 +81,44 @@ def _targets(m: int, a: int, pairs: tuple[tuple[int, int], ...], start: int, sto
     return out
 
 
-def _detached_check_counts(u: UasInstance, m: int, total: int, rows_at, weights=()):
-    """Histogram over ``total`` assignment rows of the fewest detached checks.
-
-    ``rows_at(start, stop)`` gives rows start..stop-1 over ``u.deg2_entry_ids``.
-    A potential gives each VN a copy shift s (the first VN pinned to 0; a
-    global shift changes nothing).  A check with edges e1 at VN x and e2
-    at VN y is kept when R(e1) + s(x) = R(e2) + s(y) mod M (both edges in
-    one copy of the check), i.e. R(e1) - R(e2) = s(y) - s(x): one row
-    difference against one potential target.  Also counts, per matrix of
-    signed cycle weights, the rows on which every cycle sum is nonzero.
-    The checks are the steps of ``u``'s potential plan.
-    """
-    tree, loops = _potential_plan(u)
-    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    checks = [(x, y, pos[e1], pos[e2]) for x, y, e1, e2 in tree + loops]
-    n_pots = m ** (u.a - 1)
-    if total * n_pots > MAX_CHECK_PAIRS:
-        raise ValueError(f"{total} assignments x {n_pots} potentials at M={m}"
+def _potential_count(assignments: int, m: int, a: int) -> int:
+    """M^(a-1) potentials per assignment; refuses more than ``MAX_CHECK_PAIRS`` pairs."""
+    if assignments * m ** (a - 1) > MAX_CHECK_PAIRS:
+        raise ValueError(f"{assignments} assignments x {m ** (a - 1)} potentials at M={m}"
                          f" exceed the checking limit of {MAX_CHECK_PAIRS}")
-    pairs = tuple((x, y) for x, y, _, _ in checks)
-    vdt, cdt = np.min_scalar_type(m - 1), np.min_scalar_type(len(checks))
-    pot_step = min(n_pots, _BLOCK_CELLS)
-    row_step = _BLOCK_CELLS // pot_step
-    hist = np.zeros(len(checks) + 1, dtype=np.int64)
-    inactive = [0] * len(weights)
+    return m ** (a - 1)
+
+
+def _detached_check_counts(a: int, steps, m: int, total: int, rows_at, counts=None, weights=()):
+    """Histogram over ``total`` check-difference rows of the fewest detached checks.
+
+    ``steps`` is a potential plan over ``a`` VNs, tree steps then loops.
+    ``rows_at(start, stop)`` gives rows start..stop-1, one d = R(e1) - R(e2)
+    mod M per step (x, y, e1, e2), with multiplicities ``counts`` (1 each
+    when None).  A potential gives each VN a copy shift s (the first VN
+    pinned to 0; a global shift changes nothing).  The step's check is kept
+    when R(e1) + s(x) = R(e2) + s(y) mod M (both edges in one copy of the
+    check), i.e. d = s(y) - s(x).  Also counts, per matrix of signed step
+    weights, the rows on which every cycle sum is nonzero.  Both tallies
+    add up multiplicities.
+    """
+    n_pots = _potential_count(total, m, a)
+    pairs, cdt = tuple((x, y) for x, y, _, _ in steps), np.min_scalar_type(len(steps))
+    pot_step, row_step = min(n_pots, _BLOCK_CELLS), max(1, _BLOCK_CELLS // n_pots)
+    hist, inactive = np.zeros(len(steps) + 1, dtype=np.int64), [0] * len(weights)
     for r0 in range(0, total, row_step):
         rows = rows_at(r0, min(r0 + row_step, total))
-        diffs = [((rows[:, i].astype(np.int64) - rows[:, j]) % m).astype(vdt)
-                 for *_, i, j in checks]
-        beta = np.full(len(rows), len(checks), dtype=cdt)
+        mult = 1 if counts is None else counts[r0:r0 + len(rows)]
+        beta = np.full(len(rows), len(steps), dtype=cdt)
         for p0 in range(0, n_pots, pot_step):
             p1 = min(p0 + pot_step, n_pots)
             detached = np.zeros((len(rows), p1 - p0), dtype=cdt)
-            for diff, target in zip(diffs, _targets(m, u.a, pairs, p0, p1)):
+            for diff, target in zip(rows.T, _targets(m, a, pairs, p0, p1)):
                 detached += diff[:, None] != target
             np.minimum(beta, detached.min(axis=1), out=beta)
-        hist += np.bincount(beta, minlength=len(hist))
+        np.add.at(hist, beta, mult)
         for i, w in enumerate(weights):
-            inactive[i] += int(((rows.astype(w.dtype) @ w) % m != 0).all(axis=1).sum())
+            inactive[i] += int((((rows.astype(w.dtype) @ w) % m != 0).all(axis=1) * mult).sum())
     return hist, inactive
 
 
@@ -128,8 +128,9 @@ def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     The minimum is 0 exactly when the set reappears intact in every copy
     (see ``_detached_check_counts`` for the search over alignments).
     """
-    row = reloc.values[None, list(u.deg2_entry_ids)]
-    hist, _ = _detached_check_counts(u, reloc.m_copies, 1, lambda start, stop: row)
+    steps, v, m = sum(_potential_plan(u), []), reloc.values, reloc.m_copies
+    row = np.array([[(v[e1] - v[e2]) % m for *_, e1, e2 in steps]])
+    hist, _ = _detached_check_counts(u.a, steps, m, 1, lambda start, stop: row)
     return int(np.flatnonzero(hist)[0])
 
 
@@ -156,60 +157,62 @@ class EmpiricalFractions:
     f_all_cycles_inactive: Fraction
 
 
-def _measured_fractions(u: UasInstance, m: int, total: int, rows_at) -> EmpiricalFractions:
-    """Fractions over ``total`` assignment rows streamed by ``rows_at``.
+def _measured_fractions(u: UasInstance, m: int, total: int, rows_at,
+                        counts=None) -> EmpiricalFractions:
+    """Fractions over ``total`` check-difference rows streamed by ``rows_at``.
 
-    Each cycle becomes a column of signed step weights over the row's
-    entries, so a row times the column is its alternating value sum.
+    A cycle meets both edges of each of its checks, with opposite signs, so
+    its column of weights holds e1's sign per plan step; a row times the
+    column is the cycle's alternating value sum.
     """
-    sub = u.deg2_subgraph()
-    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    weights = []
-    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * len(u.deg2_cns))):
-        w = np.zeros((len(pos), len(cycles)), np.int16 if len(pos) * m < 2**15 else np.int64)
+    steps, sub, weights = sum(_potential_plan(u), []), u.deg2_subgraph(), []
+    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * len(steps))):
+        w = np.zeros((len(steps), len(cycles)), np.int16 if len(steps) * m < 2**15 else np.int64)
         for j, cycle in enumerate(cycles):
-            for i, (_, _, eid) in enumerate(cycle.steps):
-                w[pos[eid], j] += 1 if i % 2 else -1
+            sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
+            w[:, j] = [sign.get(e1, 0) for *_, e1, _ in steps]
+            assert all(sign.get(e2, 0) == -sign.get(e1, 0) for *_, e1, e2 in steps)
         weights.append(w)
-    hist, (basis_inactive, all_inactive) = _detached_check_counts(u, m, total, rows_at, weights)
-    n_active, n_one, n_deep = int(hist[0]), int(hist[1:2].sum()), int(hist[2:].sum())
-    counts = (n_active, total - n_active, n_one, n_deep, basis_inactive, all_inactive)
-    return EmpiricalFractions(m, total, *(Fraction(c, total) for c in counts))
+    hist, inactive = _detached_check_counts(u.a, steps, m, total, rows_at, counts, weights)
+    n, n_active = int(hist.sum()), int(hist[0])
+    tallies = (n_active, n - n_active, int(hist[1]), int(hist[2:].sum()), *inactive)
+    return EmpiricalFractions(m, n, *(Fraction(c, n) for c in tallies))
 
 
 def exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     """Measure the fractions over all M^n_f assignment classes.
 
     Assignments of the degree-2 edges are equivalent when they differ by
-    a per-VN copy shift; each class is hit by the same number of raw
-    assignments, and one representative per class is obtained by giving a
-    chosen entry of each non-tree check an arbitrary value and setting
-    everything else to 0.  ``full_enumeration_fractions`` checks this
-    reduction against raw enumeration.
+    a per-VN copy shift, and each class is hit by the same number of raw
+    assignments.  A shift moves the check differences by a potential, so
+    each class has one difference vector that is 0 on the a - 1 tree steps
+    and the class index's base-M digits on the n_f loops; the full
+    enumeration checks this reduction against raw assignments.
     """
-    m = m_copies
-    _, loops = _potential_plan(u)
-    pos = {eid: k for k, eid in enumerate(u.deg2_entry_ids)}
-    designated = [pos[min(e1, e2)] for _, _, e1, e2 in loops]
-
-    def rows_at(start: int, stop: int) -> np.ndarray:
-        rows = np.zeros((stop - start, len(pos)), dtype=np.min_scalar_type(m - 1))
-        rows[:, designated] = _digits(m, len(designated), start, stop)
-        return rows
-
-    return _measured_fractions(u, m, m ** len(designated), rows_at)
+    m, n_f = m_copies, len(u.deg2_cns) - u.a + 1
+    return _measured_fractions(u, m, m**n_f, lambda start, stop: np.pad(
+        _digits(m, n_f, start, stop), ((0, 0), (u.a - 1, 0))))
 
 
 def full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     """Measure the fractions over every raw assignment of the degree-2 edges.
 
     Exponential in the edge count (M^(2 d2)); used to validate the class
-    reduction at small sizes, not for routine analysis.  The assignments
-    are generated block by block from their index, so memory stays
-    bounded; every assignment still meets every potential.
+    reduction at small sizes, not for routine analysis.  Assignment i has
+    one base-M^2 digit R(e1) * M + R(e2) per plan step.  Each is visited
+    once, streamed from its index in blocks of at least M^2 into a
+    histogram of check-difference vectors that the kernel then scores.
     """
-    m, width = m_copies, len(u.deg2_entry_ids)
-    return _measured_fractions(u, m, m**width, lambda start, stop: _digits(m, width, start, stop))
+    m, k = m_copies, len(u.deg2_cns)
+    raw, step = m ** (2 * k), max(m * m, _BLOCK_CELLS // 16)
+    _potential_count(raw, m, u.a)
+    pair_diff = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % m
+    counts = np.zeros(m**k, dtype=np.int64)
+    for start in range(0, raw, step):
+        idx = np.arange(start, min(start + step, raw))
+        codes = sum(pair_diff[idx // m ** (2 * c) % (m * m)] * m**c for c in range(k))
+        counts += np.bincount(codes, minlength=m**k)
+    return _measured_fractions(u, m, m**k, lambda start, stop: _digits(m, k, start, stop), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +313,11 @@ class MonteCarloResult:
 
 
 def _assert_cycle_disjoint(instances) -> None:
-    cycle_sets = []
-    for inst in instances:
-        sub = inst.deg2_subgraph()
-        cyc = enumerate_cycles(sub, max_len=2 * len(inst.deg2_cns))
-        cycle_sets.append({frozenset(c.entry_ids) for c in cyc})
-    for i in range(len(cycle_sets)):
-        for j in range(i + 1, len(cycle_sets)):
-            if cycle_sets[i] & cycle_sets[j]:
+    owner = {}
+    for j, inst in enumerate(instances):
+        for cycle in enumerate_cycles(inst.deg2_subgraph(), 2 * len(inst.deg2_cns)):
+            i = owner.setdefault(frozenset(cycle.entry_ids), j)
+            if i != j:
                 raise ValueError(f"instances {i} and {j} share a cycle")
 
 

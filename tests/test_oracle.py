@@ -3,6 +3,8 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction as Fr
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ import mdreloc.oracle as oracle
 
 import reference_md
 from conftest import array_host, arrangement_1, arrangement_2, k4_host
-from reference_activity import is_uas_active
+from reference_activity import alternating_value_sum, is_uas_active
 from reference_mc import _mc_chunk as reference_mc_chunk
 from reference_fractions import (
     reference_exhaustive_fractions,
@@ -129,6 +131,45 @@ class TestAgainstReference:
         expected = [reference_exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)]
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
         assert [md.exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)] == expected
+
+    @pytest.mark.parametrize("cells", [5, 27, 100, 1000])
+    def test_small_blocks_split_raw_stream(self, inst_4_2, monkeypatch, cells):
+        # The raw stream goes in blocks of max(M^2, cells // 16) assignments and
+        # the weighted kernel in blocks below or above the 27 potentials; at
+        # 1000 cells the last block of each is partial.
+        expected = reference_full_enumeration_fractions(inst_4_2, 3)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        assert md.full_enumeration_fractions(inst_4_2, 3) == expected
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def step_weights(name, m_copies):
+        """(plan steps, all-cycle weight matrix) the fraction sweep hands the kernel."""
+        kernel = oracle._detached_check_counts
+        with mock.patch.object(oracle, "_detached_check_counts", wraps=kernel) as spy:
+            md.exhaustive_fractions(md.canonical_uas(name).instance(), m_copies)
+        _, steps, *_, (_, all_cycles) = spy.call_args.args
+        return steps, all_cycles
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["4_2_g3", "4_4_g4"]),
+        m_copies=st.sampled_from([3, 5, 7]),
+        data=st.data(),
+    )
+    def test_step_weights_give_cycle_sums(self, name, m_copies, data):
+        fix = md.canonical_uas(name)
+        inst = fix.instance()
+        reloc = md.RelocationMap(m_copies, fix.incidence)
+        for r, c in fix.incidence.entries:
+            reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
+        steps, weights = self.step_weights(name, m_copies)
+        diffs = [(reloc.value(e1) - reloc.value(e2)) % m_copies for *_, e1, e2 in steps]
+        sums = [sum(d * int(w) for d, w in zip(diffs, col)) for col in weights.T]
+        cycles = md.enumerate_cycles(inst.deg2_subgraph(), 2 * len(inst.deg2_cns))
+        assert len(cycles) == len(sums) > 0
+        for cycle, total in zip(cycles, sums):
+            assert total % m_copies == alternating_value_sum(cycle, reloc.value) % m_copies
 
     @settings(max_examples=60, deadline=None)
     @given(
