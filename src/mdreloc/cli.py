@@ -65,16 +65,6 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_matrix(path: str) -> tuple[BinaryMatrix, QcMatrix | None]:
-    """Read a host matrix; the qc format is recognized by its 'qc 1' header."""
-    text = _read_file(path)
-    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    if head.startswith("qc"):
-        qc = parse_qc(text)
-        return expand_qc(qc), qc
-    return parse_alist(text), None
-
-
 def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, CanonicalUas | None]:
     """--uas accepts 'uas:<name>' or 'a,d1[,gamma]'."""
     if spec.startswith("uas:"):
@@ -99,9 +89,25 @@ def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, Can
         raise ConfigError(str(exc)) from None
 
 
-def _check_target_gamma(config: UasConfig, gamma: int | None) -> None:
+def _load_target(
+    path: str, spec: str | None
+) -> tuple[BinaryMatrix, QcMatrix | None, UasConfig | None]:
+    """Read a host matrix and the --uas target, checked against its column weight.
+
+    The qc format is recognized by its 'qc 1' header (qc is None for an
+    alist), and the target is None without ``spec``.
+    """
+    text = _read_file(path)
+    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    qc = parse_qc(text) if head.startswith("qc") else None
+    matrix = parse_alist(text) if qc is None else expand_qc(qc)
+    if spec is None:
+        return matrix, qc, None
+    gamma = check_regular_gamma(matrix)
+    config, _ = _parse_uas_arg(spec, gamma)
     if gamma is not None and config.gamma != gamma:
         raise ConfigError(f"target gamma {config.gamma} differs from host column weight {gamma}")
+    return matrix, qc, config
 
 
 def _check_m(m: int) -> int:
@@ -125,13 +131,11 @@ def _write_file(path: str, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    matrix, qc = _load_matrix(args.input)
+    if args.max_cycle_len < 4 or args.max_cycle_len % 2:
+        raise ConfigError("--max-cycle-len must be an even number >= 4")
+    matrix, qc, config = _load_target(args.input, args.uas)
     graph = build_graph(matrix)
     gamma = check_regular_gamma(matrix)
-    config = None
-    if args.uas is not None:
-        config, _ = _parse_uas_arg(args.uas, gamma)
-        _check_target_gamma(config, gamma)
     print(f"matrix: {matrix.n_rows} x {matrix.n_cols}, {len(matrix.entries)} entries")
     if qc is not None:
         print(f"quasi-cyclic: p={qc.p}, base {qc.m_b} x {qc.n_b}, {len(qc.circulants)} circulants")
@@ -162,16 +166,15 @@ def cmd_analyze(args) -> int:
 def _fraction_instance(args):
     """The single UAS instance named by --uas / --input."""
     if args.uas and args.uas.startswith("uas:"):
+        if args.input is not None:
+            raise ConfigError("--input cannot be combined with --uas uas:<name>")
         _, fixture = _parse_uas_arg(args.uas, None)
         return fixture.config, fixture.instance(), fixture.name
     if args.input is None:
         raise ConfigError("fractions needs uas:<name> or --input with a UAS incidence file")
     if args.uas is None:
         raise ConfigError("--uas is required to classify the input instance")
-    matrix, _ = _load_matrix(args.input)
-    gamma = check_regular_gamma(matrix)
-    config, _ = _parse_uas_arg(args.uas, gamma)
-    _check_target_gamma(config, gamma)
+    matrix, _, config = _load_target(args.input, args.uas)
     instances = enumerate_uas(build_graph(matrix), config)
     if len(instances) != 1:
         raise ConfigError(
@@ -215,14 +218,10 @@ def cmd_fractions(args) -> int:
 
 def cmd_design(args) -> int:
     m = _check_m(args.m)
-    matrix, qc = _load_matrix(args.input)
-    host = qc if qc is not None else matrix
-    gamma = check_regular_gamma(matrix)
-    config, _ = _parse_uas_arg(args.uas, gamma)
-    _check_target_gamma(config, gamma)
+    matrix, qc, config = _load_target(args.input, args.uas)
     try:
         result = design_md(
-            host, m, config, entry_granularity=args.entry_granularity
+            matrix if qc is None else qc, m, config, entry_granularity=args.entry_granularity
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -237,10 +236,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    matrix, _ = _load_matrix(args.md)
-    gamma = check_regular_gamma(matrix)
-    config, _ = _parse_uas_arg(args.uas, gamma)
-    _check_target_gamma(config, gamma)
+    matrix, _, config = _load_target(args.md, args.uas)
     count = enumerate_md_uas(matrix, config)
     print(f"({config.a}, {config.d1}) instances: {count}")
     if args.expect is not None and count != args.expect:
@@ -254,10 +250,7 @@ def cmd_oracle(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
         raise ConfigError(f"--threads must be between 1 and {cpus}, got {args.threads}")
-    matrix, _ = _load_matrix(args.input)
-    gamma = check_regular_gamma(matrix)
-    config, _ = _parse_uas_arg(args.uas, gamma)
-    _check_target_gamma(config, gamma)
+    matrix, _, config = _load_target(args.input, args.uas)
     try:
         result = monte_carlo_avg(
             matrix, config, m, args.trials, seed=args.seed, threads=args.threads

@@ -15,7 +15,6 @@ forced).
 
 from __future__ import annotations
 
-import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,7 +129,7 @@ def design_md(
     ``entry_granularity``) or a BinaryMatrix (always entries).  M must be
     an odd prime and the host column weight must match the target's.
     Structural preconditions (no 4-cycles, no smaller-d1 siblings) are
-    checked and reported as warnings, not errors.
+    checked and reported as notes in ``DesignReport.warnings``, not errors.
     """
     check_copies(m_copies)
     if isinstance(host, QcMatrix):
@@ -142,16 +141,11 @@ def design_md(
         raise ValueError(
             f"host column weight {gamma} does not match target gamma {config.gamma}"
         )
-    use_circulants = qc is not None and not entry_granularity
-    granularity = "circulant" if use_circulants else "entry"
     graph = build_graph(matrix)
-
     notes = _precondition_warnings(matrix, graph, config)
-    for note in notes:
-        _warnings.warn(note, stacklevel=2)
 
-    reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
-    assign = reloc.assign_circulant if use_circulants else reloc.assign_entry
+    reloc = RelocationMap(m_copies, matrix, qc=None if entry_granularity else qc)
+    assign = reloc.assign_entry if reloc.qc is None else reloc.assign_circulant
     units = list(reloc.units)
 
     instances = enumerate_uas(graph, config)

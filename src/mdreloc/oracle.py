@@ -55,7 +55,7 @@ from .relocation import (
 from .tanner import BinaryMatrix, build_graph
 
 # ``_BLOCK_CELLS`` bounds the (assignment, potential) pairs of a detached-check
-# block and the (trial, entry) values of a Monte Carlo draw block.
+# block and the (trial, entry) values of a Monte Carlo job.
 # Larger runs would not finish, so the kernel refuses them before any work.
 MAX_CHECK_PAIRS = 1 << 32
 
@@ -270,30 +270,26 @@ def _draw_values(n_entries: int, m: int, seed: int, start: int, stop: int) -> np
 
 
 def _mc_chunk(args) -> np.ndarray:
-    """Surviving-instance counts of one trial range, in blocks of bounded size.
+    """Surviving-instance counts of one job's trials, drawn and scored at once.
 
     An intact host instance reappears once in each of the M copies.
     """
     plans, n_entries, m, seed, start, stop = args
-    step = max(1, _BLOCK_CELLS // n_entries)
-    counts = []
-    for t0 in range(start, stop, step):
-        r = _draw_values(n_entries, m, seed, t0, min(t0 + step, stop)).T
-        counts.append(m * intact(plans, r, m).sum(axis=0))
-    return np.concatenate(counts)
+    return m * intact(plans, _draw_values(n_entries, m, seed, start, stop).T, m).sum(axis=0)
 
 
 def _mc_counts(host: BinaryMatrix, instances, m: int, seed: int, start: int, stop: int,
                threads: int = 1) -> np.ndarray:
     """Per-trial surviving-instance counts of trials start..stop-1.
 
-    Trial t draws one value per host entry, in entry order, from
-    ``random.Random(seed * _MC_STRIDE + t)``, so every chunking and thread
-    count sees the same relocations.
+    Jobs hold at most ``_BLOCK_CELLS`` (trial, entry) values and about an
+    even share of the trials per thread.  Trial t draws one value per host
+    entry, in entry order, from ``random.Random(seed * _MC_STRIDE + t)``,
+    so every job size and thread count sees the same relocations.
     """
-    plans = activity_plans(instances)
-    chunk = max(1, (stop - start) // (threads * 4))
-    jobs = [(plans, len(host.entries), m, seed, s, min(s + chunk, stop))
+    plans, n_entries = activity_plans(instances), len(host.entries)
+    chunk = max(1, min(_BLOCK_CELLS // n_entries, -(-(stop - start) // threads)))
+    jobs = [(plans, n_entries, m, seed, s, min(s + chunk, stop))
             for s in range(start, stop, chunk)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

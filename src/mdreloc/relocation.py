@@ -71,31 +71,22 @@ def _unit_name(unit: tuple) -> str:
 class RelocationMap:
     """Assignment of relocation values to the units of a host matrix.
 
-    ``units`` is the map's ``unit_table``: whole circulants at circulant
-    granularity (which needs the quasi-cyclic structure), single entries
-    otherwise, and a map assigns only units of its own granularity.  Each
-    unit may be assigned once.  ``values`` is a read-only int64 vector
-    holding every host entry's value; entries of unassigned units are 0.
+    ``units`` is the map's ``unit_table``: whole circulants when given the
+    circulant table ``qc`` (``granularity`` "circulant"), single entries
+    otherwise ("entry"), and a map assigns only units of its own
+    granularity.  Each unit may be assigned once.  ``values`` is a
+    read-only int64 vector holding every host entry's value; entries of
+    unassigned units are 0.
     """
 
-    def __init__(
-        self,
-        m_copies: int,
-        matrix: BinaryMatrix,
-        qc: QcMatrix | None = None,
-        granularity: str = "entry",
-    ):
+    def __init__(self, m_copies: int, matrix: BinaryMatrix, qc: QcMatrix | None = None):
         check_copies(m_copies)
-        if granularity not in GRANULARITIES:
-            raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if granularity == "circulant" and qc is None:
-            raise ValueError("circulant granularity needs the circulant table")
         if qc is not None and expand_qc(qc).entries != matrix.entries:
             raise ValueError("matrix does not match the expanded circulant table")
         self.m_copies = m_copies
         self.matrix = matrix
         self.qc = qc
-        self.granularity = granularity
+        self.granularity = "entry" if qc is None else "circulant"
         self._values = np.zeros(len(matrix.entries), dtype=np.int64)
         self.values = self._values.view()
         self.values.flags.writeable = False
@@ -104,7 +95,7 @@ class RelocationMap:
     @cached_property
     def units(self) -> dict[tuple, tuple[int, ...]]:
         """The map's ``unit_table``: its units and the entry ids each covers."""
-        return unit_table(self.matrix, self.qc if self.granularity == "circulant" else None)
+        return unit_table(self.matrix, self.qc)
 
     def _assign(self, unit: tuple, eids: tuple[int, ...] | None, ell: int):
         """Give ``unit`` value ``ell``; ``eids`` are its entry ids, None if the host lacks it."""
@@ -164,8 +155,12 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
         granularity = fields["granularity"]
     except (ValueError, KeyError):
         raise ParseError(f"malformed header {header!r}", ln0) from None
+    if granularity not in GRANULARITIES:
+        raise ParseError(f"granularity must be one of {GRANULARITIES}", ln0)
+    if granularity == "circulant" and qc is None:
+        raise ParseError("circulant granularity needs the circulant table", ln0)
     try:
-        reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
+        reloc = RelocationMap(m_copies, matrix, qc=qc if granularity == "circulant" else None)
     except ValueError as exc:
         raise ParseError(str(exc), ln0) from None
     for ln, raw in cur:

@@ -110,7 +110,7 @@ def design_md(
         for inst in instances
     ]
 
-    reloc = RelocationMap(m_copies, matrix, qc=qc, granularity=granularity)
+    reloc = RelocationMap(m_copies, matrix, qc=qc if use_circulants else None)
     active = [is_uas_active(b, reloc) for b in bases]
     aux_units = {xi: 0 for xi in range(1, m_copies)}
     assigned: set[Unit] = set()

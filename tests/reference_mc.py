@@ -17,7 +17,7 @@ from mdreloc.oracle import _MC_STRIDE
 
 def _random_relocation(matrix: BinaryMatrix, m: int, seed: int) -> RelocationMap:
     rng = random.Random(seed)
-    reloc = RelocationMap(m, matrix, granularity="entry")
+    reloc = RelocationMap(m, matrix)
     for r, c in matrix.entries:
         reloc.assign_entry(r, c, rng.randrange(m))
     return reloc

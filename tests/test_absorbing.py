@@ -247,7 +247,6 @@ class TestAgainstReference:
                 reference_enumerate_uas(g, config)
             ), config
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize(
         "rows,cols,p,target,entry,recount,count",
         [
@@ -267,7 +266,6 @@ class TestAgainstReference:
         assert len(ref) == count
         assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_md_matrix_wider_than_64_checks(self):
         # 75 checks: the check masks need more than one machine word.
         res = md.design_md(
@@ -343,7 +341,7 @@ def relocated_qc_hosts(draw):
     m = draw(st.sampled_from([3, 5]))
     values = st.integers(0, m - 1)
     if draw(st.booleans()):
-        reloc = md.RelocationMap(m, host, qc=qc, granularity="circulant")
+        reloc = md.RelocationMap(m, host, qc=qc)
         for bi, bj, _ in qc.circulants:
             reloc.assign_circulant(bi, bj, draw(values))
     else:
@@ -363,7 +361,6 @@ class TestShiftSymmetry:
         g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
         assert len(_shift_group(g)) % p == 0
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize(
         "rows,cols,p,target,m,entry,divisor,recounts",
         [
@@ -384,7 +381,6 @@ class TestShiftSymmetry:
             assert ref, config
             assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_group_is_all_of_zm_times_zp(self):
         # M = p = 3: copy shift and circulant shift give Z_3 x Z_3, not a cyclic group.
         g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
@@ -393,7 +389,6 @@ class TestShiftSymmetry:
         assert len(set(group)) == 9
         assert all(_maps_edges_onto_itself(g, vmap, cmap) for vmap, cmap in group)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_moved_entry_breaks_symmetry(self):
         g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
         edges = [(cn, vn) for cn, vn, _ in g.edges]

@@ -82,6 +82,13 @@ class TestAnalyze:
         assert main(["analyze", "--input", "/definitely/not/here.qc"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["5", "2", "-4"])
+    def test_bad_max_cycle_len_exits_3(self, host33, capsys, length):
+        assert main(["analyze", "--input", host33, "--max-cycle-len", length]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-cycle-len must be an even number >= 4\n"
+        assert captured.out == ""
+
     def test_corrupt_file_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"
         bad.write_text("qc 1\np x\nrows 1 cols 1\n")
@@ -111,6 +118,12 @@ class TestFractions:
         assert main(["fractions", "--input", k4file, "--uas", "4,0", "--M", "3"]) == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert row.split("\t")[:5] == ["4_0_g3", "3", "3", "3", "3"]
+
+    def test_fixture_with_input_rejected(self, k4file, capsys):
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--input", k4file, "--M", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --input cannot be combined with --uas uas:<name>\n"
+        assert captured.out == ""
 
     def test_ambiguous_host_rejected(self, host33, capsys):
         assert main(["fractions", "--input", host33, "--uas", "4,2", "--M", "3"]) == 3
@@ -408,6 +421,23 @@ class TestEntryPoints:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
         assert "Traceback" not in proc.stderr
+
+    def test_design_notes_only_in_log(self, tmp_path, source_env):
+        # A host with 4-cycles: the note reaches the log once, and no
+        # Python warning reaches stderr.
+        shifts = [[0, 2, 0], [1, 0, 1], [1, 1, 2]]
+        path = tmp_path / "host4c.qc"
+        path.write_text(md.write_qc(md.QcMatrix.from_blocks(
+            3, 3, 3, {(i, j): shifts[i][j] for i in range(3) for j in range(3)})))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdreloc", "design", "--input", str(path), "--uas", "4,2",
+             "--M", "3"],
+            capture_output=True, text=True, env=source_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.count("4-cycles") == 1
+        assert "warning: host has 4-cycles; cycle-length guarantees do not apply\n" in proc.stdout
 
     def test_fractions_without_chained_basis_exits_3(self, tmp_path, source_env):
         # The (4,2) instance on VNs (0, 1, 3, 5) of a 3x3 p=3 host with

@@ -20,7 +20,9 @@ from reference_designer import vote as reference_vote
 
 
 def run_quiet(*args, **kwargs):
-    with pytest.warns(UserWarning):
+    """design_md with every Python warning an error: its notes go only into the report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         return md.design_md(*args, **kwargs)
 
 

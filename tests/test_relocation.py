@@ -85,10 +85,12 @@ class TestRelocationMap:
     def test_map_assigns_only_its_own_granularity(self):
         qc = array_host(2, 2, 3)
         m = md.expand_qc(qc)
-        entry_map = md.RelocationMap(3, m, qc=qc)
+        entry_map = md.RelocationMap(3, m)
         with pytest.raises(ValueError, match="entry granularity cannot assign block"):
             entry_map.assign_circulant(0, 1, 1)
-        circulant_map = md.RelocationMap(3, m, qc=qc, granularity="circulant")
+        circulant_map = md.RelocationMap(3, m, qc=qc)
+        assert (entry_map.granularity, circulant_map.granularity) == ("entry", "circulant")
+        assert set(circulant_map.units) == {("c", bi, bj) for bi, bj, _ in qc.circulants}
         with pytest.raises(ValueError, match="circulant granularity cannot assign entry"):
             circulant_map.assign_entry(0, 0, 1)
         assert entry_map.assigned_units == circulant_map.assigned_units == ()
@@ -104,7 +106,7 @@ class TestRelocationMap:
     def test_circulant_granularity(self):
         qc = array_host(2, 2, 3)
         m = md.expand_qc(qc)
-        reloc = md.RelocationMap(5, m, qc=qc, granularity="circulant")
+        reloc = md.RelocationMap(5, m, qc=qc)
         reloc.assign_circulant(0, 1, 4)
         for r in range(3):
             assert reloc.value(m.entry_index[r, 3 + r % 3]) == 4
@@ -113,14 +115,10 @@ class TestRelocationMap:
         with pytest.raises(ValueError):
             reloc.assign_circulant(0, 1, 2)
 
-    def test_circulant_granularity_needs_table(self, uas_4_2):
-        with pytest.raises(ValueError):
-            md.RelocationMap(3, uas_4_2.incidence, granularity="circulant")
-
     def test_mismatched_expansion_rejected(self, uas_4_2):
         qc = array_host(2, 2, 3)
         with pytest.raises(ValueError):
-            md.RelocationMap(3, uas_4_2.incidence, qc=qc, granularity="circulant")
+            md.RelocationMap(3, uas_4_2.incidence, qc=qc)
 
 
 class TestRelocFile:
@@ -133,7 +131,7 @@ class TestRelocFile:
     def test_round_trip_circulant(self):
         qc = array_host(2, 3, 3)
         m = md.expand_qc(qc)
-        reloc = md.RelocationMap(3, m, qc=qc, granularity="circulant")
+        reloc = md.RelocationMap(3, m, qc=qc)
         reloc.assign_circulant(1, 2, 2)
         reloc.assign_circulant(0, 0, 1)
         parsed = md.parse_reloc(reloc.to_text(), m, qc=qc)
@@ -154,9 +152,14 @@ class TestRelocFile:
         with pytest.raises(md.ParseError, match="line 4: a map of entry granularity"):
             md.parse_reloc(text, md.expand_qc(qc), qc=qc)
 
+    def test_unknown_granularity_rejected(self, uas_4_2):
+        text = "reloc M=3 granularity=block\n"
+        with pytest.raises(md.ParseError, match=r"line 1: granularity must be one of \('circulant', 'entry'\)"):
+            md.parse_reloc(text, uas_4_2.incidence)
+
     def test_circulant_line_needs_table(self, uas_4_2):
         text = "reloc M=3 granularity=circulant\nc 0 0 1\n"
-        with pytest.raises(md.ParseError):
+        with pytest.raises(md.ParseError, match="line 1: circulant granularity needs the circulant table"):
             md.parse_reloc(text, uas_4_2.incidence)
 
 
@@ -359,8 +362,7 @@ class TestAgainstReferenceLift:
     def test_random_maps(self, m_copies, circulant, data):
         qc = array_host(3, 4, 5)
         host = md.expand_qc(qc)
-        granularity = "circulant" if circulant else "entry"
-        reloc = md.RelocationMap(m_copies, host, qc=qc, granularity=granularity)
+        reloc = md.RelocationMap(m_copies, host, qc=qc if circulant else None)
         assign = reloc.assign_circulant if circulant else reloc.assign_entry
         for unit in data.draw(st.permutations(list(reloc.units))):
             if data.draw(st.booleans()):
