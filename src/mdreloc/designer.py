@@ -8,14 +8,15 @@ involving it vote for the relocation values under which its potential
 solve fails (``relocation.intact``: no per-VN copy shift keeps all its
 degree-2 checks in one copy), and permanently assigns the winning value,
 preferring the auxiliary matrix that currently holds the fewest units.
-The loop stops when no active instance remains, or when no unit can
-attract a vote (the design is then reported incomplete rather than
-forced).
+The vote's verdicts under the winning value become the new activity of
+the instances involving the unit, and no other instance can change, so
+each step makes exactly one potential solve.  The loop stops when no
+active instance remains, or when no unit can attract a vote (the design
+is then reported incomplete rather than forced).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,22 +86,21 @@ class DesignResult:
     report: DesignReport
 
 
-def vote(plans, unit_entries, values: np.ndarray, m: int) -> dict[int, int]:
-    """Per relocation value 1..M-1, how many of the planned instances it breaks.
+def vote(plans, unit_entries, values: np.ndarray, m: int) -> np.ndarray:
+    """Bool (instances, M-1): planned instance i stays intact under value j + 1.
 
     ``plans`` comes from ``relocation.activity_plans``; ``values`` holds
     every host entry's current value (unassigned entries are 0).  Column
-    xi - 1 of the trial values overlays xi on every entry of the unit, and
-    an instance counts for xi when its potential solve fails under that
-    column, so all values and instances take one ``intact`` call.
+    xi - 1 of the trial values overlays xi on every entry of the unit, so
+    all values and instances take one ``intact`` call; a value breaks the
+    instances that read False in its column.
     """
     trial = np.repeat(values[:, None], m - 1, axis=1)
     trial[list(unit_entries)] = np.arange(1, m)
-    broken = (~intact(plans, trial, m)).sum(axis=0)
-    return dict(zip(range(1, m), broken.tolist()))
+    return intact(plans, trial, m)
 
 
-def _precondition_warnings(matrix, graph, config) -> list[str]:
+def _precondition_warnings(graph, config) -> list[str]:
     notes = []
     if not check_no_4cycles(graph):
         notes.append("host has 4-cycles; cycle-length guarantees do not apply")
@@ -142,7 +142,7 @@ def design_md(
             f"host column weight {gamma} does not match target gamma {config.gamma}"
         )
     graph = build_graph(matrix)
-    notes = _precondition_warnings(matrix, graph, config)
+    notes = _precondition_warnings(graph, config)
 
     reloc = RelocationMap(m_copies, matrix, qc=None if entry_granularity else qc)
     assign = reloc.assign_entry if reloc.qc is None else reloc.assign_circulant
@@ -152,35 +152,38 @@ def design_md(
     plans = activity_plans(instances)
     touches = involvement(instances, reloc.units)
 
-    active = intact(plans, reloc.values[:, None], m_copies)[:, 0]
+    # Every instance is intact under the all-zero map.
+    active = np.ones(len(instances), dtype=bool)
+    aux = [0] * (m_copies - 1)
     steps: list[StepRecord] = []
 
-    # Each non-final pass assigns one unit, so len(units) + 1 passes always
-    # suffice; running out anyway means the bookkeeping is corrupted.
-    for _ in range(len(units) + 1):
+    # A pass that does not break assigns a free unit and clears its column,
+    # and only uncleared columns score, so at most len(units) passes run.
+    while active.any():
         active_count = int(active.sum())
-        if active_count == 0:
-            break
         # Units are sorted, so argmax breaks ties to the smallest unit.
-        # An assigned unit's column is cleared, so only free units count.
         hits = touches[active].sum(axis=0)
         j = int(hits.argmax())
         if hits[j] == 0:
             break
         unit, involved = units[j], touches[:, j]
-        tally = vote(tuple(p[involved] for p in plans), reloc.units[unit], reloc.values, m_copies)
-        top, chosen = max(tally.values()), None
-        if top:
-            aux = Counter(ell for *_, ell in reloc.assigned_units)
-            chosen = min((xi for xi, t in tally.items() if t == top), key=lambda xi: (aux[xi], xi))
+        kept = vote(tuple(p[involved] for p in plans), reloc.units[unit], reloc.values, m_copies)
+        tally = (~kept).sum(axis=0).tolist()
+        # Most votes, then the auxiliary matrix with the fewest units, then
+        # the smallest value (min keeps the first of equal keys).
+        c = min(range(m_copies - 1), key=lambda k: (-tally[k], aux[k]))
+        chosen = c + 1 if tally[c] else None
+        if chosen:
             assign(*unit[1:], chosen)
+            aux[c] += 1
+            # ``involved`` is a view of column j: read it before clearing.
+            active[involved] = kept[:, c]
             touches[:, j] = False
-            active = intact(plans, reloc.values[:, None], m_copies)[:, 0]
         steps.append(
             StepRecord(
                 unit=unit,
                 involvement=int(hits[j]),
-                votes=tuple(sorted(tally.items())),
+                votes=tuple(enumerate(tally, start=1)),
                 chosen=chosen,
                 active_before=active_count,
                 active_after=int(active.sum()),
@@ -188,15 +191,9 @@ def design_md(
         )
         if chosen is None:
             break
-    else:
-        if any(active):
-            raise RuntimeError(
-                "design loop exhausted the unit budget with active instances left"
-            )
 
     od_active = int(active.sum())
     relocated = reloc.assigned_units
-    aux = Counter(ell for *_, ell in relocated)
     report = DesignReport(
         m_copies=m_copies,
         config=config,
@@ -207,7 +204,7 @@ def design_md(
         total_units=len(units),
         relocated_units=len(relocated),
         relocated_fraction=Fraction(len(relocated), len(units)) if units else Fraction(0),
-        aux_counts=tuple(aux[xi] for xi in range(1, m_copies)),
+        aux_counts=tuple(aux),
         steps=tuple(steps),
         warnings=tuple(notes),
     )

@@ -93,7 +93,7 @@ def design_md(
     granularity = "circulant" if use_circulants else "entry"
     graph = build_graph(matrix)
 
-    notes = _precondition_warnings(matrix, graph, config)
+    notes = _precondition_warnings(graph, config)
     for note in notes:
         _warnings.warn(note, stacklevel=2)
 

@@ -171,11 +171,11 @@ class TestDesignVerify:
         out = capsys.readouterr().out
         assert "final active instances: 0" in out
 
-        emitted = md.parse_alist(open(md_path).read())
+        emitted = md.parse_alist(Path(md_path).read_text())
         host = md.expand_qc(array_host(3, 3, 3))
-        reloc = md.parse_reloc(open(reloc_path).read(), host, qc=array_host(3, 3, 3))
+        reloc = md.parse_reloc(Path(reloc_path).read_text(), host, qc=array_host(3, 3, 3))
         assert md.assemble_md(host, reloc) == emitted
-        report = open(report_path).read()
+        report = Path(report_path).read_text()
         assert report.splitlines()[1].split("\t")[5] == "0"
 
         assert main(["verify", "--md", md_path, "--uas", "4,2", "--expect", "0"]) == 0
@@ -242,7 +242,7 @@ class TestDesignVerify:
         ])
         assert rc == 10
         assert "final active instances: 3" in capsys.readouterr().out
-        assert open(report_path).read().splitlines()[1].split("\t")[5] == "3"
+        assert Path(report_path).read_text().splitlines()[1].split("\t")[5] == "3"
 
     def test_entry_granularity_flag(self, host33, tmp_path, capsys):
         reloc_path = str(tmp_path / "entry.reloc")
@@ -252,7 +252,7 @@ class TestDesignVerify:
         ])
         assert rc == 0
         capsys.readouterr()
-        text = open(reloc_path).read()
+        text = Path(reloc_path).read_text()
         assert text.startswith("reloc M=3 granularity=entry")
 
 
@@ -441,8 +441,9 @@ class TestEntryPoints:
 
     def test_fractions_without_chained_basis_exits_3(self, tmp_path, source_env):
         # The (4,2) instance on VNs (0, 1, 3, 5) of a 3x3 p=3 host with
-        # 4-cycles: its basic cycles cannot be ordered so that consecutive
-        # cycles share a check node.
+        # 4-cycles: its degree-2 part holds two 4-cycles with no common
+        # check, so its basic cycles cannot be ordered so that consecutive
+        # cycles share a check node, and the closed form does not apply.
         shifts = [[0, 2, 0], [1, 0, 1], [1, 1, 2]]
         host = md.expand_qc(md.QcMatrix.from_blocks(
             3, 3, 3, {(i, j): shifts[i][j] for i in range(3) for j in range(3)}))
@@ -450,6 +451,10 @@ class TestEntryPoints:
         rows = sorted({r for r, c in host.entries if c in vns})
         inst = md.BinaryMatrix.from_entries(len(rows), len(vns), [
             (rows.index(r), vns.index(c)) for r, c in host.entries if c in vns])
+        (uas,) = md.enumerate_uas(md.build_graph(inst), md.UasConfig(4, 2, 3))
+        first, second = md.enumerate_cycles(uas.deg2_subgraph(), max_len=8)
+        assert (first.length, second.length) == (4, 4)
+        assert not first.cns & second.cns
         path = tmp_path / "inst.alist"
         path.write_text(md.write_alist(inst))
         proc = subprocess.run(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mdreloc as md
 from mdreloc.designer import REPORT_TSV_HEADER
-from mdreloc.relocation import activity_plans
+from mdreloc.relocation import activity_plans, intact
 
 from conftest import array_host, k4_host, lift_identity
 from reference_designer import design_md as reference_design_md
@@ -26,6 +26,11 @@ def run_quiet(*args, **kwargs):
         return md.design_md(*args, **kwargs)
 
 
+def broken(kept) -> dict[int, int]:
+    """``{xi: instances broken by xi}`` from a verdict matrix of ``md.vote``."""
+    return {xi: int((~col).sum()) for xi, col in enumerate(kept.T, start=1)}
+
+
 class TestVote:
     @pytest.fixture
     def plans(self, inst_4_2):
@@ -35,7 +40,7 @@ class TestVote:
         zero = md.RelocationMap(3, uas_4_2.incidence)
         values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
         for eid in (8, 0):
-            assert md.vote(plans, (eid,), values, 3) == {1: 1, 2: 1}
+            assert broken(md.vote(plans, (eid,), values, 3)) == {1: 1, 2: 1}
             assert reference_vote(basis_4_2, (eid,), zero) == frozenset({1, 2})
 
     def test_paired_entries_cancel(self, uas_4_2, basis_4_2, plans):
@@ -43,14 +48,14 @@ class TestVote:
         # keeps its zero sum and no value gets a vote
         zero = md.RelocationMap(3, uas_4_2.incidence)
         values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
-        assert md.vote(plans, (8, 9), values, 3) == {1: 0, 2: 0}
+        assert broken(md.vote(plans, (8, 9), values, 3)) == {1: 0, 2: 0}
         assert reference_vote(basis_4_2, (8, 9), zero) == frozenset()
 
     def test_votes_respect_existing_values(self, uas_4_2, basis_4_2, plans):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 3, 1)
         values = np.array([reloc.value(e) for e in range(len(uas_4_2.incidence.entries))])
-        assert md.vote(plans, (8,), values, 3) == {1: 0, 2: 1}
+        assert broken(md.vote(plans, (8,), values, 3)) == {1: 0, 2: 1}
         assert reference_vote(basis_4_2, (8,), reloc) == frozenset({2})
 
     def test_tally_counts_instances(self):
@@ -60,12 +65,54 @@ class TestVote:
         reloc = md.RelocationMap(5, host)
         reloc.assign_entry(*host.entries[3], 2)
         values = np.array([reloc.value(e) for e in range(len(host.entries))])
+        bases = [md.minimum_cycle_basis(inst.deg2_subgraph()) for inst in instances]
         for unit in [(0,), (3, 4), (10, 20, 30)]:
-            expected = {xi: 0 for xi in range(1, 5)}
-            for inst in instances:
-                for xi in reference_vote(md.minimum_cycle_basis(inst.deg2_subgraph()), unit, reloc):
-                    expected[xi] += 1
-            assert md.vote(activity_plans(instances), unit, values, 5) == expected
+            kept = md.vote(activity_plans(instances), unit, values, 5)
+            assert kept.shape == (len(instances), 4)
+            for row, basis in zip(kept, bases):
+                votes = reference_vote(basis, unit, reloc)
+                assert row.tolist() == [xi not in votes for xi in range(1, 5)]
+
+
+class TestLoop:
+    @pytest.mark.parametrize(
+        "shape, target, m_copies, entry, n_steps",
+        [((4, 7, 7), (4, 4), 3, True, 35), ((3, 7, 11), (4, 2), 3, False, 3)],
+    )
+    def test_one_potential_solve_per_step(self, monkeypatch, shape, target, m_copies, entry, n_steps):
+        calls = []
+
+        def counted(plans, values, m):
+            calls.append(values.shape)
+            return intact(plans, values, m)
+
+        monkeypatch.setattr("mdreloc.designer.intact", counted)
+        config = md.UasConfig(*target, shape[0])
+        rep = md.design_md(array_host(*shape), m_copies, config, entry_granularity=entry).report
+        assert len(rep.steps) == n_steps
+        assert len(calls) == n_steps
+
+    def test_steps_match_full_resolve_and_reactivate(self):
+        # The (5, 3) entry design on this host is the one whose prediction
+        # undercounts the emitted matrix; its greedy loop re-activates
+        # instances that earlier steps broke.
+        host = md.expand_qc(array_host(3, 4, 5))
+        config = md.UasConfig(5, 3, 3)
+        res = md.design_md(host, 3, config, entry_granularity=True)
+        plans = activity_plans(md.enumerate_uas(md.build_graph(host), config))
+        replay = md.RelocationMap(3, host)
+        assigned = res.relocation.assigned_units
+        assert len(assigned) == len(res.report.steps)
+        before = np.ones(len(plans[0]), dtype=bool)
+        reactivated = 0
+        for (_, row, col, ell), step in zip(assigned, res.report.steps):
+            assert step.unit == ("e", row, col) and step.chosen == ell
+            replay.assign_entry(row, col, ell)
+            after = intact(plans, replay.values[:, None], 3)[:, 0]
+            assert (step.active_before, step.active_after) == (before.sum(), after.sum())
+            reactivated += int((after & ~before).sum())
+            before = after
+        assert reactivated > 0
 
 
 class TestSelectUnit:
