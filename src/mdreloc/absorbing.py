@@ -12,6 +12,10 @@ The structural identities used throughout:
     d2 = (a * gamma - d1) / 2
     basis size = d2 - a + 1          (cycle rank of the degree-2 part)
 
+An instance (``UasInstance``) is stored as its nodes alone: sorted VN,
+degree-1 and degree-2 check ids.  The entry ids it covers are derived
+from the graph when first read.
+
 ``enumerate_uas`` searches modulo the graph's own cyclic shifts.  Every
 MD matrix is fixed by the copy shift (VN and check copy j to j + 1), and
 a QC host or a circulant-relocated MD matrix by the circulant shift
@@ -27,8 +31,9 @@ for column weights 3 and 4 respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .relocation import is_prime
@@ -118,28 +123,14 @@ def classify_config(c: UasConfig) -> ConfigClass:
 class UasInstance:
     """A concrete placement of a UAS inside a host Tanner graph.
 
-    Node and entry ids are the host's.  Hash/equality ignore the graph
+    Node ids are the host's.  Equality and hashing ignore the graph
     reference so instances can be collected in sets.
     """
 
     vns: tuple[int, ...]
     deg1_cns: tuple[int, ...]
     deg2_cns: tuple[int, ...]
-    entry_ids: tuple[int, ...]
-    deg2_entry_ids: tuple[int, ...]
-    graph: TannerGraph
-
-    def __eq__(self, other):
-        if not isinstance(other, UasInstance):
-            return NotImplemented
-        return (self.vns, self.deg1_cns, self.deg2_cns) == (
-            other.vns,
-            other.deg1_cns,
-            other.deg2_cns,
-        )
-
-    def __hash__(self):
-        return hash((self.vns, self.deg1_cns, self.deg2_cns))
+    graph: TannerGraph = field(compare=False)
 
     @property
     def a(self) -> int:
@@ -149,28 +140,22 @@ class UasInstance:
     def d1(self) -> int:
         return len(self.deg1_cns)
 
+    @cached_property
+    def entry_ids(self) -> tuple[int, ...]:
+        """Sorted entry-ids of every edge at the instance's VNs."""
+        return tuple(sorted(eid for vn in self.vns for _, eid in self.graph.vn_adj[vn]))
+
+    @cached_property
+    def deg2_entry_ids(self) -> tuple[int, ...]:
+        """Sorted entry-ids of the edges into degree-2 checks."""
+        deg2 = set(self.deg2_cns)
+        return tuple(
+            sorted(eid for vn in self.vns for cn, eid in self.graph.vn_adj[vn] if cn in deg2)
+        )
+
     def deg2_subgraph(self) -> TannerGraph:
         """The induced subgraph restricted to degree-2 checks."""
         return self.graph.subgraph(self.vns, self.deg2_cns)
-
-
-def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
-    d2set = set(deg2)
-    all_entries = []
-    deg2_entries = []
-    for vn in vns:
-        for cn, eid in g.vn_adj[vn]:
-            all_entries.append(eid)
-            if cn in d2set:
-                deg2_entries.append(eid)
-    return UasInstance(
-        vns=tuple(sorted(vns)),
-        deg1_cns=tuple(sorted(deg1)),
-        deg2_cns=tuple(sorted(deg2)),
-        entry_ids=tuple(sorted(all_entries)),
-        deg2_entry_ids=tuple(sorted(deg2_entries)),
-        graph=g,
-    )
 
 
 def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -351,11 +336,11 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
         for vmap, cmap in group:
             image = tuple(sorted(g.vns[vmap[v]] for v in vns))
             if image not in instances:
-                instances[image] = _build_instance(
-                    g,
+                instances[image] = UasInstance(
                     image,
-                    [g.cns[cmap[i]] for i in cns1],
-                    [g.cns[cmap[i]] for i in cns2],
+                    tuple(sorted(g.cns[cmap[i]] for i in cns1)),
+                    tuple(sorted(g.cns[cmap[i]] for i in cns2)),
+                    g,
                 )
     if weight != len(instances):
         raise AssertionError(

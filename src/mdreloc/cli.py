@@ -43,6 +43,7 @@ from .tanner import (
     BinaryMatrix,
     ParseError,
     QcMatrix,
+    _to_text,
     build_graph,
     check_no_4cycles,
     check_regular_gamma,
@@ -59,10 +60,11 @@ class ConfigError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    return _to_text(data)
 
 
 def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, CanonicalUas | None]:

@@ -6,8 +6,8 @@ check node and a variable node.  Cycles are kept in a canonical rotation
 (smallest entry-id first, smaller neighbouring entry-id second) so that
 enumeration output, basis selection, and golden tests are deterministic.
 
-Over GF(2) a cycle is the 0/1 indicator of its edges inside a fixed edge
-universe; symmetric difference of edge sets is vector XOR.
+Over GF(2) a cycle is its edge set, kept as one integer mask with bit e
+set for entry-id e; symmetric difference of edge sets is XOR of masks.
 """
 
 from __future__ import annotations
@@ -16,19 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .tanner import TannerGraph
-
-GF2Vector = tuple[int, ...]
-
-
-def _masks(vectors) -> list[int]:
-    out = []
-    for vec in vectors:
-        mask = 0
-        for i, bit in enumerate(vec):
-            if bit:
-                mask |= 1 << i
-        out.append(mask)
-    return out
 
 
 def _reduce(mask: int, pivots: dict[int, int]) -> int:
@@ -41,11 +28,11 @@ def _reduce(mask: int, pivots: dict[int, int]) -> int:
     return 0
 
 
-def cycle_space_rank(vectors) -> int:
-    """Rank over GF(2) of a collection of 0/1 vectors."""
+def cycle_space_rank(cycles) -> int:
+    """Rank over GF(2) of the cycles' edge masks."""
     pivots: dict[int, int] = {}
-    for mask in _masks(vectors):
-        reduced = _reduce(mask, pivots)
+    for cyc in cycles:
+        reduced = _reduce(cyc.mask, pivots)
         if reduced:
             pivots[reduced.bit_length() - 1] = reduced
     return len(pivots)
@@ -103,8 +90,9 @@ class Cycle:
         return tuple(s[2] for s in self.steps)
 
     @cached_property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.entry_ids)
+    def mask(self) -> int:
+        """The edge set over GF(2): bit e is set for entry-id e."""
+        return sum(1 << eid for eid in set(self.entry_ids))
 
     @cached_property
     def cns(self) -> frozenset[int]:
@@ -113,13 +101,6 @@ class Cycle:
     @cached_property
     def vns(self) -> frozenset[int]:
         return frozenset(s[1] for s in self.steps)
-
-    def vector(self, universe) -> GF2Vector:
-        """0/1 indicator of this cycle's edges over an ordered edge universe."""
-        edges = self.edge_set
-        if not edges <= set(universe):
-            raise ValueError("cycle uses edges outside the universe")
-        return tuple(1 if eid in edges else 0 for eid in universe)
 
 
 def enumerate_cycles(g: TannerGraph, max_len: int) -> list[Cycle]:
@@ -173,23 +154,23 @@ def enumerate_cycles(g: TannerGraph, max_len: int) -> list[Cycle]:
 class CycleBasis:
     """An ordered GF(2) basis of a subgraph's cycle space.
 
-    ``universe`` is the sorted tuple of the subgraph's entry-ids; all basis
-    vectors are expressed over it.
+    ``universe`` is the sorted tuple of the subgraph's entry-ids; every
+    basis cycle must use only these edges.
     """
 
     cycles: tuple[Cycle, ...]
     universe: tuple[int, ...]
 
     def __post_init__(self):
-        if cycle_space_rank(self.vectors()) != len(self.cycles):
+        outside = ~sum(1 << eid for eid in set(self.universe))
+        if any(c.mask & outside for c in self.cycles):
+            raise ValueError("cycle uses edges outside the universe")
+        if cycle_space_rank(self.cycles) != len(self.cycles):
             raise ValueError("basis cycles are linearly dependent")
 
     @property
     def size(self) -> int:
         return len(self.cycles)
-
-    def vectors(self) -> list[GF2Vector]:
-        return [c.vector(self.universe) for c in self.cycles]
 
 
 def _chain_order(cycles: list[Cycle]) -> list[Cycle] | None:
@@ -253,8 +234,7 @@ def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
     chosen: list[Cycle] = []
     pivots: dict[int, int] = {}
     for cyc in candidates:
-        mask = _masks([cyc.vector(universe)])[0]
-        reduced = _reduce(mask, pivots)
+        reduced = _reduce(cyc.mask, pivots)
         if reduced:
             pivots[reduced.bit_length() - 1] = reduced
             chosen.append(cyc)

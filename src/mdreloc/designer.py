@@ -137,6 +137,10 @@ def design_md(
     else:
         matrix, qc = host, None
     gamma = check_regular_gamma(matrix)
+    if gamma is None:
+        raise ValueError(
+            f"host column weights are irregular; target gamma {config.gamma} needs a regular host"
+        )
     if gamma != config.gamma:
         raise ValueError(
             f"host column weight {gamma} does not match target gamma {config.gamma}"

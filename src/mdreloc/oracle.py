@@ -312,7 +312,7 @@ def _assert_cycle_disjoint(instances) -> None:
     owner = {}
     for j, inst in enumerate(instances):
         for cycle in enumerate_cycles(inst.deg2_subgraph(), 2 * len(inst.deg2_cns)):
-            i = owner.setdefault(frozenset(cycle.entry_ids), j)
+            i = owner.setdefault(cycle.mask, j)
             if i != j:
                 raise ValueError(f"instances {i} and {j} share a cycle")
 

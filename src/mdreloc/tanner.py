@@ -266,9 +266,18 @@ def check_no_4cycles(g: TannerGraph) -> bool:
 
 
 def _to_text(data) -> str:
-    if isinstance(data, bytes):
+    """The text of a matrix or reloc file; bytes must be ASCII.
+
+    A non-ASCII byte is a ParseError at its line, counted as ``_Lines``
+    counts them.
+    """
+    if isinstance(data, str):
+        return data
+    try:
         return data.decode("ascii")
-    return data
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
 
 
 class _Lines:

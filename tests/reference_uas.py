@@ -1,9 +1,10 @@
 """Reference UAS enumerator: the unpruned search the library's one replaced.
 
-Kept verbatim as a differential oracle.  It visits every connected VN set
-of size a (ESU order, pruning only on a check of induced degree 3) and
-classifies each leaf from scratch, so it shares no bookkeeping, bound or
-last-VN shortcut with ``mdreloc.enumerate_uas``.  Slow on large MD
+Kept as a differential oracle.  It visits every connected VN set of size
+a (ESU order, pruning only on a check of induced degree 3) and classifies
+each leaf from scratch, so it shares no bookkeeping, bound or last-VN
+shortcut with ``mdreloc.enumerate_uas``.  It lists each instance's entry
+ids itself, to check the ones ``UasInstance`` derives.  Slow on large MD
 matrices; keep the inputs small.
 """
 
@@ -34,7 +35,8 @@ def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:
     return len(seen) == len(vlist)
 
 
-def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
+def _build_instance(g: TannerGraph, vns, deg1, deg2):
+    """The instance, with its entry and degree-2 entry ids computed here."""
     d2set = set(deg2)
     all_entries = []
     deg2_entries = []
@@ -43,18 +45,15 @@ def _build_instance(g: TannerGraph, vns, deg1, deg2) -> UasInstance:
             all_entries.append(eid)
             if cn in d2set:
                 deg2_entries.append(eid)
-    return UasInstance(
-        vns=tuple(sorted(vns)),
-        deg1_cns=tuple(sorted(deg1)),
-        deg2_cns=tuple(sorted(deg2)),
-        entry_ids=tuple(sorted(all_entries)),
-        deg2_entry_ids=tuple(sorted(deg2_entries)),
-        graph=g,
-    )
+    inst = UasInstance(tuple(sorted(vns)), tuple(sorted(deg1)), tuple(sorted(deg2)), g)
+    return inst, tuple(sorted(all_entries)), tuple(sorted(deg2_entries))
 
 
-def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
+def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list:
     """All (a, d1) instances in the graph, sorted by VN tuple.
+
+    Each item is (instance, entry ids, degree-2 entry ids), the two
+    id lists computed by this module rather than read off the instance.
 
     Searches connected VN sets only (connectivity through shared checks),
     growing each set from its smallest VN so every candidate is visited
@@ -71,7 +70,7 @@ def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
                 nbrs[members[i]].add(members[j])
                 nbrs[members[j]].add(members[i])
 
-    results: list[UasInstance] = []
+    results = []
     if c.a == 1:
         # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
         # could match, and the strict majority condition always fails.
@@ -137,5 +136,5 @@ def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
         extend([root], ext0, root, {root} | set(ext0))
         remove_vn(root)
 
-    results.sort(key=lambda inst: inst.vns)
+    results.sort(key=lambda found: found[0].vns)
     return results

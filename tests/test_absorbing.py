@@ -11,7 +11,7 @@ import mdreloc as md
 from mdreloc.absorbing import _shift_group
 
 from conftest import array_host, k4_host
-from reference_uas import reference_enumerate_uas
+from reference_uas import _build_instance as reference_instance, reference_enumerate_uas
 
 
 def brute_force_uas(m: md.BinaryMatrix, config: md.UasConfig):
@@ -146,8 +146,19 @@ class TestCanonicalFixtures:
         first = uas_4_2.instance()
         second = uas_4_2.instance()
         assert first is not second
+        assert first.graph is not second.graph
         assert first == second
         assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_hand_built_instance_derives_entry_lists(self):
+        g = md.build_graph(md.expand_qc(array_host(3, 4, 5)))
+        nodes = ((0, 7, 12, 19), (0, 4), (2, 5, 6, 10, 13))
+        inst = md.UasInstance(*nodes, g)
+        assert inst in md.enumerate_uas(g, md.UasConfig(4, 2, 3))
+        _, entry_ids, deg2_entry_ids = reference_instance(g, *nodes)
+        assert inst.entry_ids == entry_ids == (0, 9, 10, 19, 20, 22, 25, 27, 40, 41, 54, 55)
+        assert inst.deg2_entry_ids == deg2_entry_ids == (9, 10, 20, 22, 25, 27, 40, 41, 54, 55)
 
     def test_gamma_regular(self, uas_4_2, uas_4_4):
         assert md.check_regular_gamma(uas_4_2.incidence) == 3
@@ -213,6 +224,11 @@ def _fields(instances):
     ]
 
 
+def _ref_fields(found):
+    """The reference's rows, with the entry lists it computed itself."""
+    return [(i.vns, i.deg1_cns, i.deg2_cns, eids, deg2_eids) for i, eids, deg2_eids in found]
+
+
 def _legal_configs(sizes, gamma):
     for a in sizes:
         for d1 in range(a * gamma + 1):
@@ -243,7 +259,7 @@ class TestAgainstReference:
     def test_hosts_at_every_d1(self, rows, cols, p):
         g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
         for config in _legal_configs(range(4, 7), rows):
-            assert _fields(md.enumerate_uas(g, config)) == _fields(
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config
 
@@ -264,7 +280,7 @@ class TestAgainstReference:
         config = md.UasConfig(*recount)
         ref = reference_enumerate_uas(g, config)
         assert len(ref) == count
-        assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
+        assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref)
 
     def test_md_matrix_wider_than_64_checks(self):
         # 75 checks: the check masks need more than one machine word.
@@ -276,7 +292,7 @@ class TestAgainstReference:
         config = md.UasConfig(4, 4, 3)
         ref = reference_enumerate_uas(g, config)
         assert len(ref) == 380
-        assert _fields(md.enumerate_uas(g, config)) == _fields(ref)
+        assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref)
 
     def test_subgraph_with_sparse_ids(self):
         # Check and VN ids are neither dense nor starting at 0, so check
@@ -288,7 +304,7 @@ class TestAgainstReference:
         total = 0
         for config in _legal_configs(range(2, 7), 3):
             ref = reference_enumerate_uas(g, config)
-            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
             total += len(ref)
         assert total
 
@@ -298,7 +314,7 @@ class TestAgainstReference:
         m, gamma = host
         g = md.build_graph(m)
         for config in _legal_configs(range(1, 6), gamma):
-            assert _fields(md.enumerate_uas(g, config)) == _fields(
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config
 
@@ -379,7 +395,7 @@ class TestShiftSymmetry:
             config = md.UasConfig(*recount)
             ref = reference_enumerate_uas(g, config)
             assert ref, config
-            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
 
     def test_group_is_all_of_zm_times_zp(self):
         # M = p = 3: copy shift and circulant shift give Z_3 x Z_3, not a cyclic group.
@@ -400,7 +416,7 @@ class TestShiftSymmetry:
         h = md.build_graph(moved)
         assert len(_shift_group(h)) == 1
         for config in _legal_configs(range(4, 7), 3):
-            assert _fields(md.enumerate_uas(h, config)) == _fields(
+            assert _fields(md.enumerate_uas(h, config)) == _ref_fields(
                 reference_enumerate_uas(h, config)
             ), config
 
@@ -427,7 +443,7 @@ class TestShiftSymmetry:
         counts = {}
         for config in _legal_configs(range(3, 6), 3):
             ref = reference_enumerate_uas(g, config)
-            assert _fields(md.enumerate_uas(g, config)) == _fields(ref), config
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
             counts[(config.a, config.d1)] = len(ref)
         assert {k: n for k, n in counts.items() if n} == {(3, 1): 4, (4, 4): 16, (5, 3): 32}
 
@@ -437,6 +453,6 @@ class TestShiftSymmetry:
         h_md, gamma = case
         g = md.build_graph(h_md)
         for config in _legal_configs(range(2, 6), gamma):
-            assert _fields(md.enumerate_uas(g, config)) == _fields(
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config

@@ -212,6 +212,17 @@ class TestDesignVerify:
         assert main(["verify", "--md", str(path), "--uas", "4,0"]) == 3
         assert "explicit gamma" in capsys.readouterr().err
 
+    def test_design_irregular_host_exits_3(self, tmp_path, capsys):
+        host = k4_host()
+        irregular = md.BinaryMatrix.from_entries(6, 5, list(host.entries) + [(0, 4)])
+        path = tmp_path / "irregular.alist"
+        path.write_text(md.write_alist(irregular))
+        assert main(["design", "--input", str(path), "--uas", "4,0,3", "--M", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "host column weights are irregular" in captured.err
+        assert "None" not in captured.err
+        assert captured.out == ""
+
     def test_readme_design_and_verify_examples(self, host33, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         monkeypatch.chdir(Path(host33).parent)
@@ -464,6 +475,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == "error: no ordering with consecutive cycles sharing a check node\n"
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["analyze --input", "verify --uas 4,0 --md"])
+    def test_non_ascii_input_exits_2(self, k4file, source_env, command):
+        path = Path(k4file)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdreloc", *command.split(), k4file],
+            capture_output=True, text=True, env=source_env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: line 3: non-ASCII byte 0xff\n"
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -13,11 +13,9 @@ RED_4_2 = (2, 3, 4, 5, 9, 8)
 DIAG_4_4 = (4, 5, 7, 6, 10, 11)
 
 
-def cycle_xor(u, v):
-    """Elementwise XOR; the GF(2) sum of two cycle vectors."""
-    if len(u) != len(v):
-        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a ^ b for a, b in zip(u, v))
+def bits(mask: int) -> set[int]:
+    """The entry-ids whose bits are set in an edge mask."""
+    return {e for e in range(mask.bit_length()) if mask >> e & 1}
 
 
 def nx_cycle_lengths(g: md.TannerGraph, max_len: int) -> list[int]:
@@ -93,16 +91,18 @@ class TestEnumeration:
 
 
 class TestGf2:
-    def test_xor_is_symmetric_difference(self, basis_4_2, inst_4_2):
-        universe = tuple(sorted(inst_4_2.deg2_entry_ids))
+    def test_mask_has_one_bit_per_edge(self, basis_4_2):
         blue, red = basis_4_2.cycles
-        combined = cycle_xor(blue.vector(universe), red.vector(universe))
-        expected = blue.edge_set ^ red.edge_set
-        assert {universe[i] for i, bit in enumerate(combined) if bit} == expected
+        assert bits(blue.mask) == set(BLUE_4_2)
+        assert bits(red.mask) == set(RED_4_2)
+
+    def test_xor_is_symmetric_difference(self, basis_4_2):
+        blue, red = basis_4_2.cycles
+        assert bits(blue.mask ^ red.mask) == set(blue.entry_ids) ^ set(red.entry_ids)
 
     def test_rank_of_reference_sets(self, basis_4_2, basis_4_4):
-        assert cycle_space_rank(basis_4_2.vectors()) == 2
-        assert cycle_space_rank(basis_4_4.vectors()) == 3
+        assert cycle_space_rank(basis_4_2.cycles) == 2
+        assert cycle_space_rank(basis_4_4.cycles) == 3
 
     def test_dependent_basis_rejected(self, inst_4_2):
         g = inst_4_2.deg2_subgraph()
@@ -110,6 +110,12 @@ class TestGf2:
         universe = tuple(sorted(e[2] for e in g.edges))
         with pytest.raises(ValueError, match="dependent"):
             md.CycleBasis(tuple(all_cycles), universe)
+
+    def test_edge_outside_universe_rejected(self, basis_4_2):
+        md.CycleBasis(basis_4_2.cycles, basis_4_2.universe)
+        universe = tuple(e for e in basis_4_2.universe if e != BLUE_4_2[0])
+        with pytest.raises(ValueError, match="outside the universe"):
+            md.CycleBasis(basis_4_2.cycles, universe)
 
 
 class TestMinimumBasis:
@@ -126,11 +132,9 @@ class TestMinimumBasis:
             assert basis.size == n_f
 
     def test_spans_every_cycle(self, inst_4_4, basis_4_4):
-        vectors = basis_4_4.vectors()
-        base_rank = cycle_space_rank(vectors)
+        base_rank = cycle_space_rank(basis_4_4.cycles)
         for cycle in md.enumerate_cycles(inst_4_4.deg2_subgraph(), 20):
-            vec = cycle.vector(basis_4_4.universe)
-            assert cycle_space_rank(vectors + [vec]) == base_rank
+            assert cycle_space_rank(basis_4_4.cycles + (cycle,)) == base_rank
 
     def test_consecutive_cycles_share_a_check(self, basis_4_4):
         cycles = basis_4_4.cycles

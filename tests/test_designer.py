@@ -220,6 +220,13 @@ class TestPreconditions:
         assert any("(4, 0)" in w for w in res.report.warnings)
         assert res.report.od_instances == 0
 
+    def test_irregular_host_rejected(self):
+        # K4 plus a fifth column of weight 1.
+        host = k4_host()
+        irregular = md.BinaryMatrix.from_entries(6, 5, list(host.entries) + [(0, 4)])
+        with pytest.raises(ValueError, match="host column weights are irregular"):
+            md.design_md(irregular, 3, md.UasConfig(4, 0, 3))
+
     def test_gamma_mismatch_rejected(self, uas_4_2):
         toy = lift_identity(uas_4_2.incidence)
         with pytest.raises(ValueError, match="column weight"):

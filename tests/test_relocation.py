@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import mdreloc as md
 import mdreloc.relocation as relocation
-from mdreloc.absorbing import _build_instance
 from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
 
 import reference_md
@@ -146,6 +145,12 @@ class TestRelocFile:
         with pytest.raises(md.ParseError, match="line 2"):
             md.parse_reloc(text, uas_4_2.incidence)
 
+    def test_non_ascii_byte_reports_line(self, uas_4_2):
+        data = b"reloc M=3 granularity=entry\r\ne 4 1 1\r\n\xe9 0 0 1\r\n"
+        with pytest.raises(md.ParseError, match="line 3: non-ASCII byte 0xe9") as err:
+            md.parse_reloc(data, uas_4_2.incidence)
+        assert err.value.line == 3
+
     def test_circulant_line_refused_by_entry_map(self):
         qc = array_host(2, 2, 3)
         text = "reloc M=3 granularity=entry\ne 0 0 1\n\nc 0 1 2\n"
@@ -250,14 +255,14 @@ class TestPotentialPlan:
     def test_degree_three_check_rejected(self):
         # Check 0 joins all three VNs; checks 1 and 2 chain them.
         m = md.BinaryMatrix.from_entries(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)])
-        inst = _build_instance(md.build_graph(m), (0, 1, 2), (), (0, 1, 2))
+        inst = md.UasInstance((0, 1, 2), (), (0, 1, 2), md.build_graph(m))
         with pytest.raises(ValueError, match="check 0 has induced degree 3, expected 2"):
             _potential_plan(inst)
 
     def test_disconnected_degree2_part_rejected(self):
         # Two VN pairs, each joined by its own check.
         m = md.BinaryMatrix.from_entries(2, 4, [(0, 0), (0, 1), (1, 2), (1, 3)])
-        inst = _build_instance(md.build_graph(m), (0, 1, 2, 3), (), (0, 1))
+        inst = md.UasInstance((0, 1, 2, 3), (), (0, 1), md.build_graph(m))
         with pytest.raises(ValueError, match="degree-2 subgraph is not connected"):
             _potential_plan(inst)
 

@@ -137,6 +137,13 @@ class TestAlistFormat:
         with pytest.raises(ParseError, match="line 1"):
             md.parse_alist(text)
 
+    def test_non_ascii_byte_reports_line(self):
+        lines = md.write_alist(ring_matrix()).encode().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        with pytest.raises(ParseError, match="line 3: non-ASCII byte 0xff") as err:
+            md.parse_alist(b"".join(lines))
+        assert err.value.line == 3
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_round_trip_random(self, data):
@@ -169,6 +176,13 @@ class TestQcFormat:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):
             md.parse_qc("qc 9\np 3\nrows 1 cols 1\n")
+
+    def test_non_ascii_byte_reports_line(self):
+        text = md.write_qc(array_host(2, 2, 3))
+        data = text.encode() + "# café\n".encode()
+        with pytest.raises(ParseError, match="non-ASCII byte 0xc3") as err:
+            md.parse_qc(data)
+        assert err.value.line == len(text.splitlines()) + 1
 
     def test_missing_shift_line(self):
         q = array_host(2, 2, 3)
