@@ -240,18 +240,21 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     1 and ``two`` those of degree 2.  A VN whose mask m meets ``two`` is
     refused (a check would reach degree 3); otherwise it makes
     one ^ m the degree-1 checks and two | (one & m) the degree-2 ones.
-    D, the number of degree-1 checks, is ``one.bit_count()``.  Adding a
-    VN of degree gamma that touches t degree-1 checks changes D by
-    gamma - 2t, with 0 <= t <= gamma, so with r VNs still to add a branch
-    is dropped unless D - gamma*r <= d1 <= D + gamma*r.  The last VN is
+    D, the number of degree-1 checks, is ``one.bit_count()``.  A VN that
+    joins s VNs shares a check with one of them and at most lam checks
+    with each (lam: the most checks two eligible VNs share, 1 without
+    4-cycles), so it touches 1 <= t <= min(gamma, lam * s) degree-1
+    checks and changes D by gamma - 2t.  A branch of k VNs is dropped
+    unless D - drop[k] <= d1 <= D + (gamma - 2)(a - k), where drop[k] sums
+    2 min(gamma, lam * s) - gamma over s = k .. a - 1; at a - 1 VNs it
+    also needs D > d1, as the last VN needs 2t > gamma.  The last VN is
     not searched for: a set of a - 1 VNs is completed only by a
     candidate with ``m & two == 0`` and exactly
     t = (D + gamma - d1) / 2 bits in ``m & one``, which makes D = d1; the
-    majority rule then needs 2t > gamma for that VN and, for each other
-    VN v, fewer than gamma / 2 of v's checks among the final degree-1
-    ones.  No connectivity test is needed: every set grows through checks
-    it shares, and a shared check has induced degree 2.  Masks become
-    check ids only for the sets found.
+    majority rule then needs each other VN v to have fewer than gamma / 2
+    of its checks among the final degree-1 ones.  No connectivity test is
+    needed: every set grows through checks it shares, and a shared check
+    has induced degree 2.  Masks become check ids only for the sets found.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
     if a == 1:
@@ -272,25 +275,40 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
         if len(adj_v) == gamma:
             mask[i] = sum(bit[cn] for cn, _ in adj_v)
 
-    # VN adjacency via shared checks, restricted to eligible VNs.
-    adj: list[set[int]] = [set() for _ in order]
+    def positions(bits: int) -> list[int]:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+
+    # Each eligible VN's neighbours through shared checks, as a mask of
+    # ranks; lam is 1 unless some pair of them shares a second check.
+    nbit = [0] * len(order)
+    pairs = 0
     for cn in g.cns:
         members = [rank[vn] for vn, _ in g.cn_adj[cn] if mask[rank[vn]]]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                adj[members[i]].add(members[j])
-                adj[members[j]].add(members[i])
-    nbrs = [sorted(us) for us in adj]
+        pairs += len(members) * (len(members) - 1)
+        both = sum(1 << i for i in members)
+        for i in members:
+            nbit[i] |= both ^ 1 << i
+    lam = 1 if sum(map(int.bit_count, nbit)) == pairs else max(
+        (mask[u] & mask[v]).bit_count() for u, b in enumerate(nbit) for v in positions(b)
+    )
+    # bounds[k]: the least and most D a branch of k VNs may have.
+    drop = [sum(2 * min(gamma, lam * s) - gamma for s in range(k, a)) for k in range(a)]
+    bounds = [(d1 - (gamma - 2) * (a - k), d1 + drop[k]) for k in range(a)]
+    bounds[a - 1] = (d1 + 1, d1 + drop[a - 1])
 
     # (VN ranks, degree-1 check mask, degree-2 check mask) of every set found.
     found: list[tuple[list[int], int, int]] = []
 
     def finish(sub: list[int], ext: list[int], one: int, two: int):
         """Complete a set of a - 1 VNs with each candidate that makes D = d1."""
-        t, odd = divmod(one.bit_count() + gamma - d1, 2)
-        if odd or 2 * t <= gamma:
-            # The last VN would keep gamma - t >= t degree-1 checks.
-            return
+        # 2t > gamma, as D > d1 (bounds[a - 1]; for a = 2, D = gamma > d1), and
+        # D + gamma - d1 is even because a * gamma - d1 is.
+        t = (one.bit_count() + gamma - d1) // 2
         for w in ext:
             m = mask[w]
             if not m & two and (m & one).bit_count() == t:
@@ -299,33 +317,29 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
                 if all(2 * (final1 & mask[v]).bit_count() < gamma for v in sub):
                     found.append((sub + [w], final1, two | (one & m)))
 
-    def extend(sub: list[int], ext: list[int], root: int, closed: set[int], one: int, two: int):
+    def extend(sub: list[int], ext: list[int], closed: int, one: int, two: int):
         if len(sub) == a - 1:
             finish(sub, ext, one, two)
             return
-        reach = gamma * (a - len(sub) - 1)
+        lo, hi = bounds[len(sub) + 1]
         for i, w in enumerate(ext):
             m = mask[w]
             if m & two:
                 continue
             one_w = one ^ m
-            n_deg1 = one_w.bit_count()
-            if n_deg1 - reach <= d1 <= n_deg1 + reach:
+            if lo <= one_w.bit_count() <= hi:
                 # Exclusive new neighbours keep every connected set
                 # reachable by exactly one insertion order.  ``closed``
-                # already holds every member of ``ext``.
-                new_ext = ext[i + 1 :] + [u for u in nbrs[w] if u > root and u not in closed]
+                # holds every rank up to the root and every member of ``ext``.
+                new = nbit[w] & ~closed
                 sub.append(w)
-                extend(sub, new_ext, root, closed | set(new_ext), one_w, two | (one & m))
+                extend(sub, ext[i + 1 :] + positions(new), closed | new, one_w, two | (one & m))
                 sub.pop()
 
     for root in range(0, len(order), size):
         if mask[root]:
-            ext0 = [u for u in nbrs[root] if u > root]
-            extend([root], ext0, root, {root} | set(ext0), mask[root], 0)
-
-    def positions(bits: int) -> list[int]:
-        return [i for i in range(bits.bit_length()) if bits >> i & 1]
+            below = (2 << root) - 1
+            extend([root], positions(nbit[root] & ~below), below | nbit[root], mask[root], 0)
 
     instances: dict[tuple[int, ...], UasInstance] = {}
     weight = Fraction(0)

@@ -266,18 +266,18 @@ def check_no_4cycles(g: TannerGraph) -> bool:
 
 
 def _to_text(data) -> str:
-    """The text of a matrix or reloc file; bytes must be ASCII.
+    """The text of a matrix or reloc file, given as bytes or str; it must be ASCII.
 
-    A non-ASCII byte is a ParseError at its line, counted as ``_Lines``
-    counts them.
+    A non-ASCII byte or character is a ParseError at its line, counted as
+    ``_Lines`` counts them.
     """
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+    is_str = isinstance(data, str)
+    text = data if is_str else data.decode("ascii", "replace")
+    if text.isascii():
+        return text
+    pos = next(i for i, ch in enumerate(text) if not ch.isascii())
+    what = f"character U+{ord(text[pos]):04X}" if is_str else f"byte 0x{data[pos]:02x}"
+    raise ParseError(f"non-ASCII {what}", len((text[:pos] + "x").splitlines()))
 
 
 class _Lines:

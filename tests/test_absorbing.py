@@ -263,6 +263,21 @@ class TestAgainstReference:
                 reference_enumerate_uas(g, config)
             ), config
 
+    @pytest.mark.parametrize("cols,lam,total", [(4, 2, 372), (6, 4, 4392)])
+    def test_hosts_with_4_cycles(self, cols, lam, total):
+        # Two VNs share up to lam checks, so a joining VN may hit up to lam
+        # degree-1 checks per member: the search's window is at its loosest.
+        g = md.build_graph(md.expand_qc(array_host(4, cols, 4)))
+        checks = {vn: {cn for cn, _ in g.vn_adj[vn]} for vn in g.vns}
+        shared = (len(checks[u] & checks[v]) for u, v in itertools.combinations(g.vns, 2))
+        assert max(shared) == lam
+        found = 0
+        for config in _legal_configs(range(2, 7), 4):
+            ref = reference_enumerate_uas(g, config)
+            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
+            found += len(ref)
+        assert found == total
+
     @pytest.mark.parametrize(
         "rows,cols,p,target,entry,recount,count",
         [

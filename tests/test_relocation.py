@@ -151,6 +151,12 @@ class TestRelocFile:
             md.parse_reloc(data, uas_4_2.incidence)
         assert err.value.line == 3
 
+    def test_non_ascii_digit_in_str_reports_line(self, uas_4_2):
+        text = "reloc M=3 granularity=entry\n\ne 4 1 1\ne 5 1 \u0662\n"
+        with pytest.raises(md.ParseError, match="line 4: non-ASCII character U\\+0662") as err:
+            md.parse_reloc(text, uas_4_2.incidence)
+        assert err.value.line == 4
+
     def test_circulant_line_refused_by_entry_map(self):
         qc = array_host(2, 2, 3)
         text = "reloc M=3 granularity=entry\ne 0 0 1\n\nc 0 1 2\n"

@@ -144,6 +144,13 @@ class TestAlistFormat:
             md.parse_alist(b"".join(lines))
         assert err.value.line == 3
 
+    def test_non_ascii_digit_in_str_reports_line(self):
+        # int() accepts any Unicode decimal digit, so text input is checked too.
+        text = md.write_alist(ring_matrix())
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if "2" in row)
+        with pytest.raises(ParseError, match=f"line {line}: non-ASCII character U\\+0662"):
+            md.parse_alist(text.replace("2", "\u0662"))
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_round_trip_random(self, data):
@@ -183,6 +190,13 @@ class TestQcFormat:
         with pytest.raises(ParseError, match="non-ASCII byte 0xc3") as err:
             md.parse_qc(data)
         assert err.value.line == len(text.splitlines()) + 1
+
+    def test_non_ascii_character_in_str_reports_line(self):
+        text = md.write_qc(array_host(2, 2, 3))
+        assert text.splitlines()[1] == "p 3"
+        with pytest.raises(ParseError, match="line 2: non-ASCII character U\\+FF13") as err:
+            md.parse_qc(text.replace("p 3", "p \uff13"))
+        assert err.value.line == 2
 
     def test_missing_shift_line(self):
         q = array_host(2, 2, 3)
