@@ -8,34 +8,38 @@ enumeration output, basis selection, and golden tests are deterministic.
 
 Over GF(2) a cycle is its edge set, kept as one integer mask with bit e
 set for entry-id e; symmetric difference of edge sets is XOR of masks.
+One elimination routine, ``_independent``, serves both the rank and the
+greedy basis selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .tanner import TannerGraph
 
 
-def _reduce(mask: int, pivots: dict[int, int]) -> int:
-    """Reduce a bitmask against pivot rows; 0 means dependent."""
-    while mask:
-        top = mask.bit_length() - 1
-        if top not in pivots:
-            return mask
-        mask ^= pivots[top]
-    return 0
+def _independent(cycles):
+    """Yield each cycle whose edge mask is independent of those yielded before.
+
+    Gaussian elimination over GF(2): a mask is reduced against the pivot
+    rows kept so far, keyed by top bit; a non-zero remainder is a new row.
+    """
+    pivots: dict[int, int] = {}
+    for cyc in cycles:
+        mask = cyc.mask
+        while mask and (top := mask.bit_length() - 1) in pivots:
+            mask ^= pivots[top]
+        if mask:
+            pivots[top] = mask
+            yield cyc
 
 
 def cycle_space_rank(cycles) -> int:
     """Rank over GF(2) of the cycles' edge masks."""
-    pivots: dict[int, int] = {}
-    for cyc in cycles:
-        reduced = _reduce(cyc.mask, pivots)
-        if reduced:
-            pivots[reduced.bit_length() - 1] = reduced
-    return len(pivots)
+    return sum(1 for _ in _independent(cycles))
 
 
 def canonical_steps(steps):
@@ -97,10 +101,6 @@ class Cycle:
     @cached_property
     def cns(self) -> frozenset[int]:
         return frozenset(s[0] for s in self.steps)
-
-    @cached_property
-    def vns(self) -> frozenset[int]:
-        return frozenset(s[1] for s in self.steps)
 
 
 def enumerate_cycles(g: TannerGraph, max_len: int) -> list[Cycle]:
@@ -173,37 +173,21 @@ class CycleBasis:
         return len(self.cycles)
 
 
-def _chain_order(cycles: list[Cycle]) -> list[Cycle] | None:
+def _chain_order(cycles: list[Cycle], last: Cycle | None = None) -> list[Cycle] | None:
     """Reorder so consecutive cycles share a CN; None if impossible.
 
-    Prefers the given order, deviating as little (and as early-greedily)
-    as possible, so the result is deterministic.
+    Depth-first first fit: the cycles that share a CN with ``last`` (any
+    cycle, at the start) are tried in the given order, each followed by a
+    chain of the rest, so the result is the first chain in that order.
     """
-    n = len(cycles)
-    if n <= 1:
-        return list(cycles)
-
-    order: list[int] = []
-    remaining = list(range(n))
-
-    def backtrack() -> bool:
-        if not remaining:
-            return True
-        for idx in list(remaining):
-            if order and not (cycles[order[-1]].cns & cycles[idx].cns):
-                continue
-            order.append(idx)
-            remaining.remove(idx)
-            if backtrack():
-                return True
-            remaining.append(idx)
-            remaining.sort()
-            order.pop()
-        return False
-
-    if not backtrack():
-        return None
-    return [cycles[i] for i in order]
+    if not cycles:
+        return []
+    for i, cyc in enumerate(cycles):
+        if last is None or last.cns & cyc.cns:
+            rest = _chain_order(cycles[:i] + cycles[i + 1:], cyc)
+            if rest is not None:
+                return [cyc] + rest
+    return None
 
 
 def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
@@ -231,15 +215,7 @@ def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
     # which keeps the low-id edges available as basis-private checks.
     candidates.sort(key=lambda c: (c.length,) + tuple(-e for e in c.entry_ids))
 
-    chosen: list[Cycle] = []
-    pivots: dict[int, int] = {}
-    for cyc in candidates:
-        reduced = _reduce(cyc.mask, pivots)
-        if reduced:
-            pivots[reduced.bit_length() - 1] = reduced
-            chosen.append(cyc)
-            if len(chosen) == n_basic:
-                break
+    chosen = list(islice(_independent(candidates), n_basic))
     if len(chosen) != n_basic:
         raise ValueError(f"found only {len(chosen)} independent cycles, expected {n_basic}")
 

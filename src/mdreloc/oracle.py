@@ -166,7 +166,7 @@ def _measured_fractions(u: UasInstance, m: int, total: int, rows_at,
     column is the cycle's alternating value sum.
     """
     steps, sub, weights = sum(_potential_plan(u), []), u.deg2_subgraph(), []
-    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * len(steps))):
+    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * u.a)):
         w = np.zeros((len(steps), len(cycles)), np.int16 if len(steps) * m < 2**15 else np.int64)
         for j, cycle in enumerate(cycles):
             sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
@@ -311,7 +311,7 @@ class MonteCarloResult:
 def _assert_cycle_disjoint(instances) -> None:
     owner = {}
     for j, inst in enumerate(instances):
-        for cycle in enumerate_cycles(inst.deg2_subgraph(), 2 * len(inst.deg2_cns)):
+        for cycle in enumerate_cycles(inst.deg2_subgraph(), 2 * inst.a):
             i = owner.setdefault(cycle.mask, j)
             if i != j:
                 raise ValueError(f"instances {i} and {j} share a cycle")

@@ -331,10 +331,11 @@ def parse_alist(text) -> BinaryMatrix:
         raise ParseError("expected two maximum degrees", ln)
     max_col, max_row = maxima
 
-    ln, col_degs = cur.next_ints("the column degrees")
+    # the writer leaves the degree line of an empty dimension blank
+    ln, col_degs = cur.next_ints("the column degrees") if n_cols else (ln, [])
     if len(col_degs) != n_cols:
         raise ParseError(f"expected {n_cols} column degrees, got {len(col_degs)}", ln)
-    ln, row_degs = cur.next_ints("the row degrees")
+    ln, row_degs = cur.next_ints("the row degrees") if n_rows else (ln, [])
     if len(row_degs) != n_rows:
         raise ParseError(f"expected {n_rows} row degrees, got {len(row_degs)}", ln)
     if col_degs and max(col_degs) > max_col:

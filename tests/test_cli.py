@@ -78,6 +78,12 @@ class TestAnalyze:
         assert "matrix: 6 x 4, 12 entries" in out
         assert "target (4, 0): 1 instances" in out
 
+    def test_empty_matrix(self, tmp_path, capsys):
+        path = tmp_path / "empty.alist"
+        path.write_text(md.write_alist(md.BinaryMatrix(0, 0, ())))
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert "matrix: 0 x 0, 0 entries" in capsys.readouterr().out
+
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["analyze", "--input", "/definitely/not/here.qc"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -293,6 +299,17 @@ class TestOracle:
         assert "host instances: 1" in out
         assert "expected: 1/9" in out
         assert "within 3 standard errors: yes" in out
+
+    def test_cycle_free_instance(self, tmp_path, capsys):
+        # A (2,0) pair has no cycle to break, so every trial keeps all M copies.
+        path = tmp_path / "pair.alist"
+        path.write_text(md.write_alist(md.BinaryMatrix.from_entries(1, 2, [(0, 0), (0, 1)])))
+        rc = main(["oracle", "--input", str(path), "--uas", "2,0,1", "--M", "3", "--trials", "5"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "trials: 5, mean: 3.000000 +/- 0.000000" in captured.out
+        assert "expected: 3 (3.000000)" in captured.out
+        assert captured.err == ""
 
     def test_seed_changes_mean(self, k4file, capsys):
         means = []

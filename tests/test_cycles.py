@@ -1,12 +1,17 @@
 """Cycle enumeration, canonical forms, and minimum cycle bases."""
 
+from typing import NamedTuple
+
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mdreloc as md
-from mdreloc.cycles import canonical_steps, cycle_space_rank
+from mdreloc.cycles import _chain_order, canonical_steps, cycle_space_rank
 
 from conftest import array_host
+from reference_cycles import reference_chain_order
 
 BLUE_4_2 = (0, 1, 8, 9, 7, 6)
 RED_4_2 = (2, 3, 4, 5, 9, 8)
@@ -144,3 +149,34 @@ class TestMinimumBasis:
     def test_all_shortest_possible(self, basis_4_2, basis_4_4):
         assert all(c.length == 6 for c in basis_4_2.cycles)
         assert all(c.length == 6 for c in basis_4_4.cycles)
+
+
+class Item(NamedTuple):
+    """A stand-in cycle: the chain search reads only ``cns``."""
+
+    index: int
+    cns: frozenset
+
+
+class TestChainOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=3), max_size=7))
+    @example([frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 1})])
+    @example([frozenset({0}), frozenset({1}), frozenset({2})])
+    @example([frozenset(), frozenset({0}), frozenset({0})])
+    def test_matches_reference(self, cns_sets):
+        items = [Item(i, cns) for i, cns in enumerate(cns_sets)]
+        assert _chain_order(items) == reference_chain_order(items)
+
+    def test_bases_on_array_host(self):
+        # Every (6,2,γ3) basis on array_host(3,5,5); 150 of them are reordered.
+        g = md.build_graph(md.expand_qc(array_host(3, 5, 5)))
+        instances = md.enumerate_uas(g, md.UasConfig(6, 2, 3))
+        assert len(instances) == 1050
+        reordered = 0
+        for inst in instances:
+            basis = md.minimum_cycle_basis(inst.deg2_subgraph()).cycles
+            by_position = sorted(basis, key=lambda c: (c.length, c.entry_ids))
+            assert list(basis) == reference_chain_order(by_position)
+            reordered += list(basis) != by_position
+        assert reordered == 150

@@ -260,6 +260,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least 1 thread"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=10, threads=0)
 
+    def test_cycle_free_target(self):
+        pair = md.BinaryMatrix.from_entries(1, 2, [(0, 0), (0, 1)])
+        res = md.monte_carlo_avg(pair, md.UasConfig(2, 0, 1), 3, trials=5)
+        assert (res.mean, res.std_error, res.host_instances) == (3.0, 0.0, 1)
+        assert res.expected == 3
+
     def test_deterministic_given_seed(self):
         first = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=200, seed=9)
         again = md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=200, seed=9)

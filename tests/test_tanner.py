@@ -151,6 +151,14 @@ class TestAlistFormat:
         with pytest.raises(ParseError, match=f"line {line}: non-ASCII character U\\+0662"):
             md.parse_alist(text.replace("2", "\u0662"))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 3)])
+    def test_round_trip_empty_dimension(self, shape):
+        # The degree line of an empty dimension is written blank.
+        m = md.BinaryMatrix(*shape, ())
+        text = md.write_alist(m)
+        assert md.parse_alist(text) == m
+        assert md.write_alist(md.parse_alist(text)) == text
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_round_trip_random(self, data):
