@@ -13,8 +13,8 @@ The structural identities used throughout:
     basis size = d2 - a + 1          (cycle rank of the degree-2 part)
 
 An instance (``UasInstance``) is stored as its nodes alone: sorted VN,
-degree-1 and degree-2 check ids.  The entry ids it covers are derived
-from the graph when first read.
+degree-1 and degree-2 check ids.  Its degree-2 edges are read once, by
+``relocation.activity_plans``.
 
 ``enumerate_uas`` searches modulo the graph's own cyclic shifts.  Every
 MD matrix is fixed by the copy shift (VN and check copy j to j + 1), and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .relocation import is_prime
@@ -139,19 +138,6 @@ class UasInstance:
     @property
     def d1(self) -> int:
         return len(self.deg1_cns)
-
-    @cached_property
-    def entry_ids(self) -> tuple[int, ...]:
-        """Sorted entry-ids of every edge at the instance's VNs."""
-        return tuple(sorted(eid for vn in self.vns for _, eid in self.graph.vn_adj[vn]))
-
-    @cached_property
-    def deg2_entry_ids(self) -> tuple[int, ...]:
-        """Sorted entry-ids of the edges into degree-2 checks."""
-        deg2 = set(self.deg2_cns)
-        return tuple(
-            sorted(eid for vn in self.vns for cn, eid in self.graph.vn_adj[vn] if cn in deg2)
-        )
 
     def deg2_subgraph(self) -> TannerGraph:
         """The induced subgraph restricted to degree-2 checks."""

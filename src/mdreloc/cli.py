@@ -38,7 +38,7 @@ from .analysis import TSV_HEADER, basis_intersections, fraction_report, tsv_row
 from .cycles import enumerate_cycles, minimum_cycle_basis
 from .designer import design_md, report_log, report_tsv
 from .oracle import enumerate_md_uas, exhaustive_fractions, monte_carlo_avg
-from .relocation import check_copies, involvement, unit_table
+from .relocation import activity_plans, check_copies, involvement, unit_table
 from .tanner import (
     BinaryMatrix,
     ParseError,
@@ -141,7 +141,8 @@ def cmd_analyze(args) -> int:
     print(f"matrix: {matrix.n_rows} x {matrix.n_cols}, {len(matrix.entries)} entries")
     if qc is not None:
         print(f"quasi-cyclic: p={qc.p}, base {qc.m_b} x {qc.n_b}, {len(qc.circulants)} circulants")
-    print(f"column weight: {gamma if gamma is not None else 'irregular'}")
+    weight = gamma if gamma is not None else "irregular" if matrix.n_cols else "none (no columns)"
+    print(f"column weight: {weight}")
     print(f"4-cycle free: {'yes' if check_no_4cycles(graph) else 'no'}")
     cycles = enumerate_cycles(graph, args.max_cycle_len)
     by_len = Counter(c.length for c in cycles)
@@ -158,7 +159,7 @@ def cmd_analyze(args) -> int:
     )
     if qc is not None and instances:
         units = unit_table(matrix, qc)
-        counts = involvement(instances, units).sum(axis=0).tolist()
+        counts = involvement(activity_plans(instances), units).sum(axis=0).tolist()
         print("per-circulant involvement (block_row block_col count):")
         for (_, bi, bj), cnt in zip(units, counts):
             print(f"  {bi} {bj} {cnt}")

@@ -59,10 +59,13 @@ class StepRecord:
 class DesignReport:
     """Outcome summary of a design run.
 
-    ``final_active`` scales the per-copy count by M: an instance still
-    active at the end reappears in each of the M copies of the MD
-    matrix, so this is the expected instance count on the emitted
-    matrix (exact for stand-alone targets).
+    ``final_active`` is M x the host instances left active
+    (``od_active_final``), each of which reappears in every copy of the
+    MD matrix.  It is a prediction, not a count: relocation can also
+    create target objects that project onto no host instance.
+    ``oracle.enumerate_md_uas`` on ``h_md`` (``mdreloc verify``) gives
+    the measured count.  On ``array_host(3,4,5)``, target (5,3), M=3,
+    entry granularity, this report gives 0 and the recount gives 6.
     """
 
     m_copies: int
@@ -154,7 +157,7 @@ def design_md(
 
     instances = enumerate_uas(graph, config)
     plans = activity_plans(instances)
-    touches = involvement(instances, reloc.units)
+    touches = involvement(plans, reloc.units)
 
     # Every instance is intact under the all-zero map.
     active = np.ones(len(instances), dtype=bool)

@@ -17,8 +17,10 @@ sets all of whose cycles satisfy this) are called *active* here.
 ``intact``, the library's one activity test, decides this for many
 instances and maps at once by a spanning-tree potential solve; the
 designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
-``involvement`` maps relocation units to the instances they touch, for
-the designer and ``analyze``.
+``activity_plans`` is the one reader of an instance's degree-2 edges:
+``intact`` solves on its plans, and ``involvement`` gathers from the same
+plans the relocation units each instance touches, for the designer and
+``analyze``.
 """
 
 from __future__ import annotations
@@ -177,18 +179,6 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
     return reloc
 
 
-def involvement(instances, units: dict) -> np.ndarray:
-    """Bool (instances, units): instance i has a degree-2 edge in unit j.
-
-    Units are the keys of a ``unit_table``, in its order.
-    """
-    column = {eid: j for j, eids in enumerate(units.values()) for eid in eids}
-    out = np.zeros((len(instances), len(units)), dtype=bool)
-    for i, u in enumerate(instances):
-        out[i, [column[eid] for eid in u.deg2_entry_ids]] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Activity
 
@@ -210,12 +200,16 @@ def _potential_plan(u):
     the one candidate potential; the set stays intact exactly when every
     loop (non-tree check, sorted by check id) agrees with it.  That is the
     paper's test, every cycle's alternating sum 0 mod M, read on the
-    fundamental cycles.
+    fundamental cycles.  The checks' ends are read off the instance's own
+    VN adjacency, a * gamma edges, not off the checks' host rows.
     """
-    vpos = {vn: i for i, vn in enumerate(u.vns)}
+    members = {cn: [] for cn in u.deg2_cns}
+    for i, vn in enumerate(u.vns):
+        for cn, eid in u.graph.vn_adj[vn]:
+            if cn in members:
+                members[cn].append((i, eid))
     steps, adj = {}, [[] for _ in u.vns]
-    for cn in u.deg2_cns:
-        ends = [(vpos[vn], eid) for vn, eid in u.graph.cn_adj[cn] if vn in vpos]
+    for cn, ends in members.items():
         if len(ends) != 2:
             raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
         (x, e1), (y, e2) = ends
@@ -239,9 +233,9 @@ def _potential_plan(u):
 def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
     """The instances' potential plans stacked as (tree, loops) int64 arrays.
 
-    Layer i of each array holds instance i's (x, y, e1, e2) steps.  All
-    instances must have the same VN and degree-2 check counts, as the
-    instances of one (a, d1) configuration do.
+    Layer i of each array holds instance i's (x, y, e1, e2) steps, one
+    per degree-2 check.  All instances must have the same VN and degree-2
+    check counts, as the instances of one (a, d1) configuration do.
     """
     plans = [_potential_plan(u) for u in instances]
     widths = [len(steps) for steps in plans[0]] if plans else [0, 0]
@@ -273,6 +267,25 @@ def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
         for x, y, e1, e2 in block_loops.transpose(1, 2, 0):
             ok &= (s[at, x] + values[e1] - values[e2] - s[at, y]) % m == 0
         out[b0:b0 + step] = ok
+    return out
+
+
+def involvement(plans, units: dict) -> np.ndarray:
+    """Bool (instances, units): planned instance i has a degree-2 edge in unit j.
+
+    ``plans`` comes from ``activity_plans``; every degree-2 check is one
+    of its instance's steps, so the steps' e1 and e2 columns are exactly
+    the instance's degree-2 edges.  Units are the keys of a
+    ``unit_table``, in its order, and cover every host entry id once.
+    """
+    eid, col = np.array([(e, j) for j, eids in enumerate(units.values()) for e in eids],
+                        dtype=np.int64).reshape(-1, 2).T
+    column = np.empty(len(eid), dtype=np.int64)
+    column[eid] = col
+    tree, loops = plans
+    ends = np.concatenate((tree[..., 2:], loops[..., 2:]), axis=1)
+    out = np.zeros((len(tree), len(units)), dtype=bool)
+    out[np.arange(len(tree))[:, None, None], column[ends]] = True
     return out
 
 

@@ -191,13 +191,6 @@ class TannerGraph:
             adj[vn].append((cn, eid))
         return {v: tuple(e) for v, e in adj.items()}
 
-    @cached_property
-    def edge_by_id(self) -> dict[int, tuple[int, int]]:
-        return {eid: (cn, vn) for cn, vn, eid in self.edges}
-
-    def vn_degree(self, vn: int) -> int:
-        return len(self.vn_adj[vn])
-
     def cn_degree(self, cn: int) -> int:
         return len(self.cn_adj[cn])
 

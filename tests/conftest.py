@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import mdreloc as md
 
@@ -29,6 +30,30 @@ def k4_host() -> md.BinaryMatrix:
     pairs = itertools.combinations(range(4), 2)
     entries = [(r, v) for r, pair in enumerate(pairs) for v in pair]
     return md.BinaryMatrix.from_entries(6, 4, entries)
+
+
+def legal_configs(sizes, gamma):
+    """Every valid (a, d1) class over column weight gamma, for a in ``sizes``."""
+    for a in sizes:
+        for d1 in range(a * gamma + 1):
+            try:
+                yield md.UasConfig(a, d1, gamma)
+            except ValueError:
+                continue
+
+
+@st.composite
+def irregular_hosts(draw):
+    """(matrix, gamma): most columns have gamma entries, the rest one more or one fewer."""
+    gamma = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(gamma + 2, 9))
+    n_cols = draw(st.integers(3, 10))
+    entries = []
+    for col in range(n_cols):
+        weight = draw(st.sampled_from([gamma] * 4 + [gamma - 1, gamma + 1]))
+        rows = draw(st.sets(st.integers(0, n_rows - 1), min_size=weight, max_size=weight))
+        entries += [(r, col) for r in rows]
+    return md.BinaryMatrix.from_entries(n_rows, n_cols, entries), gamma
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,18 @@ the library's one activity test, which decides the same question for many
 instances and maps at once by a spanning-tree potential solve.  These
 functions read alternating entry-value sums off explicit cycles, so they
 share no code with that kernel.
+
+The potential plan and the involvement loop below are the library's
+earlier versions, kept as differential oracles for
+``relocation.activity_plans`` and ``relocation.involvement``.  The plan
+reads each degree-2 check's host row rather than the instance's VN
+adjacency, and the loop reads each instance's degree-2 entry ids off the
+graph rather than off the plans.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from mdreloc.cycles import Cycle
 from mdreloc.relocation import RelocationMap
@@ -40,3 +49,54 @@ def is_uas_active(basis, reloc: RelocationMap) -> bool:
     basic cycles forces activity of every cycle in the span.
     """
     return all(is_cycle_active(c, reloc) for c in basis.cycles)
+
+
+def potential_plan(u):
+    """(tree, loops) steps (x, y, e1, e2) that decide whether ``u`` survives."""
+    vpos = {vn: i for i, vn in enumerate(u.vns)}
+    steps, adj = {}, [[] for _ in u.vns]
+    for cn in u.deg2_cns:
+        ends = [(vpos[vn], eid) for vn, eid in u.graph.cn_adj[cn] if vn in vpos]
+        if len(ends) != 2:
+            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
+        (x, e1), (y, e2) = ends
+        steps[cn] = (x, y, e1, e2)
+        adj[x].append((cn, y, e1, e2))
+        adj[y].append((cn, x, e2, e1))
+    seen, tree, stack = {0}, [], [0]
+    while stack:
+        at = stack.pop()
+        for cn, other, e_at, e_other in adj[at]:
+            if other not in seen:
+                seen.add(other)
+                tree.append((at, other, e_at, e_other))
+                stack.append(other)
+                del steps[cn]
+    if len(seen) != len(u.vns):
+        raise ValueError("degree-2 subgraph is not connected")
+    return tree, [steps[cn] for cn in sorted(steps)]
+
+
+def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
+    """The reference plans, stacked as ``relocation.intact`` reads them."""
+    plans = [potential_plan(u) for u in instances]
+    widths = [len(steps) for steps in plans[0]] if plans else [0, 0]
+    return tuple(np.array([p[k] for p in plans], dtype=np.int64).reshape(len(plans), widths[k], 4)
+                 for k in (0, 1))
+
+
+def deg2_entry_ids(u) -> tuple[int, ...]:
+    """Sorted entry-ids of the instance's edges into degree-2 checks."""
+    deg2 = set(u.deg2_cns)
+    return tuple(
+        sorted(eid for vn in u.vns for cn, eid in u.graph.vn_adj[vn] if cn in deg2)
+    )
+
+
+def involvement(instances, units: dict) -> np.ndarray:
+    """Bool (instances, units): instance i has a degree-2 edge in unit j."""
+    column = {eid: j for j, eids in enumerate(units.values()) for eid in eids}
+    out = np.zeros((len(instances), len(units)), dtype=bool)
+    for i, u in enumerate(instances):
+        out[i, [column[eid] for eid in deg2_entry_ids(u)]] = True
+    return out

@@ -106,7 +106,7 @@ def design_md(
     instances = enumerate_uas(graph, config)
     bases = [minimum_cycle_basis(inst.deg2_subgraph()) for inst in instances]
     instance_units = [
-        frozenset(unit_of_entry[eid] for eid in inst.deg2_entry_ids)
+        frozenset(unit_of_entry[eid] for _, _, eid in inst.deg2_subgraph().edges)
         for inst in instances
     ]
 

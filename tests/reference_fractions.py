@@ -152,7 +152,7 @@ def reference_exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFr
 
 def reference_full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     m = m_copies
-    eids = list(u.deg2_entry_ids)
+    eids = [eid for _, _, eid in u.deg2_subgraph().edges]
     pos = {eid: k for k, eid in enumerate(eids)}
     sub = u.deg2_subgraph()
     basis = minimum_cycle_basis(sub)

@@ -44,12 +44,13 @@ def md_instance_subgraph(u: UasInstance, reloc: RelocationMap) -> TannerGraph:
     column c gets id j * n_cols + c, matching the assembled MD matrix so
     the two constructions can be compared entry for entry.
     """
-    g = u.graph
+    vset = set(u.vns)
     m = reloc.m_copies
     n_rows, n_cols = reloc.matrix.n_rows, reloc.matrix.n_cols
     placed = []
-    for eid in u.entry_ids:
-        cn, vn = g.edge_by_id[eid]
+    for cn, vn, eid in u.graph.edges:
+        if vn not in vset:
+            continue
         for ci, cj in md_edge_copies(reloc.value(eid), m):
             placed.append((ci * n_rows + cn, cj * n_cols + vn))
     placed.sort()

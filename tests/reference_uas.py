@@ -3,9 +3,10 @@
 Kept as a differential oracle.  It visits every connected VN set of size
 a (ESU order, pruning only on a check of induced degree 3) and classifies
 each leaf from scratch, so it shares no bookkeeping, bound or last-VN
-shortcut with ``mdreloc.enumerate_uas``.  It lists each instance's entry
-ids itself, to check the ones ``UasInstance`` derives.  Slow on large MD
-matrices; keep the inputs small.
+shortcut with ``mdreloc.enumerate_uas``.  It lists each instance's
+degree-2 entry ids itself, to check the edges the potential plans of
+``relocation.activity_plans`` read.  Slow on large MD matrices; keep the
+inputs small.
 """
 
 from __future__ import annotations
@@ -36,30 +37,24 @@ def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:
 
 
 def _build_instance(g: TannerGraph, vns, deg1, deg2):
-    """The instance, with its entry and degree-2 entry ids computed here."""
+    """The instance, with its degree-2 entry ids computed here."""
     d2set = set(deg2)
-    all_entries = []
-    deg2_entries = []
-    for vn in vns:
-        for cn, eid in g.vn_adj[vn]:
-            all_entries.append(eid)
-            if cn in d2set:
-                deg2_entries.append(eid)
+    deg2_entries = [eid for vn in vns for cn, eid in g.vn_adj[vn] if cn in d2set]
     inst = UasInstance(tuple(sorted(vns)), tuple(sorted(deg1)), tuple(sorted(deg2)), g)
-    return inst, tuple(sorted(all_entries)), tuple(sorted(deg2_entries))
+    return inst, tuple(sorted(deg2_entries))
 
 
 def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list:
     """All (a, d1) instances in the graph, sorted by VN tuple.
 
-    Each item is (instance, entry ids, degree-2 entry ids), the two
-    id lists computed by this module rather than read off the instance.
+    Each item is (instance, degree-2 entry ids), the id list computed by
+    this module rather than read off the instance.
 
     Searches connected VN sets only (connectivity through shared checks),
     growing each set from its smallest VN so every candidate is visited
     once, and pruning as soon as any check reaches induced degree 3.
     """
-    eligible = {v for v in g.vns if g.vn_degree(v) == c.gamma}
+    eligible = {v for v in g.vns if len(g.vn_adj[v]) == c.gamma}
 
     # VN adjacency via shared checks, restricted to eligible VNs.
     nbrs: dict[int, set[int]] = {v: set() for v in eligible}

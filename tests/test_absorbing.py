@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import mdreloc as md
 from mdreloc.absorbing import _shift_group
+from mdreloc.relocation import activity_plans
 
-from conftest import array_host, k4_host
+from conftest import array_host, irregular_hosts, k4_host, legal_configs
 from reference_uas import _build_instance as reference_instance, reference_enumerate_uas
 
 
@@ -139,7 +140,7 @@ class TestCanonicalFixtures:
         assert inst_4_2.vns == (0, 1, 2, 3)
         assert inst_4_2.deg1_cns == (5, 6)
         assert inst_4_2.deg2_cns == (0, 1, 2, 3, 4)
-        assert inst_4_2.deg2_entry_ids == tuple(range(10))
+        assert _plan_edges([inst_4_2]) == [tuple(range(10))]
         assert inst_4_2.a == 4 and inst_4_2.d1 == 2
 
     def test_instance_equality_ignores_graph(self, uas_4_2):
@@ -151,14 +152,13 @@ class TestCanonicalFixtures:
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
 
-    def test_hand_built_instance_derives_entry_lists(self):
+    def test_hand_built_instance_plans_its_degree2_edges(self):
         g = md.build_graph(md.expand_qc(array_host(3, 4, 5)))
         nodes = ((0, 7, 12, 19), (0, 4), (2, 5, 6, 10, 13))
         inst = md.UasInstance(*nodes, g)
         assert inst in md.enumerate_uas(g, md.UasConfig(4, 2, 3))
-        _, entry_ids, deg2_entry_ids = reference_instance(g, *nodes)
-        assert inst.entry_ids == entry_ids == (0, 9, 10, 19, 20, 22, 25, 27, 40, 41, 54, 55)
-        assert inst.deg2_entry_ids == deg2_entry_ids == (9, 10, 20, 22, 25, 27, 40, 41, 54, 55)
+        _, deg2_entry_ids = reference_instance(g, *nodes)
+        assert _plan_edges([inst]) == [deg2_entry_ids] == [(9, 10, 20, 22, 25, 27, 40, 41, 54, 55)]
 
     def test_gamma_regular(self, uas_4_2, uas_4_4):
         assert md.check_regular_gamma(uas_4_2.incidence) == 3
@@ -217,39 +217,23 @@ class TestEnumeration:
             assert len(sub.edges) == 2 * len(inst.deg2_cns)
 
 
+def _plan_edges(instances) -> list[tuple[int, ...]]:
+    """Each instance's sorted degree-2 entry ids, as its potential plan lists them."""
+    tree, loops = activity_plans(instances)
+    ends = np.concatenate((tree[..., 2:], loops[..., 2:]), axis=1)
+    return [tuple(sorted(row.ravel().tolist())) for row in ends]
+
+
 def _fields(instances):
     return [
-        (i.vns, i.deg1_cns, i.deg2_cns, i.entry_ids, i.deg2_entry_ids)
-        for i in instances
+        (i.vns, i.deg1_cns, i.deg2_cns, eids)
+        for i, eids in zip(instances, _plan_edges(instances))
     ]
 
 
 def _ref_fields(found):
-    """The reference's rows, with the entry lists it computed itself."""
-    return [(i.vns, i.deg1_cns, i.deg2_cns, eids, deg2_eids) for i, eids, deg2_eids in found]
-
-
-def _legal_configs(sizes, gamma):
-    for a in sizes:
-        for d1 in range(a * gamma + 1):
-            try:
-                yield md.UasConfig(a, d1, gamma)
-            except ValueError:
-                continue
-
-
-@st.composite
-def irregular_hosts(draw):
-    """(matrix, gamma): most columns have gamma entries, the rest one more or one fewer."""
-    gamma = draw(st.integers(2, 4))
-    n_rows = draw(st.integers(gamma + 2, 9))
-    n_cols = draw(st.integers(3, 10))
-    entries = []
-    for col in range(n_cols):
-        weight = draw(st.sampled_from([gamma] * 4 + [gamma - 1, gamma + 1]))
-        rows = draw(st.sets(st.integers(0, n_rows - 1), min_size=weight, max_size=weight))
-        entries += [(r, col) for r in rows]
-    return md.BinaryMatrix.from_entries(n_rows, n_cols, entries), gamma
+    """The reference's rows, with the degree-2 entry ids it computed itself."""
+    return [(i.vns, i.deg1_cns, i.deg2_cns, deg2_eids) for i, deg2_eids in found]
 
 
 class TestAgainstReference:
@@ -258,7 +242,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("rows,cols,p", [(3, 3, 3), (3, 4, 5), (4, 4, 5)])
     def test_hosts_at_every_d1(self, rows, cols, p):
         g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
-        for config in _legal_configs(range(4, 7), rows):
+        for config in legal_configs(range(4, 7), rows):
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config
@@ -272,7 +256,7 @@ class TestAgainstReference:
         shared = (len(checks[u] & checks[v]) for u, v in itertools.combinations(g.vns, 2))
         assert max(shared) == lam
         found = 0
-        for config in _legal_configs(range(2, 7), 4):
+        for config in legal_configs(range(2, 7), 4):
             ref = reference_enumerate_uas(g, config)
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
             found += len(ref)
@@ -317,7 +301,7 @@ class TestAgainstReference:
         assert g.cns != tuple(range(len(g.cns)))
         assert g.vns != tuple(range(len(g.vns)))
         total = 0
-        for config in _legal_configs(range(2, 7), 3):
+        for config in legal_configs(range(2, 7), 3):
             ref = reference_enumerate_uas(g, config)
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
             total += len(ref)
@@ -328,7 +312,7 @@ class TestAgainstReference:
     def test_irregular_column_weights(self, host):
         m, gamma = host
         g = md.build_graph(m)
-        for config in _legal_configs(range(1, 6), gamma):
+        for config in legal_configs(range(1, 6), gamma):
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config
@@ -430,7 +414,7 @@ class TestShiftSymmetry:
         )
         h = md.build_graph(moved)
         assert len(_shift_group(h)) == 1
-        for config in _legal_configs(range(4, 7), 3):
+        for config in legal_configs(range(4, 7), 3):
             assert _fields(md.enumerate_uas(h, config)) == _ref_fields(
                 reference_enumerate_uas(h, config)
             ), config
@@ -456,7 +440,7 @@ class TestShiftSymmetry:
         ), "an element other than the identity fixes a VN"
         assert all(_maps_edges_onto_itself(g, vmap, cmap) for vmap, cmap in group)
         counts = {}
-        for config in _legal_configs(range(3, 6), 3):
+        for config in legal_configs(range(3, 6), 3):
             ref = reference_enumerate_uas(g, config)
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(ref), config
             counts[(config.a, config.d1)] = len(ref)
@@ -467,7 +451,7 @@ class TestShiftSymmetry:
     def test_relocated_qc_hosts(self, case):
         h_md, gamma = case
         g = md.build_graph(h_md)
-        for config in _legal_configs(range(2, 6), gamma):
+        for config in legal_configs(range(2, 6), gamma):
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config

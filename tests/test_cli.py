@@ -78,11 +78,21 @@ class TestAnalyze:
         assert "matrix: 6 x 4, 12 entries" in out
         assert "target (4, 0): 1 instances" in out
 
-    def test_empty_matrix(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "rows, cols, weight",
+        [(0, 0, "none (no columns)"), (2, 0, "none (no columns)"), (0, 3, "0")],
+        ids=["0x0", "2x0", "0x3"],
+    )
+    def test_empty_matrix(self, tmp_path, capsys, rows, cols, weight):
         path = tmp_path / "empty.alist"
-        path.write_text(md.write_alist(md.BinaryMatrix(0, 0, ())))
+        path.write_text(md.write_alist(md.BinaryMatrix(rows, cols, ())))
         assert main(["analyze", "--input", str(path)]) == 0
-        assert "matrix: 0 x 0, 0 entries" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"matrix: {rows} x {cols}, 0 entries",
+            f"column weight: {weight}",
+            "4-cycle free: yes",
+            "cycles up to length 8: 0 (none)",
+        ]
 
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["analyze", "--input", "/definitely/not/here.qc"]) == 2

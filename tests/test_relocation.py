@@ -11,9 +11,17 @@ import mdreloc as md
 import mdreloc.relocation as relocation
 from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
 
+import reference_activity
 import reference_md
 from reference_activity import alternating_value_sum, is_cycle_active, is_uas_active
-from conftest import arrangement_1, arrangement_2, array_host, assert_block_layout
+from conftest import (
+    arrangement_1,
+    arrangement_2,
+    array_host,
+    assert_block_layout,
+    irregular_hosts,
+    legal_configs,
+)
 
 
 @functools.lru_cache
@@ -227,7 +235,7 @@ class TestIntact:
         maps = []
         for _ in range(4):
             reloc = md.RelocationMap(m_copies, matrix)
-            for eid in inst.entry_ids:
+            for eid in (eid for _, vn, eid in inst.graph.edges if vn in inst.vns):
                 reloc.assign_entry(*matrix.entries[eid], data.draw(st.integers(0, m_copies - 1)))
             maps.append(reloc)
         values = np.array([[r.value(e) for r in maps] for e in range(len(matrix.entries))])
@@ -285,10 +293,10 @@ class TestUnits:
         for (_, bi, bj), eids in units.items():
             assert eids == tuple(host.entry_index[pos] for pos in qc.block_positions(bi, bj))
         instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
-        touches = involvement(instances, units)
+        touches = involvement(activity_plans(instances), units)
         assert touches.shape == (len(instances), len(units))
         for row, inst in zip(touches, instances):
-            edges = [inst.graph.edge_by_id[eid] for eid in inst.deg2_entry_ids]
+            edges = [(cn, vn) for cn, vn, _ in inst.deg2_subgraph().edges]
             blocks = {("c", r // p, c // p) for r, c in edges}
             assert {unit for unit, hit in zip(units, row) if hit} == blocks
 
@@ -297,8 +305,62 @@ class TestUnits:
         units = unit_table(matrix)
         assert list(units) == sorted(units) == [("e", r, c) for r, c in matrix.entries]
         assert list(units.values()) == [(eid,) for eid in range(len(matrix.entries))]
-        touches = involvement([inst_4_2], units)
-        assert np.flatnonzero(touches[0]).tolist() == list(inst_4_2.deg2_entry_ids)
+        touches = involvement(activity_plans([inst_4_2]), units)
+        assert np.flatnonzero(touches[0]).tolist() == [eid for *_, eid in inst_4_2.deg2_subgraph().edges]
+
+
+@functools.lru_cache
+def planned_classes(rows, cols, p):
+    """(host, qc, instance lists): every non-empty (a, d1) class, a from 2 to 6, of an array host."""
+    qc = array_host(rows, cols, p)
+    host = md.expand_qc(qc)
+    g = md.build_graph(host)
+    found = (md.enumerate_uas(g, config) for config in legal_configs(range(2, 7), rows))
+    return host, qc, [instances for instances in found if instances]
+
+
+# (3, 4, 5) and (3, 5, 5) have girth 6; (4, 4, 4) has two VNs sharing two
+# checks (4-cycles), so some degree-2 checks close loops of length 4.
+PLANNED_HOSTS = [(3, 4, 5), (3, 5, 5), (4, 4, 4)]
+
+
+class TestPlansAgainstReference:
+    """Plans read off the VN adjacency and involvement gathered from them, against their predecessors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(PLANNED_HOSTS), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_intact_verdicts_on_array_hosts(self, shape, m_copies, data):
+        host, _, classes = planned_classes(*shape)
+        instances = data.draw(st.sampled_from(classes))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).integers(0, m_copies, size=(len(host.entries), 4))
+        got = intact(activity_plans(instances), values, m_copies)
+        assert (got == intact(reference_activity.activity_plans(instances), values, m_copies)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(host=irregular_hosts(), m_copies=st.sampled_from([3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_intact_verdicts_on_irregular_hosts(self, host, m_copies, seed):
+        m, gamma = host
+        g = md.build_graph(m)
+        values = np.random.default_rng(seed).integers(0, m_copies, size=(len(m.entries), 4))
+        for config in legal_configs(range(2, 6), gamma):
+            instances = md.enumerate_uas(g, config)
+            got = intact(activity_plans(instances), values, m_copies)
+            want = intact(reference_activity.activity_plans(instances), values, m_copies)
+            assert (got == want).all(), config
+
+    @pytest.mark.parametrize("shape", PLANNED_HOSTS)
+    @pytest.mark.parametrize("granularity", relocation.GRANULARITIES)
+    def test_involvement(self, shape, granularity):
+        host, qc, classes = planned_classes(*shape)
+        units = unit_table(host, qc if granularity == "circulant" else None)
+        for instances in classes:
+            got = involvement(activity_plans(instances), units)
+            assert (got == reference_activity.involvement(instances, units)).all()
+
+    def test_involvement_without_instances(self, uas_4_2):
+        units = unit_table(uas_4_2.incidence)
+        assert involvement(activity_plans([]), units).shape == (0, len(units))
 
 
 class TestAssembly:
