@@ -13,8 +13,8 @@ The structural identities used throughout:
     basis size = d2 - a + 1          (cycle rank of the degree-2 part)
 
 An instance (``UasInstance``) is stored as its nodes alone: sorted VN,
-degree-1 and degree-2 check ids.  Its degree-2 edges are read once, by
-``relocation.activity_plans``.
+degree-1 and degree-2 check ids.  Its degree-2 edges are read off its
+VNs' adjacency, by ``relocation.activity_plans`` and ``deg2_subgraph``.
 
 ``enumerate_uas`` searches modulo the graph's own cyclic shifts.  Every
 MD matrix is fixed by the copy shift (VN and check copy j to j + 1), and
@@ -140,8 +140,11 @@ class UasInstance:
         return len(self.deg1_cns)
 
     def deg2_subgraph(self) -> TannerGraph:
-        """The induced subgraph restricted to degree-2 checks."""
-        return self.graph.subgraph(self.vns, self.deg2_cns)
+        """The induced subgraph restricted to degree-2 checks, read off the VNs' own edges."""
+        keep = set(self.deg2_cns)
+        edges = sorted(((cn, vn, eid) for vn in self.vns for cn, eid in self.graph.vn_adj[vn]
+                        if cn in keep), key=lambda e: e[2])
+        return TannerGraph(self.deg2_cns, self.vns, tuple(edges))
 
 
 def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -67,8 +67,10 @@ def _read_file(path: str) -> str:
     return _to_text(data)
 
 
-def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, CanonicalUas | None]:
-    """--uas accepts 'uas:<name>' or 'a,d1[,gamma]'."""
+def _parse_uas_arg(
+    spec: str, default_gamma: int | None, host: str = "is irregular"
+) -> tuple[UasConfig, CanonicalUas | None]:
+    """--uas accepts 'uas:<name>' or 'a,d1[,gamma]'; ``host`` says why there is no default gamma."""
     if spec.startswith("uas:"):
         try:
             fixture = canonical_uas(spec[4:])
@@ -84,7 +86,7 @@ def _parse_uas_arg(spec: str, default_gamma: int | None) -> tuple[UasConfig, Can
         raise ConfigError(f"--uas values must be integers, got {spec!r}") from None
     gamma = nums[2] if len(nums) == 3 else default_gamma
     if gamma is None:
-        raise ConfigError("--uas needs an explicit gamma when the host is irregular")
+        raise ConfigError(f"--uas needs an explicit gamma when the host {host}")
     try:
         return UasConfig(nums[0], nums[1], gamma), None
     except ValueError as exc:
@@ -106,7 +108,7 @@ def _load_target(
     if spec is None:
         return matrix, qc, None
     gamma = check_regular_gamma(matrix)
-    config, _ = _parse_uas_arg(spec, gamma)
+    config, _ = _parse_uas_arg(spec, gamma, "is irregular" if matrix.n_cols else "has no columns")
     if gamma is not None and config.gamma != gamma:
         raise ConfigError(f"target gamma {config.gamma} differs from host column weight {gamma}")
     return matrix, qc, config

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 from .tanner import TannerGraph
 
@@ -201,27 +200,24 @@ def minimum_cycle_basis(subgraph: TannerGraph) -> CycleBasis:
     for cn in subgraph.cns:
         if subgraph.cn_degree(cn) != 2:
             raise ValueError(f"cn {cn} has degree {subgraph.cn_degree(cn)}, expected 2")
-    if len(subgraph.components()) > 1:
-        raise ValueError("subgraph must be connected")
 
-    n_basic = len(subgraph.cns) - len(subgraph.vns) + 1
     universe = tuple(sorted(e[2] for e in subgraph.edges))
-    if n_basic <= 0:
-        return CycleBasis((), universe)
-
-    candidates = enumerate_cycles(subgraph, max_len=2 * len(subgraph.vns))
+    n_vns = len(subgraph.vns)
+    candidates = enumerate_cycles(subgraph, max_len=2 * n_vns) if n_vns > 1 else []
     # Same-length ties resolved toward later canonical traversals: among the
     # shortest cycles this prefers the ones threaded through high-id edges,
     # which keeps the low-id edges available as basis-private checks.
     candidates.sort(key=lambda c: (c.length,) + tuple(-e for e in c.entry_ids))
 
-    chosen = list(islice(_independent(candidates), n_basic))
-    if len(chosen) != n_basic:
-        raise ValueError(f"found only {len(chosen)} independent cycles, expected {n_basic}")
+    # Every simple cycle is a candidate, so they span the cycle space, whose
+    # rank is |C| - |V| + (number of components) here (|E| = 2|C|): the
+    # rank is |C| - |V| + 1 exactly when the subgraph is connected.
+    chosen = list(_independent(candidates))
+    if len(chosen) != len(subgraph.cns) - n_vns + 1:
+        raise ValueError("subgraph must be connected")
 
     chosen.sort(key=lambda c: (c.length, c.entry_ids))
     ordered = _chain_order(chosen)
     if ordered is None:
         raise ValueError("no ordering with consecutive cycles sharing a check node")
     return CycleBasis(tuple(ordered), universe)
-

@@ -141,9 +141,8 @@ def design_md(
         matrix, qc = host, None
     gamma = check_regular_gamma(matrix)
     if gamma is None:
-        raise ValueError(
-            f"host column weights are irregular; target gamma {config.gamma} needs a regular host"
-        )
+        why = "column weights are irregular" if matrix.n_cols else "has no columns"
+        raise ValueError(f"host {why}; target gamma {config.gamma} needs a regular host")
     if gamma != config.gamma:
         raise ValueError(
             f"host column weight {gamma} does not match target gamma {config.gamma}"

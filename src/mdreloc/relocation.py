@@ -17,10 +17,10 @@ sets all of whose cycles satisfy this) are called *active* here.
 ``intact``, the library's one activity test, decides this for many
 instances and maps at once by a spanning-tree potential solve; the
 designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
-``activity_plans`` is the one reader of an instance's degree-2 edges:
-``intact`` solves on its plans, and ``involvement`` gathers from the same
-plans the relocation units each instance touches, for the designer and
-``analyze``.
+``activity_plans`` is the activity test's one reader of an instance's
+degree-2 edges: ``intact`` solves on its plans, and ``involvement``
+gathers from the same plans the relocation units each instance touches,
+for the designer and ``analyze``.
 """
 
 from __future__ import annotations
@@ -99,14 +99,15 @@ class RelocationMap:
         """The map's ``unit_table``: its units and the entry ids each covers."""
         return unit_table(self.matrix, self.qc)
 
-    def _assign(self, unit: tuple, eids: tuple[int, ...] | None, ell: int):
-        """Give ``unit`` value ``ell``; ``eids`` are its entry ids, None if the host lacks it."""
+    def _assign(self, unit: tuple, ell: int):
+        """Give ``unit`` value ``ell``."""
         kind, i, j = unit
         if not (0 <= ell < self.m_copies):
             raise ValueError(f"relocation value {ell} out of range [0, {self.m_copies})")
         if kind != self.granularity[0]:
             raise ValueError(
                 f"a map of {self.granularity} granularity cannot assign {_unit_name(unit)}")
+        eids = self.units.get(unit)
         if eids is None:
             raise ValueError(f"({i}, {j}) is not a nonzero position of the host" if kind == "e"
                              else f"block ({i}, {j}) is a zero circulant")
@@ -118,12 +119,11 @@ class RelocationMap:
 
     def assign_entry(self, row: int, col: int, ell: int):
         """Assign one entry, identified by its matrix position."""
-        eid = self.matrix.entry_index.get((row, col))
-        self._assign(("e", row, col), None if eid is None else (eid,), ell)
+        self._assign(("e", row, col), ell)
 
     def assign_circulant(self, bi: int, bj: int, ell: int):
         """Assign all p entries of one circulant block."""
-        self._assign(("c", bi, bj), self.units.get(("c", bi, bj)), ell)
+        self._assign(("c", bi, bj), ell)
 
     def value(self, entry_id: int) -> int:
         """Relocation value of an entry-id (0 when unassigned)."""

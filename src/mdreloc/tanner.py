@@ -194,31 +194,6 @@ class TannerGraph:
     def cn_degree(self, cn: int) -> int:
         return len(self.cn_adj[cn])
 
-    def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Connected components as sorted (vns, cns), isolated nodes included."""
-        nbrs = {("v", v): [("c", c) for c, _ in self.vn_adj[v]] for v in self.vns}
-        nbrs.update({("c", c): [("v", v) for v, _ in self.cn_adj[c]] for c in self.cns})
-        unvisited, out = set(nbrs), []
-        while unvisited:
-            stack = [min(unvisited)]
-            unvisited.discard(stack[0])
-            found = []
-            while stack:
-                found.append(stack.pop())
-                for nxt in nbrs[found[-1]]:
-                    if nxt in unvisited:
-                        unvisited.discard(nxt)
-                        stack.append(nxt)
-            found.sort()
-            out.append((tuple(n for k, n in found if k == "v"), tuple(n for k, n in found if k == "c")))
-        return out
-
-    def subgraph(self, vns, cns) -> "TannerGraph":
-        """Induced subgraph on the given node subsets, keeping entry-ids."""
-        vset, cset = set(vns), set(cns)
-        kept = tuple(e for e in self.edges if e[0] in cset and e[1] in vset)
-        return TannerGraph(tuple(sorted(cset)), tuple(sorted(vset)), kept)
-
 
 def build_graph(m: BinaryMatrix) -> TannerGraph:
     """Tanner graph of a matrix: one CN per row, one VN per column."""

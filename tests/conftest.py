@@ -32,6 +32,17 @@ def k4_host() -> md.BinaryMatrix:
     return md.BinaryMatrix.from_entries(6, 4, entries)
 
 
+def induced_subgraph(g: md.TannerGraph, vns, cns) -> md.TannerGraph:
+    """The subgraph of ``g`` on the given VNs and checks, filtered from all its edges.
+
+    Node and entry ids stay the host's, so ids need be neither dense nor
+    start at 0.
+    """
+    vset, cset = set(vns), set(cns)
+    kept = tuple(e for e in g.edges if e[0] in cset and e[1] in vset)
+    return md.TannerGraph(tuple(sorted(cset)), tuple(sorted(vset)), kept)
+
+
 def legal_configs(sizes, gamma):
     """Every valid (a, d1) class over column weight gamma, for a in ``sizes``."""
     for a in sizes:

@@ -239,6 +239,24 @@ class TestDesignVerify:
         assert "None" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--input", "{}", "--uas", "4,2"],
+             "--uas needs an explicit gamma when the host has no columns"),
+            (["verify", "--md", "{}", "--uas", "4,2"],
+             "--uas needs an explicit gamma when the host has no columns"),
+            (["design", "--input", "{}", "--uas", "4,2,3", "--M", "3"],
+             "host has no columns; target gamma 3 needs a regular host"),
+        ],
+        ids=["analyze", "verify", "design"],
+    )
+    def test_host_without_columns_exits_3(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "empty.alist"
+        path.write_text(md.write_alist(md.BinaryMatrix(2, 0, ())))
+        assert main([str(path) if arg == "{}" else arg for arg in argv]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_readme_design_and_verify_examples(self, host33, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         monkeypatch.chdir(Path(host33).parent)

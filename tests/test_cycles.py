@@ -1,5 +1,7 @@
 """Cycle enumeration, canonical forms, and minimum cycle bases."""
 
+import functools
+from itertools import combinations
 from typing import NamedTuple
 
 import networkx as nx
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 import mdreloc as md
 from mdreloc.cycles import _chain_order, canonical_steps, cycle_space_rank
 
-from conftest import array_host
-from reference_cycles import reference_chain_order
+from conftest import array_host, induced_subgraph
+from reference_cycles import reference_chain_order, reference_minimum_cycle_basis
 
 BLUE_4_2 = (0, 1, 8, 9, 7, 6)
 RED_4_2 = (2, 3, 4, 5, 9, 8)
@@ -21,6 +23,35 @@ DIAG_4_4 = (4, 5, 7, 6, 10, 11)
 def bits(mask: int) -> set[int]:
     """The entry-ids whose bits are set in an edge mask."""
     return {e for e in range(mask.bit_length()) if mask >> e & 1}
+
+
+@functools.lru_cache
+def host_instances(shape: tuple[int, int, int], target: tuple[int, int, int]) -> list:
+    """Every target instance on ``array_host(*shape)``."""
+    g = md.build_graph(md.expand_qc(array_host(*shape)))
+    return md.enumerate_uas(g, md.UasConfig(*target))
+
+
+@st.composite
+def degree2_graphs(draw) -> md.TannerGraph:
+    """A graph whose checks all have degree 2, with sparse node and entry ids.
+
+    Half the draws first join every VN to an earlier one, so connected
+    graphs (trees among them) come up as often as forests, isolated VNs
+    and disconnected cycles.
+    """
+    n_vns = draw(st.integers(0, 6))
+    pairs = []
+    if draw(st.booleans()):
+        pairs += [(draw(st.integers(0, v - 1)), v) for v in range(1, n_vns)]
+    if n_vns > 1:
+        pairs += draw(st.lists(st.sampled_from(list(combinations(range(n_vns), 2))), max_size=5))
+    eids = draw(st.permutations(range(2 * len(pairs))))
+    edges = sorted(((3 * c + 2, 2 * v + 5, 3 * eids[2 * c + k] + 1)
+                    for c, pair in enumerate(pairs) for k, v in enumerate(pair)),
+                   key=lambda e: e[2])
+    return md.TannerGraph(tuple(3 * c + 2 for c in range(len(pairs))),
+                          tuple(2 * v + 5 for v in range(n_vns)), tuple(edges))
 
 
 def nx_cycle_lengths(g: md.TannerGraph, max_len: int) -> list[int]:
@@ -151,6 +182,42 @@ class TestMinimumBasis:
         assert all(c.length == 6 for c in basis_4_4.cycles)
 
 
+class TestBasisAgainstReference:
+    """The rank-checked basis against the one that ran its own component search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(degree2_graphs())
+    @example(md.TannerGraph((), (), ()))
+    @example(md.TannerGraph((), (4,), ()))
+    @example(md.TannerGraph((7,), (4, 6, 8), ((7, 4, 0), (7, 6, 1))))
+    def test_random_graphs(self, g):
+        h = nx.Graph()
+        h.add_nodes_from([("v", v) for v in g.vns] + [("c", c) for c in g.cns])
+        h.add_edges_from((("c", cn), ("v", vn)) for cn, vn, _ in g.edges)
+        if not (h and nx.is_connected(h)):
+            with pytest.raises(ValueError, match="^subgraph must be connected$"):
+                md.minimum_cycle_basis(g)
+        try:
+            expected = reference_minimum_cycle_basis(g)
+        except ValueError:
+            with pytest.raises(ValueError):
+                md.minimum_cycle_basis(g)
+        else:
+            assert md.minimum_cycle_basis(g) == expected
+
+    @pytest.mark.parametrize("shape, target, count",
+                             [((3, 5, 5), (6, 2, 3), 1050), ((4, 7, 7), (4, 4, 4), 294)])
+    def test_array_host_instances(self, shape, target, count):
+        # deg2_subgraph, read off the instance's VNs, equals the filter of
+        # every host edge, and its basis equals the reference's.
+        instances = host_instances(shape, target)
+        assert len(instances) == count
+        for inst in instances:
+            sub = inst.deg2_subgraph()
+            assert sub == induced_subgraph(inst.graph, inst.vns, inst.deg2_cns)
+            assert md.minimum_cycle_basis(sub) == reference_minimum_cycle_basis(sub)
+
+
 class Item(NamedTuple):
     """A stand-in cycle: the chain search reads only ``cns``."""
 
@@ -170,8 +237,7 @@ class TestChainOrder:
 
     def test_bases_on_array_host(self):
         # Every (6,2,γ3) basis on array_host(3,5,5); 150 of them are reordered.
-        g = md.build_graph(md.expand_qc(array_host(3, 5, 5)))
-        instances = md.enumerate_uas(g, md.UasConfig(6, 2, 3))
+        instances = host_instances((3, 5, 5), (6, 2, 3))
         assert len(instances) == 1050
         reordered = 0
         for inst in instances:

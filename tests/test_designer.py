@@ -207,6 +207,33 @@ class TestClosure:
         assert rebuilt == res.h_md
 
 
+class TestMeasuredCounts:
+    """Defect D6 (ROADMAP.md): ``final_active`` predicts, the recount measures.
+
+    The first five rows of the D6 table: relocation creates target
+    objects that project onto no host instance, so the count on the
+    emitted matrix can exceed the report.  Only ``final_active <=
+    measured`` is pinned, which a report of the measured count keeps.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, target, m_copies, entry, host_count, measured",
+        [
+            ((3, 4, 5), (5, 3, 3), 3, True, 240, 6),
+            ((3, 5, 5), (6, 2, 3), 5, False, 1050, 50),
+            ((3, 5, 5), (6, 2, 3), 3, False, 1050, 105),
+            ((3, 7, 11), (6, 2, 3), 3, False, 2519, 99),
+            ((3, 11, 13), (4, 2, 3), 3, False, 1521, 0),
+        ],
+    )
+    def test_d6_rows(self, shape, target, m_copies, entry, host_count, measured):
+        config = md.UasConfig(*target)
+        res = md.design_md(array_host(*shape), m_copies, config, entry_granularity=entry)
+        assert res.report.od_instances == host_count
+        assert md.enumerate_md_uas(res.h_md, config) == measured
+        assert res.report.final_active <= measured
+
+
 class TestPreconditions:
     def test_4cycle_host_warns_but_proceeds(self):
         doubled = md.QcMatrix.from_blocks(2, 2, 2, {(i, j): 0 for i in range(2) for j in range(2)})
@@ -226,6 +253,10 @@ class TestPreconditions:
         irregular = md.BinaryMatrix.from_entries(6, 5, list(host.entries) + [(0, 4)])
         with pytest.raises(ValueError, match="host column weights are irregular"):
             md.design_md(irregular, 3, md.UasConfig(4, 0, 3))
+
+    def test_host_without_columns_rejected(self):
+        with pytest.raises(ValueError, match="^host has no columns; target gamma 3 needs a regular host$"):
+            md.design_md(md.BinaryMatrix(2, 0, ()), 3, md.UasConfig(4, 2, 3))
 
     def test_gamma_mismatch_rejected(self, uas_4_2):
         toy = lift_identity(uas_4_2.incidence)

@@ -2,6 +2,7 @@
 
 import functools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,18 @@ class TestRelocationMap:
             circulant_map.assign_entry(0, 0, 1)
         assert entry_map.assigned_units == circulant_map.assigned_units == ()
         assert not entry_map.values.any() and not circulant_map.values.any()
+
+    def test_zero_circulant_rejected(self):
+        qc = md.QcMatrix.from_blocks(3, 2, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 2})
+        reloc = md.RelocationMap(3, md.expand_qc(qc), qc=qc)
+        with pytest.raises(ValueError, match=r"^block \(1, 1\) is a zero circulant$"):
+            reloc.assign_circulant(1, 1, 1)
+        # the value range and the granularity are checked before the unit is looked up
+        with pytest.raises(ValueError, match="out of range"):
+            reloc.assign_circulant(1, 1, 3)
+        with pytest.raises(ValueError, match="circulant granularity cannot assign entry"):
+            reloc.assign_entry(0, 2, 1)
+        assert reloc.assigned_units == () and not reloc.values.any()
 
     def test_value_out_of_range_rejected(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
@@ -402,7 +415,12 @@ class TestMdCycleStructure:
 def reference_profile(u, reloc):
     """The instance's profile read off the components of the per-edge reference lift."""
     g = reference_md.md_instance_subgraph(u, reloc)
-    comps = sorted((len(vns), sum(g.cn_degree(cn) == 1 for cn in cns)) for vns, cns in g.components())
+    h = nx.Graph()
+    h.add_nodes_from([("v", v) for v in g.vns] + [("c", c) for c in g.cns])
+    h.add_edges_from((("c", cn), ("v", vn)) for cn, vn, _ in g.edges)
+    comps = sorted((sum(kind == "v" for kind, _ in comp),
+                    sum(kind == "c" and g.cn_degree(n) == 1 for kind, n in comp))
+                   for comp in nx.connected_components(h))
     return md.MdObjectProfile(sum(v for v, _ in comps), sum(d for _, d in comps),
                               len(comps) == 1, tuple(comps))
 

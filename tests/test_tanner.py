@@ -91,20 +91,6 @@ class TestTannerGraph:
         assert len(g.vn_adj[0]) == 3
         assert g.cn_degree(4) == 1
 
-    def test_subgraph_keeps_entry_ids(self):
-        g = md.build_graph(ring_matrix())
-        sub = g.subgraph(vns=(0, 1), cns=(0, 4))
-        assert {e[2] for e in sub.edges} == {0, 1, 8}
-
-    def test_components(self):
-        g = md.build_graph(ring_matrix())
-        assert g.components() == [((0, 1, 2, 3), (0, 1, 2, 3, 4))]
-        split = g.subgraph(vns=(0, 2, 3), cns=(0, 4, 2))
-        assert sorted(split.components()) == [((0,), (0, 4)), ((2, 3), (2,))]
-        isolated = md.TannerGraph((7,), (1,), ())
-        assert sorted(isolated.components()) == [((), (7,)), ((1,), ())]
-        assert md.TannerGraph((), (), ()).components() == []
-
     def test_regular_gamma(self):
         assert md.check_regular_gamma(md.expand_qc(array_host(3, 3, 5))) == 3
         assert md.check_regular_gamma(ring_matrix()) is None
