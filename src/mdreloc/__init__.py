@@ -1,11 +1,11 @@
 """Design multi-copy graph-based codes by relocating entries or circulants.
 
-The package splits into matrix/graph plumbing (``tanner``), cycle
-machinery (``cycles``), absorbing-set enumeration (``absorbing``), the
-relocation construction (``relocation``), exact fraction analysis
-(``analysis``), brute-force verification (``oracle``), and the greedy
-designer (``designer``).  The most common entry points are re-exported
-here.
+The package splits into matrix/graph plumbing (``tanner``), the graph's
+own shift group (``shifts``), cycle machinery (``cycles``), absorbing-set
+enumeration (``absorbing``), the relocation construction
+(``relocation``), exact fraction analysis (``analysis``), brute-force
+verification (``oracle``), and the greedy designer (``designer``).  The
+most common entry points are re-exported here.
 """
 
 from .absorbing import (

@@ -20,8 +20,10 @@ VNs' adjacency, by ``relocation.activity_plans`` and ``deg2_subgraph``.
 MD matrix is fixed by the copy shift (VN and check copy j to j + 1), and
 a QC host or a circulant-relocated MD matrix by the circulant shift
 inside each p x p block.  The shifts are detected on the graph itself,
-never taken from the caller; sets are grown from one VN per orbit and
-expanded through the group, so the output is the plain search's list.
+never taken from the caller (``shifts``), and kept on the graph as
+permutation arrays (``TannerGraph.shift_group``); sets are grown from one
+VN per orbit and expanded through the group, so the output is the plain
+search's list.
 A graph without such a free symmetry gets the plain search.
 
 Two canonical fixtures, ``4_2_g3`` and ``4_4_g4``, are shipped for tests
@@ -31,11 +33,13 @@ for column weights 3 and 4 respectively.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .relocation import is_prime
+import numpy as np
+
+from .shifts import _distinct
 from .tanner import BinaryMatrix, TannerGraph, build_graph
 
 
@@ -147,63 +151,6 @@ class UasInstance:
         return TannerGraph(self.deg2_cns, self.vns, tuple(edges))
 
 
-def _shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A free group of the graph's own cyclic shifts, as (VN map, CN map) pairs.
-
-    The maps act on positions in ``g.vns`` and ``g.cns``.  Only graphs
-    with ids 0..C-1 and 0..R-1, where positions are ids, are examined;
-    any other graph gets the identity alone.  With k = gcd(R, C), the
-    candidate shifts are the copy shift by (R/q, C/q) for each prime
-    q | k, then the within-block circulant shift (x in block x // p goes
-    to position x + 1 mod p of the same block) for each p | k, p > 1,
-    largest p first.  A candidate is kept only if it maps the edge set
-    onto itself.  The group is then grown greedily: each kept shift joins
-    the generators only if the group they generate still acts freely on
-    VNs (no element but the identity fixes a VN, so every VN orbit has
-    |G| members).  The identity is always the first element.
-    """
-    n_r, n_c = len(g.cns), len(g.vns)
-    identity = (tuple(range(n_c)), tuple(range(n_r)))
-    if g.vns != identity[0] or g.cns != identity[1] or not g.edges:
-        return [identity]
-
-    def rotation(n: int, block: int, step: int) -> tuple[int, ...]:
-        return tuple(x - x % block + (x + step) % block for x in range(n))
-
-    def free_closure(gens):
-        """The group the maps generate, or None if an element fixes a VN."""
-        group = [identity]
-        seen = {identity}
-        for elem in group:
-            for vmap, cmap in gens:
-                new = (tuple(vmap[v] for v in elem[0]), tuple(cmap[c] for c in elem[1]))
-                if new in seen:
-                    continue
-                if any(v == x for v, x in enumerate(new[0])):
-                    return None
-                seen.add(new)
-                group.append(new)
-        return group
-
-    k = gcd(n_r, n_c)
-    divisors = [d for d in range(2, k + 1) if k % d == 0]
-    cands = [
-        (rotation(n_c, n_c, n_c // q), rotation(n_r, n_r, n_r // q))
-        for q in divisors
-        if is_prime(q)
-    ]
-    cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in reversed(divisors)]
-    edges = {(cn, vn) for cn, vn, _ in g.edges}
-    group, gens = [identity], []
-    for vmap, cmap in cands:
-        if all((cmap[cn], vmap[vn]) in edges for cn, vn in edges):
-            grown = free_closure(gens + [(vmap, cmap)])
-            if grown is not None:
-                group = grown
-                gens.append((vmap, cmap))
-    return group
-
-
 def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     """All (a, d1) instances in the graph, sorted by VN tuple.
 
@@ -212,17 +159,20 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     candidate is visited once, and pruning as soon as any check reaches
     induced degree 3.
 
-    The search runs modulo the graph's own cyclic shifts (``_shift_group``:
-    the copy shift of an MD matrix, the circulant shift of a QC matrix).
-    VNs are ordered by (orbit, position), each orbit led by its first VN,
-    and sets are grown only from each orbit's first VN: every set has an
-    image under the group whose first VN is one of those roots.  Each set
-    found is mapped through the whole group, images are deduplicated by
-    VN tuple, and the count is checked against the orbit identity
-    |G| * sum(1/r) = number of instances, where r is how many of the
-    set's VNs lie in its root's orbit.  When no shift survives detection
-    the group is the identity, every VN is a root and the search is the
-    plain one.
+    The search runs modulo the graph's own cyclic shifts
+    (``TannerGraph.shift_group``: the copy shift of an MD matrix, the
+    circulant shift of a QC matrix), as permutation arrays V and C over
+    VN and CN positions.  VNs are ordered by (orbit, position), the least
+    image ``V.min(axis=0)`` naming the orbit, and sets are grown only from
+    each orbit's first VN: every set has an image under the group whose
+    first VN is one of those roots.  The sets found are mapped through
+    the whole group at once: their VN, degree-1 and degree-2 positions go
+    through V and C, each part is sorted, and one sort of the rows by
+    VN tuple both drops repeated images and orders the instances.  The
+    count is checked against the orbit identity |G| * sum(1/r) = number
+    of instances, where r is how many of the set's VNs lie in its root's
+    orbit.  When no shift survives detection the group is the identity,
+    every VN is a root and the search is the plain one.
 
     The state of a set is two bitmasks of checks, one bit per check at
     its position in ``g.cns``: ``one`` holds the checks of induced degree
@@ -250,11 +200,11 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
         # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
         # could match, and the strict majority condition always fails.
         return []
-    group = _shift_group(g)
-    size = len(group)
+    vmaps, cmaps = g.shift_group
+    size = len(vmaps)
     # The search works on ranks: order[i] is the position in g.vns of the
     # VN of rank i, and ranks size*k .. size*k + size - 1 form the k-th orbit.
-    order = sorted(range(len(g.vns)), key=lambda v: (min(vmap[v] for vmap, _ in group), v))
+    order = np.argsort(vmaps.min(axis=0), kind="stable").tolist()
     rank = {g.vns[v]: i for i, v in enumerate(order)}
     bit = {cn: 1 << i for i, cn in enumerate(g.cns)}
     # Check mask of every eligible VN rank (degree gamma); 0 for the rest.
@@ -330,26 +280,26 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
             below = (2 << root) - 1
             extend([root], positions(nbit[root] & ~below), below | nbit[root], mask[root], 0)
 
-    instances: dict[tuple[int, ...], UasInstance] = {}
-    weight = Fraction(0)
-    for sub, deg1, deg2 in found:
-        vns = [order[v] for v in sub]
-        cns1, cns2 = positions(deg1), positions(deg2)
-        weight += Fraction(size, sum(v // size == sub[0] // size for v in sub))
-        for vmap, cmap in group:
-            image = tuple(sorted(g.vns[vmap[v]] for v in vns))
-            if image not in instances:
-                instances[image] = UasInstance(
-                    image,
-                    tuple(sorted(g.cns[cmap[i]] for i in cns1)),
-                    tuple(sorted(g.cns[cmap[i]] for i in cns2)),
-                    g,
-                )
-    if weight != len(instances):
-        raise AssertionError(
-            f"orbit expansion gave {len(instances)} instances, expected {weight}"
-        )
-    return [instances[k] for k in sorted(instances)]
+    # Each set found is one row of positions: its VNs, then its degree-1
+    # and degree-2 checks, offset by len(g.vns).  All elements map all rows
+    # at once, ids replace positions, and each part is sorted: an image is
+    # one instance's row, named by its VN tuple.  Sorting the rows by VN
+    # tuple and keeping the first of equal tuples leaves the instances.
+    n_v, d2 = len(g.vns), degree2_check_count(c)
+    sets = np.array([[order[v] for v in sub] + [n_v + i for i in positions(one) + positions(two)]
+                     for sub, one, two in found], dtype=np.int64).reshape(len(found), a + d1 + d2)
+    images = np.array(g.vns + g.cns)[np.concatenate((vmaps, cmaps + n_v), axis=1)[:, sets]]
+    parts = (images[..., :a], images[..., a:a + d1], images[..., a + d1:])
+    rows = np.concatenate([np.sort(part, axis=2) for part in parts], axis=2).reshape(-1, a + d1 + d2)
+    by_vns, new = _distinct(rows[:, :a])
+    rows = rows[by_vns[new]].tolist()
+    # The orbit identity: a set with r of its VNs in its root's orbit
+    # stands for |G| / r instances.
+    hits = Counter(sum(v // size == sub[0] // size for v in sub) for sub, _, _ in found)
+    weight = sum(Fraction(size * n, r) for r, n in hits.items())
+    if weight != len(rows):
+        raise AssertionError(f"orbit expansion gave {len(rows)} instances, expected {weight}")
+    return [UasInstance(tuple(r[:a]), tuple(r[a:a + d1]), tuple(r[a + d1:]), g) for r in rows]
 
 
 # ---------------------------------------------------------------------------

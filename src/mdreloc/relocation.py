@@ -20,7 +20,8 @@ designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
 ``activity_plans`` is the activity test's one reader of an instance's
 degree-2 edges: ``intact`` solves on its plans, and ``involvement``
 gathers from the same plans the relocation units each instance touches,
-for the designer and ``analyze``.
+for the designer and ``analyze``.  It walks one instance per orbit of the
+graph's shift group and maps that plan to the orbit's other members.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .shifts import _distinct, _positions
 from .tanner import BinaryMatrix, ParseError, QcMatrix, _Lines, _to_text, expand_qc
 
 GRANULARITIES = ("circulant", "entry")
@@ -184,7 +186,8 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
 
 
 # Cells per block: (instance, VN, column) potentials solved at once by
-# ``intact``; the oracle blocks its own kernels by the same budget.
+# ``intact``, and (element, instance, VN) images ranked at once by
+# ``activity_plans``; the oracle blocks its own kernels by the same budget.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -234,13 +237,60 @@ def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
     """The instances' potential plans stacked as (tree, loops) int64 arrays.
 
     Layer i of each array holds instance i's (x, y, e1, e2) steps, one
-    per degree-2 check.  All instances must have the same VN and degree-2
-    check counts, as the instances of one (a, d1) configuration do.
+    per degree-2 check, as ``_potential_plan`` defines them.  All
+    instances must come from one graph and have the same VN and
+    degree-2 check counts, as the instances of one (a, d1) class do.
+
+    One instance per orbit of the graph's shift group is walked.  Element
+    k[i] takes instance i to its least image (the lexicographically least
+    sorted VN positions; found in blocks of ``_BLOCK_CELLS`` (element,
+    instance, VN) cells), and instances with the same least image share
+    an orbit.  Its first list member r is walked, and each other member,
+    h(r) for h = k[i]^-1 k[r], gets r's steps with e1 and e2 mapped
+    through ``entry_shifts`` and x and y moved to where h sends r's VNs,
+    so its walk starts at the image of r's first VN.  Any spanning tree
+    decides the same activity, so ``intact`` and ``involvement`` read
+    each instance's own answer.
     """
-    plans = [_potential_plan(u) for u in instances]
-    widths = [len(steps) for steps in plans[0]] if plans else [0, 0]
-    return tuple(np.array([p[k] for p in plans], dtype=np.int64).reshape(len(plans), widths[k], 4)
-                 for k in (0, 1))
+    if not instances:
+        return np.zeros((0, 0, 4), dtype=np.int64), np.zeros((0, 0, 4), dtype=np.int64)
+    g = instances[0].graph
+    if any(u.graph is not g for u in instances):
+        raise ValueError("planned instances must come from one graph")
+    vmaps, emaps = g.shift_group[0], g.entry_shifts
+    vpos = _positions(g.vns, np.array([u.vns for u in instances], dtype=np.int64))
+    (n, a), size = vpos.shape, len(vmaps)
+    # k[i] takes instance i to its least image least[i]: column by column,
+    # until one element is left per instance, only the elements whose
+    # sorted images are least so far stay in.
+    k, least = np.empty(n, dtype=np.int64), np.empty_like(vpos)
+    step = max(1, _BLOCK_CELLS // (size * a))
+    for b0 in range(0, n, step):
+        images = np.sort(vmaps[:, vpos[b0:b0 + step]], axis=2)
+        keep = np.ones(images.shape[:2], dtype=bool)
+        for col in images.transpose(2, 0, 1):
+            if keep.sum(axis=0).max() == 1:
+                break
+            col = np.where(keep, col, len(g.vns))
+            keep &= col == col.min(axis=0)
+        k[b0:b0 + step] = keep.argmax(axis=0)
+        least[b0:b0 + step] = images[k[b0:b0 + step], np.arange(images.shape[1])]
+    # Equal least images make an orbit; its first list member is walked.
+    order, new = _distinct(least)
+    first, orbit = order[new], np.empty(n, dtype=np.int64)
+    orbit[order] = new.cumsum() - 1
+    plans = [_potential_plan(instances[r]) for r in first.tolist()]
+    steps = np.array([tree + loops for tree, loops in plans], dtype=np.int64).reshape(len(first), -1, 4)[orbit]
+    # Instance i is h(r) for its representative r, h = k[i]^-1 k[r]: r's VN
+    # x lands where i's VN has the same least-image position, and r's
+    # entry ids go through P for k[r], then back through P for k[i].
+    rep, canon = first[orbit], vmaps[k[:, None], vpos]
+    to_x = (canon[rep][:, :, None] == canon[:, None, :]).argmax(axis=2)
+    back = emaps.argsort(axis=1)
+    out = np.empty_like(steps)
+    out[..., :2] = to_x[np.arange(n)[:, None, None], steps[..., :2]]
+    out[..., 2:] = back[k[:, None, None], emaps[k[rep][:, None, None], steps[..., 2:]]]
+    return out[:, :a - 1], out[:, a - 1:]
 
 
 def intact(plans, values: np.ndarray, m: int) -> np.ndarray:

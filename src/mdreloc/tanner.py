@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .shifts import _entry_shifts, _shift_group
+
 
 class ParseError(ValueError):
     """Malformed matrix file.  ``line`` is the 1-indexed offending line."""
@@ -160,6 +162,12 @@ class QcMatrix:
         k, p = self.shift_of_block[(bi, bj)], self.p
         return tuple((bi * p + r, bj * p + (r + k) % p) for r in range(p))
 
+    @cached_property
+    def expanded(self) -> BinaryMatrix:
+        """The full matrix, built on first use; ``expand_qc`` returns it."""
+        entries = [pos for bi, bj, _ in self.circulants for pos in self.block_positions(bi, bj)]
+        return BinaryMatrix.from_entries(self.m_b * self.p, self.n_b * self.p, entries)
+
 
 @dataclass(frozen=True)
 class TannerGraph:
@@ -194,6 +202,16 @@ class TannerGraph:
     def cn_degree(self, cn: int) -> int:
         return len(self.cn_adj[cn])
 
+    @cached_property
+    def shift_group(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, C): ``shifts._shift_group`` of this graph, detected on first use."""
+        return _shift_group(self)
+
+    @cached_property
+    def entry_shifts(self) -> np.ndarray:
+        """P: ``shifts._entry_shifts`` of this graph, derived on first use."""
+        return _entry_shifts(self)
+
 
 def build_graph(m: BinaryMatrix) -> TannerGraph:
     """Tanner graph of a matrix: one CN per row, one VN per column."""
@@ -202,9 +220,8 @@ def build_graph(m: BinaryMatrix) -> TannerGraph:
 
 
 def expand_qc(q: QcMatrix) -> BinaryMatrix:
-    """Expand circulant powers into the full (m_b*p) x (n_b*p) matrix."""
-    entries = [pos for bi, bj, _ in q.circulants for pos in q.block_positions(bi, bj)]
-    return BinaryMatrix.from_entries(q.m_b * q.p, q.n_b * q.p, entries)
+    """The full (m_b*p) x (n_b*p) matrix of the circulant powers, built once per table."""
+    return q.expanded
 
 
 def check_regular_gamma(m: BinaryMatrix) -> int | None:

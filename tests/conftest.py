@@ -1,5 +1,6 @@
 """Shared fixtures: reference absorbing sets and small QC hosts."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,6 +19,36 @@ def array_host(rows: int, cols: int, p: int) -> md.QcMatrix:
     return md.QcMatrix.from_blocks(
         p, rows, cols, {(i, j): (i * j) % p for i in range(rows) for j in range(cols)}
     )
+
+
+@functools.lru_cache
+def designed_graph(rows, cols, p, target, m, entry) -> md.TannerGraph:
+    """Tanner graph of the MD matrix ``design_md`` emits for an array host, built once."""
+    res = md.design_md(array_host(rows, cols, p), m, md.UasConfig(*target), entry_granularity=entry)
+    return md.build_graph(res.h_md)
+
+
+def moved_entry_graph() -> md.TannerGraph:
+    """The (3,3,3) M=3 circulant design with one entry moved along its row: no shift fixes it."""
+    g = designed_graph(3, 3, 3, (4, 2, 3), 3, False)
+    edges = [(cn, vn) for cn, vn, _ in g.edges]
+    cn, vn = edges[0]
+    free_col = next(v for v in g.vns if (cn, v) not in set(edges) and v > vn)
+    moved = md.BinaryMatrix.from_entries(len(g.cns), len(g.vns), edges[1:] + [(cn, free_col)])
+    return md.build_graph(moved)
+
+
+def dihedral_graph() -> md.TannerGraph:
+    """A 12 x 12 matrix of 4 x 4 blocks whose shifts generate the dihedral group of order 8.
+
+    The blocks are I, P^2 and P + P^3, each fixed by the rotation and
+    the pair swap inside every block of 4.
+    """
+    eye = np.eye(4, dtype=int)
+    blocks = {"I": eye, "P2": np.roll(eye, 2, axis=1), "Z": 0 * eye}
+    blocks["Q"] = np.roll(eye, 1, axis=1) + np.roll(eye, 3, axis=1)
+    grid = [["P2", "Z", "P2"], ["P2", "Q", "Q"], ["I", "I", "Z"]]
+    return md.build_graph(md.BinaryMatrix.from_dense(np.block([[blocks[b] for b in row] for row in grid])))
 
 
 def lift_identity(m: md.BinaryMatrix) -> md.QcMatrix:

@@ -7,11 +7,18 @@ shortcut with ``mdreloc.enumerate_uas``.  It lists each instance's
 degree-2 entry ids itself, to check the edges the potential plans of
 ``relocation.activity_plans`` read.  Slow on large MD matrices; keep the
 inputs small.
+
+The tuple shift group and its dict expansion are the library's earlier
+versions of ``tanner._shift_group`` and of the orbit expansion in
+``enumerate_uas``, kept as differential oracles for the permutation
+arrays that replaced them.
 """
 
 from __future__ import annotations
 
-from mdreloc import TannerGraph, UasConfig, UasInstance
+from math import gcd
+
+from mdreloc import TannerGraph, UasConfig, UasInstance, is_prime
 
 
 def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:
@@ -133,3 +140,71 @@ def reference_enumerate_uas(g: TannerGraph, c: UasConfig) -> list:
 
     results.sort(key=lambda found: found[0].vns)
     return results
+
+
+def reference_shift_group(g: TannerGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The graph's free shift group as (VN map, CN map) tuples over positions, identity first.
+
+    The same candidates, edge-set test and greedy free closure as
+    ``tanner._shift_group``, composed as tuples.
+    """
+    n_r, n_c = len(g.cns), len(g.vns)
+    identity = (tuple(range(n_c)), tuple(range(n_r)))
+    if g.vns != identity[0] or g.cns != identity[1] or not g.edges:
+        return [identity]
+
+    def rotation(n: int, block: int, step: int) -> tuple[int, ...]:
+        return tuple(x - x % block + (x + step) % block for x in range(n))
+
+    def free_closure(gens):
+        """The group the maps generate, or None if an element fixes a VN."""
+        group = [identity]
+        seen = {identity}
+        for elem in group:
+            for vmap, cmap in gens:
+                new = (tuple(vmap[v] for v in elem[0]), tuple(cmap[c] for c in elem[1]))
+                if new in seen:
+                    continue
+                if any(v == x for v, x in enumerate(new[0])):
+                    return None
+                seen.add(new)
+                group.append(new)
+        return group
+
+    k = gcd(n_r, n_c)
+    divisors = [d for d in range(2, k + 1) if k % d == 0]
+    cands = [
+        (rotation(n_c, n_c, n_c // q), rotation(n_r, n_r, n_r // q))
+        for q in divisors
+        if is_prime(q)
+    ]
+    cands += [(rotation(n_c, p, 1), rotation(n_r, p, 1)) for p in reversed(divisors)]
+    edges = {(cn, vn) for cn, vn, _ in g.edges}
+    group, gens = [identity], []
+    for vmap, cmap in cands:
+        if all((cmap[cn], vmap[vn]) in edges for cn, vn in edges):
+            grown = free_closure(gens + [(vmap, cmap)])
+            if grown is not None:
+                group = grown
+                gens.append((vmap, cmap))
+    return group
+
+
+def reference_expand(g: TannerGraph, group, sets) -> list:
+    """Every image of the sets under the group, one instance per VN tuple, sorted by it.
+
+    ``sets`` holds (VN, degree-1 check, degree-2 check) positions in
+    ``g.vns`` and ``g.cns``; ``group`` is ``reference_shift_group(g)``.
+    """
+    instances: dict[tuple[int, ...], UasInstance] = {}
+    for vns, cns1, cns2 in sets:
+        for vmap, cmap in group:
+            image = tuple(sorted(g.vns[vmap[v]] for v in vns))
+            if image not in instances:
+                instances[image] = UasInstance(
+                    image,
+                    tuple(sorted(g.cns[cmap[i]] for i in cns1)),
+                    tuple(sorted(g.cns[cmap[i]] for i in cns2)),
+                    g,
+                )
+    return [instances[k] for k in sorted(instances)]

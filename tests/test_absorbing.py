@@ -8,11 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdreloc as md
-from mdreloc.absorbing import _shift_group
 from mdreloc.relocation import activity_plans
+from mdreloc.shifts import _shift_group
 
-from conftest import array_host, induced_subgraph, irregular_hosts, k4_host, legal_configs
-from reference_uas import _build_instance as reference_instance, reference_enumerate_uas
+from conftest import (
+    array_host,
+    designed_graph,
+    dihedral_graph,
+    induced_subgraph,
+    irregular_hosts,
+    k4_host,
+    legal_configs,
+    moved_entry_graph,
+)
+from reference_uas import (
+    _build_instance as reference_instance,
+    reference_enumerate_uas,
+    reference_expand,
+    reference_shift_group,
+)
 
 
 def brute_force_uas(m: md.BinaryMatrix, config: md.UasConfig):
@@ -318,11 +332,10 @@ class TestAgainstReference:
             ), config
 
 
-def _design_graph(rows, cols, p, target, m, entry):
-    res = md.design_md(
-        array_host(rows, cols, p), m, md.UasConfig(*target), entry_granularity=entry
-    )
-    return md.build_graph(res.h_md)
+def _group(g):
+    """The graph's shift group as a list of (VN map, CN map) tuples, identity first."""
+    vmaps, cmaps = _shift_group(g)
+    return list(zip(map(tuple, vmaps.tolist()), map(tuple, cmaps.tolist())))
 
 
 def _maps_edges_onto_itself(g, vmap, cmap):
@@ -368,28 +381,32 @@ def relocated_qc_hosts(draw):
     return h_md, draw(st.sampled_from(weights or [2]))
 
 
+QC_SHAPES = [(3, 3, 3), (3, 4, 5), (4, 4, 5), (3, 7, 11)]
+
+# (rows, cols, p, target, M, entry granularity): an array host's MD design,
+# the number its shift group's order must be a multiple of, and recounts.
+DESIGNS = [
+    (3, 4, 5, (5, 3, 3), 3, True, 3, [(5, 3, 3), (4, 4, 3)]),
+    (3, 4, 5, (4, 2, 3), 3, False, 15, [(4, 4, 3), (5, 5, 3)]),
+    (3, 3, 3, (4, 2, 3), 3, False, 9, [(4, 4, 3), (6, 4, 3), (6, 6, 3)]),
+    (3, 3, 3, (4, 2, 3), 3, True, 3, [(4, 4, 3), (5, 3, 3), (6, 0, 3), (6, 2, 3)]),
+    (3, 3, 5, (4, 2, 3), 5, False, 25, [(4, 4, 3), (5, 5, 3)]),
+    (3, 3, 5, (4, 2, 3), 5, True, 5, [(5, 3, 3), (6, 2, 3)]),
+]
+
+
 class TestShiftSymmetry:
     """The search modulo the graph's own cyclic shifts returns the reference list."""
 
-    @pytest.mark.parametrize("rows,cols,p", [(3, 3, 3), (3, 4, 5), (4, 4, 5), (3, 7, 11)])
+    @pytest.mark.parametrize("rows,cols,p", QC_SHAPES)
     def test_qc_host_group(self, rows, cols, p):
         g = md.build_graph(md.expand_qc(array_host(rows, cols, p)))
-        assert len(_shift_group(g)) % p == 0
+        assert len(_group(g)) % p == 0
 
-    @pytest.mark.parametrize(
-        "rows,cols,p,target,m,entry,divisor,recounts",
-        [
-            (3, 4, 5, (5, 3, 3), 3, True, 3, [(5, 3, 3), (4, 4, 3)]),
-            (3, 4, 5, (4, 2, 3), 3, False, 15, [(4, 4, 3), (5, 5, 3)]),
-            (3, 3, 3, (4, 2, 3), 3, False, 9, [(4, 4, 3), (6, 4, 3), (6, 6, 3)]),
-            (3, 3, 3, (4, 2, 3), 3, True, 3, [(4, 4, 3), (5, 3, 3), (6, 0, 3), (6, 2, 3)]),
-            (3, 3, 5, (4, 2, 3), 5, False, 25, [(4, 4, 3), (5, 5, 3)]),
-            (3, 3, 5, (4, 2, 3), 5, True, 5, [(5, 3, 3), (6, 2, 3)]),
-        ],
-    )
+    @pytest.mark.parametrize("rows,cols,p,target,m,entry,divisor,recounts", DESIGNS)
     def test_designed_md_matrices(self, rows, cols, p, target, m, entry, divisor, recounts):
-        g = _design_graph(rows, cols, p, target, m, entry)
-        assert len(_shift_group(g)) % divisor == 0
+        g = designed_graph(rows, cols, p, target, m, entry)
+        assert len(_group(g)) % divisor == 0
         for recount in recounts:
             config = md.UasConfig(*recount)
             ref = reference_enumerate_uas(g, config)
@@ -398,42 +415,29 @@ class TestShiftSymmetry:
 
     def test_group_is_all_of_zm_times_zp(self):
         # M = p = 3: copy shift and circulant shift give Z_3 x Z_3, not a cyclic group.
-        g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
-        group = _shift_group(g)
+        g = designed_graph(3, 3, 3, (4, 2, 3), 3, False)
+        group = _group(g)
         assert len(group) == 9
         assert len(set(group)) == 9
         assert all(_maps_edges_onto_itself(g, vmap, cmap) for vmap, cmap in group)
 
     def test_moved_entry_breaks_symmetry(self):
-        g = _design_graph(3, 3, 3, (4, 2, 3), 3, False)
-        edges = [(cn, vn) for cn, vn, _ in g.edges]
-        cn, vn = edges[0]
-        free_col = next(v for v in g.vns if (cn, v) not in set(edges) and v > vn)
-        moved = md.BinaryMatrix.from_entries(
-            len(g.cns), len(g.vns), edges[1:] + [(cn, free_col)]
-        )
-        h = md.build_graph(moved)
-        assert len(_shift_group(h)) == 1
+        h = moved_entry_graph()
+        assert len(_group(h)) == 1
         for config in legal_configs(range(4, 7), 3):
             assert _fields(md.enumerate_uas(h, config)) == _ref_fields(
                 reference_enumerate_uas(h, config)
             ), config
 
     def test_non_free_group_falls_back(self):
-        # 4 x 4 blocks built from I, P^2 and P + P^3, each fixed by the
-        # rotation and the pair swap inside every block of 4.  Those shifts
-        # generate the dihedral group of order 8, whose reflections fix VNs,
-        # so only a free subgroup of it may be kept.  The rotation is tried
-        # first (larger block), so the kept subgroup is its Z_4.
-        eye = np.eye(4, dtype=int)
-        blocks = {"I": eye, "P2": np.roll(eye, 2, axis=1), "Z": 0 * eye}
-        blocks["Q"] = np.roll(eye, 1, axis=1) + np.roll(eye, 3, axis=1)
-        grid = [["P2", "Z", "P2"], ["P2", "Q", "Q"], ["I", "I", "Z"]]
-        m = md.BinaryMatrix.from_dense(np.block([[blocks[b] for b in row] for row in grid]))
-        g = md.build_graph(m)
+        # The rotation and the pair swap inside every block of 4 generate
+        # the dihedral group of order 8, whose reflections fix VNs, so only
+        # a free subgroup of it may be kept.  The rotation is tried first
+        # (larger block), so the kept subgroup is its Z_4.
+        g = dihedral_graph()
         for p in (2, 4):
             assert _maps_edges_onto_itself(g, _block_shift(12, p), _block_shift(12, p))
-        group = _shift_group(g)
+        group = _group(g)
         assert len(group) == 4
         assert all(
             all(v != x for v, x in enumerate(vmap)) for vmap, _ in group[1:]
@@ -455,3 +459,67 @@ class TestShiftSymmetry:
             assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
                 reference_enumerate_uas(g, config)
             ), config
+
+
+# Graphs the array group is checked on, with the classes whose orbit
+# expansion is checked: QC hosts, the designed MD matrices (Z_3 x Z_3
+# among them), the dihedral matrix whose full group is not free, and the
+# moved-entry matrix no shift fixes.
+GROUP_CASES = (
+    [pytest.param(("qc", s), [(4, 2), (5, 3), (4, 4)] if s[0] == 3 else [(4, 4), (6, 4)], id=f"qc{s}")
+     for s in QC_SHAPES]
+    + [pytest.param(("design", d[:6]), [r[:2] for r in d[7]], id=f"design{d[:6]}") for d in DESIGNS]
+    + [pytest.param(("dihedral", ()), [(3, 1), (4, 4), (5, 3)], id="dihedral"),
+       pytest.param(("moved", ()), [(4, 2), (4, 4), (6, 2)], id="moved-entry")]
+)
+
+
+def _case_graph(case):
+    kind, args = case
+    if kind == "qc":
+        return md.build_graph(md.expand_qc(array_host(*args)))
+    if kind == "design":
+        return designed_graph(*args)
+    return {"dihedral": dihedral_graph, "moved": moved_entry_graph}[kind]()
+
+
+class TestGroupAgainstReference:
+    """The group as permutation arrays and the numpy orbit expansion, against the tuple group and dict expansion."""
+
+    @pytest.mark.parametrize("case, classes", GROUP_CASES)
+    def test_group_equals_reference(self, case, classes):
+        g = _case_graph(case)
+        got, want = _group(g), reference_shift_group(g)
+        assert got[0] == want[0] == (g.vns, g.cns)
+        assert len(set(got)) == len(got) == len(want)
+        assert set(got) == set(want)
+        assert all((a == b).all() for a, b in zip(g.shift_group, _shift_group(g)))
+
+    @pytest.mark.parametrize("case, classes", GROUP_CASES)
+    def test_entry_shifts_send_edges_to_their_images(self, case, classes):
+        g = _case_graph(case)
+        vmaps, cmaps = (maps.tolist() for maps in g.shift_group)
+        shifts = g.entry_shifts.tolist()
+        ends = {eid: (cn, vn) for cn, vn, eid in g.edges}
+        assert len(shifts) == len(vmaps)
+        for vmap, cmap, emap in zip(vmaps, cmaps, shifts):
+            assert sorted(emap) == list(range(len(g.edges)))
+            for cn, vn, eid in g.edges:
+                assert ends[emap[eid]] == (cmap[cn], vmap[vn])
+
+    @pytest.mark.parametrize("case, classes", GROUP_CASES)
+    def test_expansion_equals_reference(self, case, classes):
+        # The instance of least VN tuple in each orbit, expanded through the
+        # tuple group by the dict expansion, gives the whole list.
+        g = _case_graph(case)
+        group = reference_shift_group(g)
+        gamma, found = len(g.vn_adj[0]), 0
+        for a, d1 in classes:
+            got = [(u.vns, u.deg1_cns, u.deg2_cns) for u in md.enumerate_uas(g, md.UasConfig(a, d1, gamma))]
+            least = [u for u in got
+                     if u[0] == min(tuple(sorted(vmap[v] for v in u[0])) for vmap, _ in group)]
+            want = reference_expand(g, group, least)
+            assert got == [(u.vns, u.deg1_cns, u.deg2_cns) for u in want], (a, d1)
+            assert len(least) * len(group) >= len(got) >= len(least)
+            found += len(got) - len(least)
+        assert found or len(group) == 1

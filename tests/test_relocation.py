@@ -20,8 +20,12 @@ from conftest import (
     arrangement_2,
     array_host,
     assert_block_layout,
+    designed_graph,
+    induced_subgraph,
     irregular_hosts,
+    k4_host,
     legal_configs,
+    moved_entry_graph,
 )
 
 
@@ -47,6 +51,13 @@ class TestRelocationMap:
         for bad in (4, 6, 9, 1, 0):
             with pytest.raises(ValueError):
                 md.RelocationMap(bad, uas_4_2.incidence)
+
+    def test_matrix_of_another_circulant_table_rejected(self):
+        qc = array_host(3, 4, 5)
+        other = md.expand_qc(md.QcMatrix.from_blocks(5, 3, 4, {(0, 0): 1}))
+        with pytest.raises(ValueError, match="matrix does not match the expanded circulant table"):
+            md.RelocationMap(3, other, qc=qc)
+        assert md.RelocationMap(3, md.expand_qc(qc), qc=qc).matrix is md.expand_qc(qc)
 
     def test_even_prime_rejected(self, uas_4_2):
         with pytest.raises(ValueError, match="odd prime"):
@@ -374,6 +385,135 @@ class TestPlansAgainstReference:
     def test_involvement_without_instances(self, uas_4_2):
         units = unit_table(uas_4_2.incidence)
         assert involvement(activity_plans([]), units).shape == (0, len(units))
+
+
+def assert_plan_contract(instances, plans):
+    """Each row holds its instance's own steps, in an order that solves the potential.
+
+    One step per degree-2 check; x and y are positions in ``u.vns`` whose
+    edges e1 and e2 meet at that check; every tree step reads a VN that
+    the root or an earlier step solved, and the tree reaches every VN.
+    """
+    tree, loops = (steps.tolist() for steps in plans)
+    for u, t, l in zip(instances, tree, loops):
+        ends = {eid: (cn, vn) for vn in u.vns for cn, eid in u.graph.vn_adj[vn]}
+        checks = []
+        for x, y, e1, e2 in t + l:
+            (c1, v1), (c2, v2) = ends[e1], ends[e2]
+            assert (c1, v1, v2) == (c2, u.vns[x], u.vns[y])
+            checks.append(c1)
+        assert sorted(checks) == list(u.deg2_cns)
+        solved = {t[0][0] if t else 0}
+        for x, y, *_ in t:
+            assert x in solved and y not in solved
+            solved.add(y)
+        assert len(solved) == len(u.vns)
+
+
+def assert_plans_as_reference(instances, units, m_copies, seed):
+    """Orbit plans give the reference plans' verdicts and involvement, and keep the contract."""
+    plans = activity_plans(instances)
+    n_entries = 1 + max(eid for eids in units.values() for eid in eids)
+    values = np.random.default_rng(seed).integers(0, m_copies, size=(n_entries, 4))
+    want = intact(reference_activity.activity_plans(instances), values, m_copies)
+    assert (intact(plans, values, m_copies) == want).all()
+    assert (involvement(plans, units) == reference_activity.involvement(instances, units)).all()
+    assert_plan_contract(instances, plans)
+
+
+def entry_units(g):
+    """Entry units of a graph built from a matrix, one per edge."""
+    return {("e", cn, vn): (eid,) for cn, vn, eid in g.edges}
+
+
+class TestOrbitPlansAgainstReference:
+    """Plans walked once per orbit and mapped through the shift group, against per-instance plans."""
+
+    @pytest.mark.parametrize("shape", PLANNED_HOSTS)
+    @pytest.mark.parametrize("granularity", relocation.GRANULARITIES)
+    def test_qc_hosts(self, shape, granularity):
+        host, qc, classes = planned_classes(*shape)
+        units = unit_table(host, qc if granularity == "circulant" else None)
+        for seed, instances in enumerate(classes):
+            assert_plans_as_reference(instances, units, 5, seed)
+
+    @pytest.mark.parametrize("shape", PLANNED_HOSTS)
+    def test_one_walk_per_orbit(self, shape, monkeypatch):
+        _, _, classes = planned_classes(*shape)
+        walked = []
+        walk = relocation._potential_plan
+        monkeypatch.setattr(relocation, "_potential_plan", lambda u: walked.append(u) or walk(u))
+        for instances in classes:
+            walked.clear()
+            activity_plans(instances)
+            # The first list member of each orbit, an orbit named by its least image.
+            vmaps = instances[0].graph.shift_group[0].tolist()
+            first = {}
+            for u in instances:
+                first.setdefault(min(tuple(sorted(vmap[v] for v in u.vns)) for vmap in vmaps), u.vns)
+            assert sorted(u.vns for u in walked) == sorted(first.values())
+            assert len(walked) < len(instances)
+
+    @pytest.mark.parametrize(
+        "design, recounts",
+        [
+            ((3, 3, 3, (4, 2, 3), 3, False), [(4, 4, 3), (6, 4, 3), (6, 6, 3)]),
+            ((3, 3, 3, (4, 2, 3), 3, True), [(5, 3, 3), (6, 2, 3)]),
+            ((3, 4, 5, (4, 2, 3), 3, False), [(4, 4, 3), (5, 5, 3)]),
+        ],
+    )
+    def test_designed_md_matrices(self, design, recounts):
+        g = designed_graph(*design)
+        vmaps = g.shift_group[0].tolist()
+        stabilised = 0
+        for seed, recount in enumerate(recounts):
+            instances = md.enumerate_uas(g, md.UasConfig(*recount))
+            assert instances, recount
+            assert_plans_as_reference(instances, entry_units(g), design[4], seed)
+            orbits = [len({tuple(sorted(vmap[v] for v in u.vns)) for vmap in vmaps}) for u in instances]
+            stabilised += sum(n < len(vmaps) for n in orbits)
+        # The (6,6) sets of the circulant (3,3,3) design include ones that
+        # three of the nine shifts fix.
+        assert stabilised or design != (3, 3, 3, (4, 2, 3), 3, False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(PLANNED_HOSTS), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_strict_subset_of_an_orbit(self, shape, m_copies, data):
+        # Part of one orbit, then a few instances of any orbit (repeats
+        # allowed), in any order.
+        host, qc, classes = planned_classes(*shape)
+        instances = data.draw(st.sampled_from(classes))
+        u = data.draw(st.sampled_from(instances))
+        images = {tuple(sorted(vmap[v] for v in u.vns)) for vmap in u.graph.shift_group[0].tolist()}
+        orbit = [w for w in instances if w.vns in images]
+        assert len(orbit) > 1
+        part = data.draw(st.lists(st.sampled_from(orbit), min_size=1, max_size=len(orbit) - 1,
+                                  unique_by=lambda w: w.vns))
+        others = data.draw(st.lists(st.sampled_from(instances), max_size=4))
+        subset = data.draw(st.permutations(part + others))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert_plans_as_reference(subset, unit_table(host, qc), m_copies, seed)
+
+    def test_identity_group_graphs(self):
+        host = md.build_graph(md.expand_qc(array_host(3, 4, 5)))
+        sparse = induced_subgraph(host, range(3, 20), [c for c in host.cns if c % 4 != 1])
+        for g in (moved_entry_graph(), sparse, md.build_graph(k4_host())):
+            assert len(g.shift_group[0]) == 1
+            found = [md.enumerate_uas(g, config) for config in legal_configs(range(2, 7), 3)]
+            found = [instances for instances in found if instances]
+            assert found
+            for seed, instances in enumerate(found):
+                assert_plans_as_reference(instances, entry_units(host if g is sparse else g), 3, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(host=irregular_hosts(), m_copies=st.sampled_from([3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_irregular_hosts(self, host, m_copies, seed):
+        m, gamma = host
+        g = md.build_graph(m)
+        for config in legal_configs(range(2, 6), gamma):
+            instances = md.enumerate_uas(g, config)
+            if instances:
+                assert_plans_as_reference(instances, unit_table(m), m_copies, seed)
 
 
 class TestAssembly:

@@ -69,6 +69,12 @@ class TestQcMatrix:
                 col = bj * 5 + (r + k) % 5
                 assert (row, col) in m.entry_index
 
+    def test_expansion_built_once(self):
+        q = array_host(3, 4, 5)
+        assert md.expand_qc(q) is md.expand_qc(q)
+        res = md.design_md(q, 3, md.UasConfig(4, 2, 3))
+        assert res.relocation.matrix is md.expand_qc(q)
+
     def test_block_positions(self):
         q = array_host(3, 4, 5)
         assert q.block_positions(2, 3) == ((10, 16), (11, 17), (12, 18), (13, 19), (14, 15))
