@@ -47,7 +47,6 @@ from .cycles import enumerate_cycles, minimum_cycle_basis
 from .relocation import (
     _BLOCK_CELLS,
     RelocationMap,
-    _potential_plan,
     activity_plans,
     check_copies,
     intact,
@@ -128,7 +127,7 @@ def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     The minimum is 0 exactly when the set reappears intact in every copy
     (see ``_detached_check_counts`` for the search over alignments).
     """
-    steps, v, m = sum(_potential_plan(u), []), reloc.values, reloc.m_copies
+    steps, v, m = np.concatenate(activity_plans([u]), axis=1)[0].tolist(), reloc.values, reloc.m_copies
     row = np.array([[(v[e1] - v[e2]) % m for *_, e1, e2 in steps]])
     hist, _ = _detached_check_counts(u.a, steps, m, 1, lambda start, stop: row)
     return int(np.flatnonzero(hist)[0])
@@ -165,7 +164,7 @@ def _measured_fractions(u: UasInstance, m: int, total: int, rows_at,
     its column of weights holds e1's sign per plan step; a row times the
     column is the cycle's alternating value sum.
     """
-    steps, sub, weights = sum(_potential_plan(u), []), u.deg2_subgraph(), []
+    steps, sub, weights = np.concatenate(activity_plans([u]), axis=1)[0].tolist(), u.deg2_subgraph(), []
     for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * u.a)):
         w = np.zeros((len(steps), len(cycles)), np.int16 if len(steps) * m < 2**15 else np.int64)
         for j, cycle in enumerate(cycles):

@@ -18,10 +18,10 @@ sets all of whose cycles satisfy this) are called *active* here.
 instances and maps at once by a spanning-tree potential solve; the
 designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
 ``activity_plans`` is the activity test's one reader of an instance's
-degree-2 edges: ``intact`` solves on its plans, and ``involvement``
-gathers from the same plans the relocation units each instance touches,
-for the designer and ``analyze``.  It walks one instance per orbit of the
-graph's shift group and maps that plan to the orbit's other members.
+degree-2 edges: ``intact`` solves on its plans, ``involvement`` gathers
+from the same plans the relocation units each instance touches, for the
+designer and ``analyze``, and the oracle's one-instance readers take their
+steps from them.  One numpy pass builds every instance's plan.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .shifts import _distinct, _positions
 from .tanner import BinaryMatrix, ParseError, QcMatrix, _Lines, _to_text, expand_qc
 
 GRANULARITIES = ("circulant", "entry")
@@ -186,111 +185,85 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
 
 
 # Cells per block: (instance, VN, column) potentials solved at once by
-# ``intact``, and (element, instance, VN) images ranked at once by
+# ``intact``, and (instance, check, edge) matches made at once by
 # ``activity_plans``; the oracle blocks its own kernels by the same budget.
 _BLOCK_CELLS = 1 << 18
-
-
-def _potential_plan(u):
-    """(tree, loops) that decide whether instance ``u`` survives a relocation.
-
-    A potential gives each VN a copy shift s.  A check with edge e1 at VN
-    x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
-    mod M, so each step is (x, y, e1, e2) over VN positions and host
-    entry ids and reads s(y) = s(x) + R(e1) - R(e2).  One walk over the
-    degree-2 checks from the first VN (pinned to 0) gives the tree steps,
-    each oriented from the VN it was reached from, so in order they solve
-    the one candidate potential; the set stays intact exactly when every
-    loop (non-tree check, sorted by check id) agrees with it.  That is the
-    paper's test, every cycle's alternating sum 0 mod M, read on the
-    fundamental cycles.  The checks' ends are read off the instance's own
-    VN adjacency, a * gamma edges, not off the checks' host rows.
-    """
-    members = {cn: [] for cn in u.deg2_cns}
-    for i, vn in enumerate(u.vns):
-        for cn, eid in u.graph.vn_adj[vn]:
-            if cn in members:
-                members[cn].append((i, eid))
-    steps, adj = {}, [[] for _ in u.vns]
-    for cn, ends in members.items():
-        if len(ends) != 2:
-            raise ValueError(f"check {cn} has induced degree {len(ends)}, expected 2")
-        (x, e1), (y, e2) = ends
-        steps[cn] = (x, y, e1, e2)
-        adj[x].append((cn, y, e1, e2))
-        adj[y].append((cn, x, e2, e1))
-    seen, tree, stack = {0}, [], [0]
-    while stack:
-        at = stack.pop()
-        for cn, other, e_at, e_other in adj[at]:
-            if other not in seen:
-                seen.add(other)
-                tree.append((at, other, e_at, e_other))
-                stack.append(other)
-                del steps[cn]
-    if len(seen) != len(u.vns):
-        raise ValueError("degree-2 subgraph is not connected")
-    return tree, [steps[cn] for cn in sorted(steps)]
 
 
 def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
     """The instances' potential plans stacked as (tree, loops) int64 arrays.
 
-    Layer i of each array holds instance i's (x, y, e1, e2) steps, one
-    per degree-2 check, as ``_potential_plan`` defines them.  All
-    instances must come from one graph and have the same VN and
-    degree-2 check counts, as the instances of one (a, d1) class do.
+    A potential gives each VN a copy shift s.  A check with edge e1 at VN
+    x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
+    mod M, so each step is (x, y, e1, e2) over positions in ``u.vns`` and
+    host entry ids and reads s(y) = s(x) + R(e1) - R(e2).  Layer i of each
+    array holds instance i's steps, one per degree-2 check.  The tree steps
+    span the degree-2 subgraph from the first VN (pinned to 0), each
+    oriented from a VN an earlier step solved, so in order they solve the
+    one candidate potential; the set stays intact exactly when every loop
+    (non-tree check, sorted by check id) agrees with it.  That is the
+    paper's test, every cycle's alternating sum 0 mod M, read on the
+    fundamental cycles; any spanning tree decides the same activity.
 
-    One instance per orbit of the graph's shift group is walked.  Element
-    k[i] takes instance i to its least image (the lexicographically least
-    sorted VN positions; found in blocks of ``_BLOCK_CELLS`` (element,
-    instance, VN) cells), and instances with the same least image share
-    an orbit.  Its first list member r is walked, and each other member,
-    h(r) for h = k[i]^-1 k[r], gets r's steps with e1 and e2 mapped
-    through ``entry_shifts`` and x and y moved to where h sends r's VNs,
-    so its walk starts at the image of r's first VN.  Any spanning tree
-    decides the same activity, so ``intact`` and ``involvement`` read
-    each instance's own answer.
+    All instances must come from one graph and have the same VN and
+    degree-2 check counts, as the instances of one (a, d1) class do.  Each
+    check's two ends are read off the instances' own VN adjacency, a
+    padded (check, entry id) table per VN, in blocks of at most
+    ``_BLOCK_CELLS`` (instance, check, edge) cells.  The tree grows in
+    a - 1 rounds: each instance takes its first check by id that joins a
+    solved VN to an unsolved one.
     """
     if not instances:
         return np.zeros((0, 0, 4), dtype=np.int64), np.zeros((0, 0, 4), dtype=np.int64)
     g = instances[0].graph
     if any(u.graph is not g for u in instances):
         raise ValueError("planned instances must come from one graph")
-    vmaps, emaps = g.shift_group[0], g.entry_shifts
-    vpos = _positions(g.vns, np.array([u.vns for u in instances], dtype=np.int64))
-    (n, a), size = vpos.shape, len(vmaps)
-    # k[i] takes instance i to its least image least[i]: column by column,
-    # until one element is left per instance, only the elements whose
-    # sorted images are least so far stay in.
-    k, least = np.empty(n, dtype=np.int64), np.empty_like(vpos)
-    step = max(1, _BLOCK_CELLS // (size * a))
+    # adj[v, k]: (check, entry id) of VN v's k-th edge; (-1, -1) past its degree.
+    by_vn = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    by_vn = by_vn[np.argsort(by_vn[:, 1], kind="stable")]
+    slot = np.arange(len(by_vn)) - np.searchsorted(by_vn[:, 1], by_vn[:, 1])
+    adj = np.full((max(g.vns) + 1, slot.max(initial=-1) + 1, 2), -1, dtype=np.int64)
+    adj[by_vn[:, 1], slot] = by_vn[:, ::2]
+    vns = np.array([u.vns for u in instances], dtype=np.int64)
+    deg2 = np.array([u.deg2_cns for u in instances], dtype=np.int64)
+    (n, a), d2, width = vns.shape, deg2.shape[1], adj.shape[1]
+    tree = np.empty((n, a - 1, 4), dtype=np.int64)
+    # Fewer than a - 1 checks cannot connect the VNs; the rounds refuse them.
+    loops = np.empty((n, max(0, d2 - a + 1), 4), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(1, d2 * a * width))
     for b0 in range(0, n, step):
-        images = np.sort(vmaps[:, vpos[b0:b0 + step]], axis=2)
-        keep = np.ones(images.shape[:2], dtype=bool)
-        for col in images.transpose(2, 0, 1):
-            if keep.sum(axis=0).max() == 1:
-                break
-            col = np.where(keep, col, len(g.vns))
-            keep &= col == col.min(axis=0)
-        k[b0:b0 + step] = keep.argmax(axis=0)
-        least[b0:b0 + step] = images[k[b0:b0 + step], np.arange(images.shape[1])]
-    # Equal least images make an orbit; its first list member is walked.
-    order, new = _distinct(least)
-    first, orbit = order[new], np.empty(n, dtype=np.int64)
-    orbit[order] = new.cumsum() - 1
-    plans = [_potential_plan(instances[r]) for r in first.tolist()]
-    steps = np.array([tree + loops for tree, loops in plans], dtype=np.int64).reshape(len(first), -1, 4)[orbit]
-    # Instance i is h(r) for its representative r, h = k[i]^-1 k[r]: r's VN
-    # x lands where i's VN has the same least-image position, and r's
-    # entry ids go through P for k[r], then back through P for k[i].
-    rep, canon = first[orbit], vmaps[k[:, None], vpos]
-    to_x = (canon[rep][:, :, None] == canon[:, None, :]).argmax(axis=2)
-    back = emaps.argsort(axis=1)
-    out = np.empty_like(steps)
-    out[..., :2] = to_x[np.arange(n)[:, None, None], steps[..., :2]]
-    out[..., 2:] = back[k[:, None, None], emaps[k[rep][:, None, None], steps[..., 2:]]]
-    return out[:, :a - 1], out[:, a - 1:]
+        edges, checks = adj[vns[b0:b0 + step]].reshape(-1, a * width, 2), deg2[b0:b0 + step]
+        nb, rows = len(checks), np.arange(len(checks))
+        hit = checks[:, :, None] == edges[:, None, :, 0]
+        degree = hit.sum(axis=2)
+        if (degree != 2).any():
+            i, j = np.argwhere(degree != 2)[0]
+            raise ValueError(f"check {checks[i, j]} has induced degree {degree[i, j]}, expected 2")
+        # Each check's two edges in VN order: x, y their VNs, e1, e2 their ids.
+        ends = hit.nonzero()[2].reshape(nb, d2, 2)
+        steps = np.concatenate((ends // width, edges[rows[:, None, None], ends, 1]), axis=2)
+        # when[i, v]: the round that solved VN v of instance i, a while
+        # unsolved; at[i, j] the flat indices into it of step j's x and y.
+        when = np.full((nb, a), a)
+        when[:, 0] = 0
+        at = steps[..., :2] + a * rows[:, None, None]
+        picked = np.empty((nb, a - 1), dtype=np.int64)
+        for k in range(a - 1):
+            reached = when.take(at) <= k
+            crossing = reached[..., 0] != reached[..., 1]
+            if not crossing.any(axis=1).all():
+                raise ValueError("degree-2 subgraph is not connected")
+            picked[:, k] = crossing.argmax(axis=1)
+            unsolved = np.where(reached[..., 0], at[..., 1], at[..., 0])
+            when.put(unsolved[rows, picked[:, k]], k + 1)
+        # A tree step whose y end was solved first is turned round.
+        block = steps[rows[:, None], picked]
+        order = when.take(at[rows[:, None], picked])
+        tree[b0:b0 + step] = np.where(order[..., 1:] < order[..., :1], block[..., [1, 0, 3, 2]], block)
+        in_tree = np.zeros((nb, d2), dtype=bool)
+        in_tree[rows[:, None], picked] = True
+        loops[b0:b0 + step] = steps[~in_tree].reshape(nb, -1, 4)
+    return tree, loops
 
 
 def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
@@ -299,7 +272,7 @@ def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
     ``plans`` comes from ``activity_plans``; ``values`` holds one row per
     host entry id and one column per relocation map.  Each instance is
     solved for its potential and checked on its loops (see
-    ``_potential_plan``).  Instances go in blocks of at most
+    ``activity_plans``).  Instances go in blocks of at most
     ``_BLOCK_CELLS`` (instance, VN, column) cells, and at least one
     instance per block.
     """

@@ -1,8 +1,7 @@
 """The free group of a Tanner graph's own cyclic shifts, as permutation arrays.
 
-``TannerGraph.shift_group`` and ``TannerGraph.entry_shifts`` keep on the
-graph the maps ``_shift_group`` and ``_entry_shifts`` compute here; the
-search of ``enumerate_uas`` and the plans of ``activity_plans`` read them.
+``TannerGraph.shift_group`` keeps on the graph the maps ``_shift_group``
+computes here; the search of ``enumerate_uas`` reads them.
 """
 
 from __future__ import annotations
@@ -72,32 +71,6 @@ def _shift_group(g) -> tuple[np.ndarray, np.ndarray]:
             if grown is not None:
                 group, gens = grown, gens + [(vmap, cmap)]
     return np.array([v for v, _ in group]), np.array([c for _, c in group])
-
-
-def _entry_shifts(g) -> np.ndarray:
-    """P: element k of ``g.shift_group`` sends entry id e to P[k, e].
-
-    Element k maps edge (cn, vn) to (C[k][cn], V[k][vn]) over positions;
-    sorted edge keys cn * len(vns) + vn let ``searchsorted`` find each
-    image's entry id.  Ids no edge carries map to themselves.
-    """
-    vmaps, cmaps = g.shift_group
-    cn, vn, eid = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
-    cpos, vpos = _positions(g.cns, cn), _positions(g.vns, vn)
-    keys = cpos * len(g.vns) + vpos
-    order = np.argsort(keys)
-    images = cmaps[:, cpos] * len(g.vns) + vmaps[:, vpos]
-    emaps = np.empty((len(vmaps), eid.max(initial=-1) + 1), dtype=np.int64)
-    emaps[:] = np.arange(emaps.shape[1])
-    emaps[:, eid] = eid[order[np.searchsorted(keys[order], images)]]
-    return emaps
-
-
-def _positions(nodes: tuple[int, ...], ids) -> np.ndarray:
-    """The positions in ``nodes`` (a graph's ``vns`` or ``cns``) of an int array of their ids."""
-    nodes = np.asarray(nodes)
-    order = nodes.argsort()
-    return order[nodes[order].searchsorted(ids)]
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

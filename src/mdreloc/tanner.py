@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .shifts import _entry_shifts, _shift_group
+from .shifts import _shift_group
 
 
 class ParseError(ValueError):
@@ -206,11 +206,6 @@ class TannerGraph:
     def shift_group(self) -> tuple[np.ndarray, np.ndarray]:
         """(V, C): ``shifts._shift_group`` of this graph, detected on first use."""
         return _shift_group(self)
-
-    @cached_property
-    def entry_shifts(self) -> np.ndarray:
-        """P: ``shifts._entry_shifts`` of this graph, derived on first use."""
-        return _entry_shifts(self)
 
 
 def build_graph(m: BinaryMatrix) -> TannerGraph:

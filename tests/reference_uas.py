@@ -9,7 +9,7 @@ degree-2 entry ids itself, to check the edges the potential plans of
 inputs small.
 
 The tuple shift group and its dict expansion are the library's earlier
-versions of ``tanner._shift_group`` and of the orbit expansion in
+versions of ``shifts._shift_group`` and of the orbit expansion in
 ``enumerate_uas``, kept as differential oracles for the permutation
 arrays that replaced them.
 """

@@ -496,18 +496,6 @@ class TestGroupAgainstReference:
         assert all((a == b).all() for a, b in zip(g.shift_group, _shift_group(g)))
 
     @pytest.mark.parametrize("case, classes", GROUP_CASES)
-    def test_entry_shifts_send_edges_to_their_images(self, case, classes):
-        g = _case_graph(case)
-        vmaps, cmaps = (maps.tolist() for maps in g.shift_group)
-        shifts = g.entry_shifts.tolist()
-        ends = {eid: (cn, vn) for cn, vn, eid in g.edges}
-        assert len(shifts) == len(vmaps)
-        for vmap, cmap, emap in zip(vmaps, cmaps, shifts):
-            assert sorted(emap) == list(range(len(g.edges)))
-            for cn, vn, eid in g.edges:
-                assert ends[emap[eid]] == (cmap[cn], vmap[vn])
-
-    @pytest.mark.parametrize("case, classes", GROUP_CASES)
     def test_expansion_equals_reference(self, case, classes):
         # The instance of least VN tuple in each orbit, expanded through the
         # tuple group by the dict expansion, gives the whole list.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mdreloc as md
 import mdreloc.relocation as relocation
-from mdreloc.relocation import _potential_plan, activity_plans, intact, involvement, unit_table
+from mdreloc.relocation import activity_plans, intact, involvement, unit_table
 
 import reference_activity
 import reference_md
@@ -295,14 +295,14 @@ class TestPotentialPlan:
         m = md.BinaryMatrix.from_entries(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)])
         inst = md.UasInstance((0, 1, 2), (), (0, 1, 2), md.build_graph(m))
         with pytest.raises(ValueError, match="check 0 has induced degree 3, expected 2"):
-            _potential_plan(inst)
+            activity_plans([inst])
 
     def test_disconnected_degree2_part_rejected(self):
         # Two VN pairs, each joined by its own check.
         m = md.BinaryMatrix.from_entries(2, 4, [(0, 0), (0, 1), (1, 2), (1, 3)])
         inst = md.UasInstance((0, 1, 2, 3), (), (0, 1), md.build_graph(m))
         with pytest.raises(ValueError, match="degree-2 subgraph is not connected"):
-            _potential_plan(inst)
+            activity_plans([inst])
 
 
 class TestUnits:
@@ -391,8 +391,9 @@ def assert_plan_contract(instances, plans):
     """Each row holds its instance's own steps, in an order that solves the potential.
 
     One step per degree-2 check; x and y are positions in ``u.vns`` whose
-    edges e1 and e2 meet at that check; every tree step reads a VN that
-    the root or an earlier step solved, and the tree reaches every VN.
+    edges e1 and e2 meet at that check; the loops come in check-id order;
+    every tree step reads a VN that the root or an earlier step solved,
+    and the tree reaches every VN.
     """
     tree, loops = (steps.tolist() for steps in plans)
     for u, t, l in zip(instances, tree, loops):
@@ -403,6 +404,7 @@ def assert_plan_contract(instances, plans):
             assert (c1, v1, v2) == (c2, u.vns[x], u.vns[y])
             checks.append(c1)
         assert sorted(checks) == list(u.deg2_cns)
+        assert checks[len(t):] == sorted(checks[len(t):])
         solved = {t[0][0] if t else 0}
         for x, y, *_ in t:
             assert x in solved and y not in solved
@@ -411,7 +413,7 @@ def assert_plan_contract(instances, plans):
 
 
 def assert_plans_as_reference(instances, units, m_copies, seed):
-    """Orbit plans give the reference plans' verdicts and involvement, and keep the contract."""
+    """Plans give the reference plans' verdicts and involvement, and keep the contract."""
     plans = activity_plans(instances)
     n_entries = 1 + max(eid for eids in units.values() for eid in eids)
     values = np.random.default_rng(seed).integers(0, m_copies, size=(n_entries, 4))
@@ -426,8 +428,8 @@ def entry_units(g):
     return {("e", cn, vn): (eid,) for cn, vn, eid in g.edges}
 
 
-class TestOrbitPlansAgainstReference:
-    """Plans walked once per orbit and mapped through the shift group, against per-instance plans."""
+class TestPlanContractAgainstReference:
+    """Plans of symmetric, stabilised and irregular instance lists, against per-instance reference walks."""
 
     @pytest.mark.parametrize("shape", PLANNED_HOSTS)
     @pytest.mark.parametrize("granularity", relocation.GRANULARITIES)
@@ -437,22 +439,19 @@ class TestOrbitPlansAgainstReference:
         for seed, instances in enumerate(classes):
             assert_plans_as_reference(instances, units, 5, seed)
 
-    @pytest.mark.parametrize("shape", PLANNED_HOSTS)
-    def test_one_walk_per_orbit(self, shape, monkeypatch):
-        _, _, classes = planned_classes(*shape)
-        walked = []
-        walk = relocation._potential_plan
-        monkeypatch.setattr(relocation, "_potential_plan", lambda u: walked.append(u) or walk(u))
-        for instances in classes:
-            walked.clear()
-            activity_plans(instances)
-            # The first list member of each orbit, an orbit named by its least image.
-            vmaps = instances[0].graph.shift_group[0].tolist()
-            first = {}
-            for u in instances:
-                first.setdefault(min(tuple(sorted(vmap[v] for v in u.vns)) for vmap in vmaps), u.vns)
-            assert sorted(u.vns for u in walked) == sorted(first.values())
-            assert len(walked) < len(instances)
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_blocks_give_the_unblocked_plans(self, monkeypatch, cells):
+        host = md.build_graph(md.expand_qc(array_host(3, 5, 5)))
+        moved = moved_entry_graph()
+        assert len(moved.shift_group[0]) == 1
+        lists = [md.enumerate_uas(host, md.UasConfig(4, 2, 3)), md.enumerate_uas(moved, md.UasConfig(6, 4, 3))]
+        whole = [activity_plans(instances) for instances in lists]
+        monkeypatch.setattr(relocation, "_BLOCK_CELLS", cells)
+        for instances, (tree, loops) in zip(lists, whole):
+            got = activity_plans(instances)
+            assert (got[0] == tree).all() and got[0].shape == tree.shape
+            assert (got[1] == loops).all() and got[1].shape == loops.shape
+            assert_plan_contract(instances, got)
 
     @pytest.mark.parametrize(
         "design, recounts",
