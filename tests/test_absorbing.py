@@ -496,6 +496,17 @@ class TestGroupAgainstReference:
         assert all((a == b).all() for a, b in zip(g.shift_group, _shift_group(g)))
 
     @pytest.mark.parametrize("case, classes", GROUP_CASES)
+    def test_group_sends_edges_to_their_images(self, case, classes):
+        # Every element permutes the VNs and checks, fixes no VN unless it is
+        # the identity, and sends each edge (cn, vn) to an edge.
+        g = _case_graph(case)
+        group = _group(g)
+        for i, (vmap, cmap) in enumerate(group):
+            assert sorted(vmap) == list(g.vns) and sorted(cmap) == list(g.cns)
+            assert i == 0 or all(v != x for v, x in zip(g.vns, vmap))
+            assert _maps_edges_onto_itself(g, vmap, cmap)
+
+    @pytest.mark.parametrize("case, classes", GROUP_CASES)
     def test_expansion_equals_reference(self, case, classes):
         # The instance of least VN tuple in each orbit, expanded through the
         # tuple group by the dict expansion, gives the whole list.

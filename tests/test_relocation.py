@@ -439,6 +439,28 @@ class TestPlanContractAgainstReference:
         for seed, instances in enumerate(classes):
             assert_plans_as_reference(instances, units, 5, seed)
 
+    @pytest.mark.parametrize("shape", PLANNED_HOSTS)
+    def test_circulant_maps_give_one_verdict_per_orbit(self, shape):
+        # A shift keeps every entry in its circulant, so under a circulant
+        # map the images of a set, each planned on its own, share its verdict.
+        host, qc, classes = planned_classes(*shape)
+        units = list(unit_table(host, qc).values())
+        unit_of = {eid: k for k, eids in enumerate(units) for eid in eids}
+        g = classes[0][0].graph
+        vmaps, cmaps = g.shift_group[0].tolist(), g.shift_group[1].tolist()
+        assert len(vmaps) > 1
+        assert all(unit_of[host.entry_index[cmap[cn], vmap[vn]]] == unit_of[eid]
+                   for vmap, cmap in zip(vmaps, cmaps) for cn, vn, eid in g.edges)
+        rng = np.random.default_rng(shape)
+        for instances in classes:
+            values = rng.integers(0, 5, size=(len(units), 8))[[unit_of[e] for e in range(len(unit_of))]]
+            verdicts = intact(activity_plans(instances), values, 5)
+            by_orbit = {}
+            for u, row in zip(instances, verdicts.tolist()):
+                orbit = min(tuple(sorted(vmap[v] for v in u.vns)) for vmap in vmaps)
+                assert by_orbit.setdefault(orbit, row) == row, u.vns
+            assert len(by_orbit) < len(instances)
+
     @pytest.mark.parametrize("cells", [1, 7, 50])
     def test_blocks_give_the_unblocked_plans(self, monkeypatch, cells):
         host = md.build_graph(md.expand_qc(array_host(3, 5, 5)))
