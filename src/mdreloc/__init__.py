@@ -9,7 +9,6 @@ most common entry points are re-exported here.
 """
 
 from .absorbing import (
-    CANONICAL_UAS,
     CanonicalUas,
     UasConfig,
     UasInstance,
@@ -27,7 +26,6 @@ from .analysis import (
     expected_md_instances,
     fraction_report,
     fraction_report_for_basis,
-    fraction_tsv,
     savings,
 )
 from .cycles import Cycle, CycleBasis, enumerate_cycles, minimum_cycle_basis
@@ -38,7 +36,6 @@ from .designer import (
     design_md,
     report_log,
     report_tsv,
-    vote,
 )
 from .oracle import (
     EmpiricalFractions,
@@ -54,7 +51,6 @@ from .oracle import (
 from .relocation import (
     RelocationMap,
     assemble_md,
-    is_prime,
     parse_reloc,
 )
 from .tanner import (
@@ -92,7 +88,6 @@ __all__ = [
     "UasConfig",
     "UasInstance",
     "CanonicalUas",
-    "CANONICAL_UAS",
     "canonical_uas",
     "enumerate_uas",
     "degree2_check_count",
@@ -101,7 +96,6 @@ __all__ = [
     "classify_config",
     "RelocationMap",
     "parse_reloc",
-    "is_prime",
     "assemble_md",
     "BasisIntersections",
     "FractionReport",
@@ -110,7 +104,6 @@ __all__ = [
     "fraction_report_for_basis",
     "savings",
     "expected_md_instances",
-    "fraction_tsv",
     "min_detached_checks",
     "EmpiricalFractions",
     "exhaustive_fractions",
@@ -124,7 +117,6 @@ __all__ = [
     "DesignResult",
     "DesignReport",
     "StepRecord",
-    "vote",
     "report_tsv",
     "report_log",
 ]

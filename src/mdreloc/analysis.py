@@ -29,20 +29,14 @@ from .relocation import check_copies
 class BasisIntersections:
     """CN-sharing structure of a cycle basis.
 
-    ``cycle_cn_sets[i]`` holds the CNs of basic cycle i.
     ``exclusive_groups`` are the nonempty sets of CNs that appear in one
     basic cycle and no other; ``shared_groups`` the nonempty pairwise
     intersections of basic cycles.  Both are deduplicated as sorted
     tuples, which is what the fraction formulas consume.
     """
 
-    cycle_cn_sets: tuple[frozenset[int], ...]
     exclusive_groups: tuple[tuple[int, ...], ...]
     shared_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.exclusive_groups) + len(self.shared_groups)
 
 
 def basis_intersections(basis: CycleBasis) -> BasisIntersections:
@@ -52,7 +46,6 @@ def basis_intersections(basis: CycleBasis) -> BasisIntersections:
     shared = [cn_sets[i] & cn_sets[j] for i in range(n) for j in range(i + 1, n)]
     exclusive = [cn_sets[i].difference(*(cn_sets[j] for j in range(n) if j != i)) for i in range(n)]
     return BasisIntersections(
-        cycle_cn_sets=cn_sets,
         exclusive_groups=tuple(sorted({tuple(sorted(d)) for d in exclusive if d})),
         shared_groups=tuple(sorted({tuple(sorted(s)) for s in shared if s})),
     )
@@ -169,8 +162,3 @@ def tsv_row(config_label: str, report: FractionReport) -> str:
         s2,
     ]
     return "\t".join(str(c) for c in cells)
-
-
-def fraction_tsv(rows) -> str:
-    """Full TSV document from (label, report) pairs."""
-    return "\n".join([TSV_HEADER, *(tsv_row(label, rep) for label, rep in rows)]) + "\n"

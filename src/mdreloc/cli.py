@@ -225,9 +225,7 @@ def cmd_design(args) -> int:
     m = _check_m(args.m)
     matrix, qc, config = _load_target(args.input, args.uas)
     try:
-        result = design_md(
-            matrix if qc is None else qc, m, config, entry_granularity=args.entry_granularity
-        )
+        result = design_md(matrix if qc is None or args.entry_granularity else qc, m, config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     sys.stdout.write(report_log(result.report))

@@ -1,12 +1,13 @@
 """Greedy relocation design that removes a target absorbing set from an MD code.
 
 The loop works on *units*: whole circulants for quasi-cyclic hosts,
-single entries otherwise (or when forced).  Each round counts how many
-still-active target instances involve each unassigned unit through a
-degree-2 edge, picks the most involved unit, lets every instance
-involving it vote for the relocation values under which its potential
-solve fails (``relocation.intact``: no per-VN copy shift keeps all its
-degree-2 checks in one copy), and permanently assigns the winning value,
+single entries otherwise (pass ``expand_qc(qc)`` to relocate a QC
+host's entries).  Each round counts how many still-active target
+instances involve each unassigned unit through a degree-2 edge, picks
+the most involved unit, lets every instance involving it vote for the
+relocation values under which its potential solve fails
+(``relocation.intact``: no per-VN copy shift keeps all its degree-2
+checks in one copy), and permanently assigns the winning value,
 preferring the auxiliary matrix that currently holds the fewest units.
 The vote's verdicts under the winning value become the new activity of
 the instances involving the unit, and no other instance can change, so
@@ -119,20 +120,15 @@ def _precondition_warnings(graph, config) -> list[str]:
     return notes
 
 
-def design_md(
-    host,
-    m_copies: int,
-    config: UasConfig,
-    *,
-    entry_granularity: bool = False,
-) -> DesignResult:
+def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
     """Run the full design loop and assemble the MD matrix.
 
-    ``host`` is a QcMatrix (relocating circulants unless
-    ``entry_granularity``) or a BinaryMatrix (always entries).  M must be
-    an odd prime and the host column weight must match the target's.
-    Structural preconditions (no 4-cycles, no smaller-d1 siblings) are
-    checked and reported as notes in ``DesignReport.warnings``, not errors.
+    ``host`` is a QcMatrix (relocating circulants) or a BinaryMatrix
+    (relocating entries), so ``design_md(expand_qc(qc), m, config)``
+    designs a QC host entry by entry.  M must be an odd prime and the host
+    column weight must match the target's.  Structural preconditions (no
+    4-cycles, no smaller-d1 siblings) are checked and reported as notes in
+    ``DesignReport.warnings``, not errors.
     """
     check_copies(m_copies)
     if isinstance(host, QcMatrix):
@@ -150,7 +146,7 @@ def design_md(
     graph = build_graph(matrix)
     notes = _precondition_warnings(graph, config)
 
-    reloc = RelocationMap(m_copies, matrix, qc=None if entry_granularity else qc)
+    reloc = RelocationMap(m_copies, matrix, qc)
     assign = reloc.assign_entry if reloc.qc is None else reloc.assign_circulant
     units = list(reloc.units)
 

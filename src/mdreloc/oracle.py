@@ -1,8 +1,12 @@
 """Brute-force verifiers for relocation activity, fractions, and averages.
 
-Everything in this module recomputes results from first principles so it
-can sit on the other side of an equality check from the closed forms and
-the designer:
+These results sit on the other side of an equality check from the
+closed forms and the designer, but not all from first principles:
+``monte_carlo_avg`` and ``md_object_profile`` score with
+``relocation.intact``, and the detached-check searches below take their
+steps from ``relocation.activity_plans``.  Per-edge references in the
+tests check those paths (``tests/reference_mc.py``, ``reference_md.py``
+and ``reference_fractions.py``).
 
 * ``min_detached_checks`` searches all copy alignments of an absorbing
   set directly instead of evaluating cycle sums.

@@ -126,10 +126,6 @@ class RelocationMap:
         """Assign all p entries of one circulant block."""
         self._assign(("c", bi, bj), ell)
 
-    def value(self, entry_id: int) -> int:
-        """Relocation value of an entry-id (0 when unassigned)."""
-        return self._values.item(entry_id)
-
     @property
     def assigned_units(self) -> tuple[tuple, ...]:
         """Assignments in order, as ('c', bi, bj, ell) / ('e', row, col, ell)."""

@@ -24,7 +24,8 @@ def array_host(rows: int, cols: int, p: int) -> md.QcMatrix:
 @functools.lru_cache
 def designed_graph(rows, cols, p, target, m, entry) -> md.TannerGraph:
     """Tanner graph of the MD matrix ``design_md`` emits for an array host, built once."""
-    res = md.design_md(array_host(rows, cols, p), m, md.UasConfig(*target), entry_granularity=entry)
+    host = array_host(rows, cols, p)
+    res = md.design_md(md.expand_qc(host) if entry else host, m, md.UasConfig(*target))
     return md.build_graph(res.h_md)
 
 
@@ -61,6 +62,12 @@ def k4_host() -> md.BinaryMatrix:
     pairs = itertools.combinations(range(4), 2)
     entries = [(r, v) for r, pair in enumerate(pairs) for v in pair]
     return md.BinaryMatrix.from_entries(6, 4, entries)
+
+
+def shared_cycle_host() -> md.BinaryMatrix:
+    """A 3-regular 6 x 5 host whose only (4,0) sets, VNs {0,1,2,3} and {0,1,2,4}, share a 6-cycle."""
+    checks = [(0, 1), (0, 2), (1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 4)]
+    return md.BinaryMatrix.from_entries(6, 5, [(r, v) for r, vns in enumerate(checks) for v in vns])
 
 
 def induced_subgraph(g: md.TannerGraph, vns, cns) -> md.TannerGraph:

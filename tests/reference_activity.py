@@ -39,7 +39,7 @@ def alternating_value_sum(cycle: Cycle, value) -> int:
 
 def is_cycle_active(cycle: Cycle, reloc: RelocationMap) -> bool:
     """A cycle stays a within-copy cycle iff its alternating sum is 0 mod M."""
-    return alternating_value_sum(cycle, reloc.value) % reloc.m_copies == 0
+    return alternating_value_sum(cycle, reloc.values.item) % reloc.m_copies == 0
 
 
 def is_uas_active(basis, reloc: RelocationMap) -> bool:

@@ -57,7 +57,7 @@ def vote(basis: CycleBasis, unit_entries, reloc: RelocationMap) -> frozenset[int
     votes = set()
     for xi in range(1, m):
         def overlaid(eid, _xi=xi):
-            return _xi if eid in unit else reloc.value(eid)
+            return _xi if eid in unit else reloc.values.item(eid)
 
         if any(alternating_value_sum(c, overlaid) % m for c in basis.cycles):
             votes.add(xi)

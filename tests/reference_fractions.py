@@ -65,8 +65,8 @@ def reference_min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     pots = _potentials(m, u.a)
     detached = np.zeros(pots.shape[0], dtype=np.int64)
     for (iu, e1), (iv, e2) in _deg2_cn_edges(u):
-        lhs = (reloc.value(e1) + pots[:, iu]) % m
-        rhs = (reloc.value(e2) + pots[:, iv]) % m
+        lhs = (reloc.values.item(e1) + pots[:, iu]) % m
+        rhs = (reloc.values.item(e2) + pots[:, iv]) % m
         detached += lhs != rhs
     return int(detached.min())
 

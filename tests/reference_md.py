@@ -1,9 +1,9 @@
 """Reference MD lift: the per-edge assembly and instance subgraph.
 
 Kept verbatim as a differential oracle.  Both read one relocation value
-per host entry through ``RelocationMap.value`` and place each entry's M
-copies by ``md_edge_copies``, so they share no lifting code with
-``mdreloc.relocation.assemble_md`` (which reads the map's value vector)
+per host entry at a time off ``RelocationMap.values`` and place each
+entry's M copies by ``md_edge_copies``, so they share no lifting code with
+``mdreloc.relocation.assemble_md`` (which lifts the whole value vector)
 or with ``mdreloc.oracle.md_object_profile`` (which reads the shape of
 an instance's lift off the ``intact`` potential solve).
 """
@@ -32,7 +32,7 @@ def assemble_md(matrix: BinaryMatrix, reloc: RelocationMap) -> BinaryMatrix:
     m = reloc.m_copies
     out = []
     for eid, (r, c) in enumerate(matrix.entries):
-        for ci, cj in md_edge_copies(reloc.value(eid), m):
+        for ci, cj in md_edge_copies(reloc.values.item(eid), m):
             out.append((ci * matrix.n_rows + r, cj * matrix.n_cols + c))
     return BinaryMatrix.from_entries(m * matrix.n_rows, m * matrix.n_cols, out)
 
@@ -51,7 +51,7 @@ def md_instance_subgraph(u: UasInstance, reloc: RelocationMap) -> TannerGraph:
     for cn, vn, eid in u.graph.edges:
         if vn not in vset:
             continue
-        for ci, cj in md_edge_copies(reloc.value(eid), m):
+        for ci, cj in md_edge_copies(reloc.values.item(eid), m):
             placed.append((ci * n_rows + cn, cj * n_cols + vn))
     placed.sort()
     edges = tuple((r, c, i) for i, (r, c) in enumerate(placed))

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from mdreloc import TannerGraph, UasConfig, UasInstance, is_prime
+from mdreloc import TannerGraph, UasConfig, UasInstance
+from mdreloc.relocation import is_prime
 
 
 def _deg2_connected(g: TannerGraph, vns, deg2_cns) -> bool:

@@ -286,9 +286,8 @@ class TestAgainstReference:
         ],
     )
     def test_designed_md_matrices(self, rows, cols, p, target, entry, recount, count):
-        res = md.design_md(
-            array_host(rows, cols, p), 3, md.UasConfig(*target), entry_granularity=entry
-        )
+        host = array_host(rows, cols, p)
+        res = md.design_md(md.expand_qc(host) if entry else host, 3, md.UasConfig(*target))
         g = md.build_graph(res.h_md)
         config = md.UasConfig(*recount)
         ref = reference_enumerate_uas(g, config)
@@ -297,9 +296,7 @@ class TestAgainstReference:
 
     def test_md_matrix_wider_than_64_checks(self):
         # 75 checks: the check masks need more than one machine word.
-        res = md.design_md(
-            array_host(3, 4, 5), 5, md.UasConfig(4, 2, 3), entry_granularity=True
-        )
+        res = md.design_md(md.expand_qc(array_host(3, 4, 5)), 5, md.UasConfig(4, 2, 3))
         assert res.h_md.n_rows == 75
         g = md.build_graph(res.h_md)
         config = md.UasConfig(4, 4, 3)
@@ -321,6 +318,7 @@ class TestAgainstReference:
             total += len(ref)
         assert total
 
+    @pytest.mark.differential
     @settings(max_examples=100, deadline=None)
     @given(host=irregular_hosts())
     def test_irregular_column_weights(self, host):
@@ -450,6 +448,7 @@ class TestShiftSymmetry:
             counts[(config.a, config.d1)] = len(ref)
         assert {k: n for k, n in counts.items() if n} == {(3, 1): 4, (4, 4): 16, (5, 3): 32}
 
+    @pytest.mark.differential
     @settings(max_examples=60, deadline=None)
     @given(case=relocated_qc_hosts())
     def test_relocated_qc_hosts(self, case):
@@ -483,6 +482,7 @@ def _case_graph(case):
     return {"dihedral": dihedral_graph, "moved": moved_entry_graph}[kind]()
 
 
+@pytest.mark.differential
 class TestGroupAgainstReference:
     """The group as permutation arrays and the numpy orbit expansion, against the tuple group and dict expansion."""
 

@@ -13,16 +13,16 @@ from mdreloc.analysis import TSV_HEADER, tsv_row
 class TestBasisIntersections:
     def test_two_cycle_reference(self, basis_4_2):
         info = md.basis_intersections(basis_4_2)
-        assert info.cycle_cn_sets == (frozenset({0, 3, 4}), frozenset({1, 2, 4}))
+        assert [set(c.cns) for c in basis_4_2.cycles] == [{0, 3, 4}, {1, 2, 4}]
         assert info.exclusive_groups == ((0, 3), (1, 2))
         assert info.shared_groups == ((4,),)
-        assert info.group_count == 3
+        assert len(info.exclusive_groups) + len(info.shared_groups) == 3
 
     def test_three_cycle_reference(self, basis_4_4):
         info = md.basis_intersections(basis_4_4)
         assert info.exclusive_groups == ((0,), (1,), (5,))
         assert info.shared_groups == ((2,), (3,), (4,))
-        assert info.group_count == 6
+        assert len(info.exclusive_groups) + len(info.shared_groups) == 6
 
     def test_groups_are_disjoint(self, basis_4_4):
         info = md.basis_intersections(basis_4_4)
@@ -110,12 +110,10 @@ class TestTsv:
         assert row44 == "4_4_g4\t5\t3\t3\t3\t64/125\t24/125\t124/125\t4/5\t80\t144/5"
 
     def test_header_and_assembly(self, basis_4_2):
-        text = md.fraction_tsv([("4_2_g3", md.fraction_report_for_basis(basis_4_2, 5))])
-        lines = text.splitlines()
-        assert lines[0] == TSV_HEADER
-        assert lines[0].split("\t") == [
+        row = tsv_row("4_2_g3", md.fraction_report_for_basis(basis_4_2, 5))
+        assert TSV_HEADER.split("\t") == [
             "config", "M", "n_f", "l1", "l2", "f_nof", "f_noc_bound",
             "f_nou", "f_not", "s1_pct", "s2_pct",
         ]
-        assert len(lines) == 2
-        assert text.endswith("\n")
+        assert len(row.split("\t")) == len(TSV_HEADER.split("\t"))
+        assert "\n" not in TSV_HEADER + row

@@ -14,7 +14,7 @@ import pytest
 import mdreloc as md
 from mdreloc.cli import main
 
-from conftest import array_host, k4_host
+from conftest import array_host, k4_host, shared_cycle_host
 
 GOLDEN_4_2_M5 = (
     "config\tM\tn_f\tl1\tl2\tf_nof\tf_noc_bound\tf_nou\tf_not\ts1_pct\ts2_pct\n"
@@ -300,6 +300,18 @@ class TestDesignVerify:
         text = Path(reloc_path).read_text()
         assert text.startswith("reloc M=3 granularity=entry")
 
+    def test_entry_granularity_designs_the_expanded_host(self, host33, tmp_path, capsys):
+        alist = tmp_path / "host33.alist"
+        alist.write_text(md.write_alist(md.expand_qc(md.parse_qc(Path(host33).read_text()))))
+        runs = []
+        for name, argv in [("qc", [host33, "--entry-granularity"]), ("alist", [str(alist)])]:
+            outs = [str(tmp_path / f"{name}.{ext}") for ext in ("md", "reloc", "tsv")]
+            rc = main(["design", "--input", *argv, "--uas", "4,2", "--M", "3",
+                       "--out-md", outs[0], "--out-reloc", outs[1], "--report", outs[2]])
+            runs.append((rc, capsys.readouterr().out, *(Path(p).read_bytes() for p in outs)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input"],
@@ -387,6 +399,15 @@ class TestOracle:
         assert rc == 3
         captured = capsys.readouterr()
         assert "--threads must be between 1 and 2" in captured.err
+        assert captured.out == ""
+
+    def test_shared_cycle_host_rejected(self, tmp_path, capsys):
+        path = tmp_path / "shared.alist"
+        path.write_text(md.write_alist(shared_cycle_host()))
+        rc = main(["oracle", "--input", str(path), "--uas", "4,0", "--M", "3", "--trials", "10"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: instances 0 and 1 share a cycle\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("trials", ["0", "1"])

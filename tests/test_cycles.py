@@ -182,6 +182,7 @@ class TestMinimumBasis:
         assert all(c.length == 6 for c in basis_4_4.cycles)
 
 
+@pytest.mark.differential
 class TestBasisAgainstReference:
     """The rank-checked basis against the one that ran its own component search."""
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdreloc as md
-from mdreloc.designer import REPORT_TSV_HEADER
+from mdreloc.designer import REPORT_TSV_HEADER, vote
 from mdreloc.relocation import activity_plans, intact
 
 from conftest import array_host, k4_host, lift_identity
@@ -27,7 +27,7 @@ def run_quiet(*args, **kwargs):
 
 
 def broken(kept) -> dict[int, int]:
-    """``{xi: instances broken by xi}`` from a verdict matrix of ``md.vote``."""
+    """``{xi: instances broken by xi}`` from a verdict matrix of ``vote``."""
     return {xi: int((~col).sum()) for xi, col in enumerate(kept.T, start=1)}
 
 
@@ -40,7 +40,7 @@ class TestVote:
         zero = md.RelocationMap(3, uas_4_2.incidence)
         values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
         for eid in (8, 0):
-            assert broken(md.vote(plans, (eid,), values, 3)) == {1: 1, 2: 1}
+            assert broken(vote(plans, (eid,), values, 3)) == {1: 1, 2: 1}
             assert reference_vote(basis_4_2, (eid,), zero) == frozenset({1, 2})
 
     def test_paired_entries_cancel(self, uas_4_2, basis_4_2, plans):
@@ -48,14 +48,13 @@ class TestVote:
         # keeps its zero sum and no value gets a vote
         zero = md.RelocationMap(3, uas_4_2.incidence)
         values = np.zeros(len(uas_4_2.incidence.entries), dtype=np.int64)
-        assert broken(md.vote(plans, (8, 9), values, 3)) == {1: 0, 2: 0}
+        assert broken(vote(plans, (8, 9), values, 3)) == {1: 0, 2: 0}
         assert reference_vote(basis_4_2, (8, 9), zero) == frozenset()
 
     def test_votes_respect_existing_values(self, uas_4_2, basis_4_2, plans):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 3, 1)
-        values = np.array([reloc.value(e) for e in range(len(uas_4_2.incidence.entries))])
-        assert broken(md.vote(plans, (8,), values, 3)) == {1: 0, 2: 1}
+        assert broken(vote(plans, (8,), reloc.values, 3)) == {1: 0, 2: 1}
         assert reference_vote(basis_4_2, (8,), reloc) == frozenset({2})
 
     def test_tally_counts_instances(self):
@@ -64,10 +63,9 @@ class TestVote:
         instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
         reloc = md.RelocationMap(5, host)
         reloc.assign_entry(*host.entries[3], 2)
-        values = np.array([reloc.value(e) for e in range(len(host.entries))])
         bases = [md.minimum_cycle_basis(inst.deg2_subgraph()) for inst in instances]
         for unit in [(0,), (3, 4), (10, 20, 30)]:
-            kept = md.vote(activity_plans(instances), unit, values, 5)
+            kept = vote(activity_plans(instances), unit, reloc.values, 5)
             assert kept.shape == (len(instances), 4)
             for row, basis in zip(kept, bases):
                 votes = reference_vote(basis, unit, reloc)
@@ -88,7 +86,8 @@ class TestLoop:
 
         monkeypatch.setattr("mdreloc.designer.intact", counted)
         config = md.UasConfig(*target, shape[0])
-        rep = md.design_md(array_host(*shape), m_copies, config, entry_granularity=entry).report
+        host = array_host(*shape)
+        rep = md.design_md(md.expand_qc(host) if entry else host, m_copies, config).report
         assert len(rep.steps) == n_steps
         assert len(calls) == n_steps
 
@@ -98,7 +97,7 @@ class TestLoop:
         # instances that earlier steps broke.
         host = md.expand_qc(array_host(3, 4, 5))
         config = md.UasConfig(5, 3, 3)
-        res = md.design_md(host, 3, config, entry_granularity=True)
+        res = md.design_md(host, 3, config)
         plans = activity_plans(md.enumerate_uas(md.build_graph(host), config))
         replay = md.RelocationMap(3, host)
         assigned = res.relocation.assigned_units
@@ -193,9 +192,9 @@ class TestClosure:
         assert len(rep.aux_counts) == m_copies - 1
 
     def test_entry_granularity_closure(self):
-        host = array_host(3, 3, 3)
+        host = md.expand_qc(array_host(3, 3, 3))
         config = md.UasConfig(4, 2, 3)
-        res = md.design_md(host, 3, config, entry_granularity=True)
+        res = md.design_md(host, 3, config)
         assert res.report.final_active == 0
         assert md.enumerate_md_uas(res.h_md, config) == 0
         assert all(u[0] == "e" for u in res.relocation.assigned_units)
@@ -228,7 +227,8 @@ class TestMeasuredCounts:
     )
     def test_d6_rows(self, shape, target, m_copies, entry, host_count, measured):
         config = md.UasConfig(*target)
-        res = md.design_md(array_host(*shape), m_copies, config, entry_granularity=entry)
+        host = array_host(*shape)
+        res = md.design_md(md.expand_qc(host) if entry else host, m_copies, config)
         assert res.report.od_instances == host_count
         assert md.enumerate_md_uas(res.h_md, config) == measured
         assert res.report.final_active <= measured
@@ -243,7 +243,7 @@ class TestPreconditions:
         assert res.report.final_active == 0
 
     def test_smaller_sibling_warns(self):
-        res = run_quiet(k4_host(), 3, md.UasConfig(4, 2, 3), entry_granularity=True)
+        res = run_quiet(k4_host(), 3, md.UasConfig(4, 2, 3))
         assert any("(4, 0)" in w for w in res.report.warnings)
         assert res.report.od_instances == 0
 
@@ -293,7 +293,7 @@ def assert_same_design(host, m_copies, config, entry_granularity):
     """design_md equals the cycle-basis reference on every reported field."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = md.design_md(host, m_copies, config, entry_granularity=entry_granularity)
+        got = md.design_md(md.expand_qc(host) if entry_granularity else host, m_copies, config)
         try:
             ref = reference_design_md(host, m_copies, config, entry_granularity=entry_granularity)
         except ValueError as exc:

@@ -14,7 +14,7 @@ import mdreloc as md
 import mdreloc.oracle as oracle
 
 import reference_md
-from conftest import array_host, arrangement_1, arrangement_2, k4_host
+from conftest import array_host, arrangement_1, arrangement_2, k4_host, shared_cycle_host
 from reference_activity import alternating_value_sum, is_uas_active
 from reference_mc import _mc_chunk as reference_mc_chunk
 from reference_fractions import (
@@ -164,12 +164,12 @@ class TestAgainstReference:
         for r, c in fix.incidence.entries:
             reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
         steps, weights = self.step_weights(name, m_copies)
-        diffs = [(reloc.value(e1) - reloc.value(e2)) % m_copies for *_, e1, e2 in steps]
+        diffs = [(reloc.values.item(e1) - reloc.values.item(e2)) % m_copies for *_, e1, e2 in steps]
         sums = [sum(d * int(w) for d, w in zip(diffs, col)) for col in weights.T]
         cycles = md.enumerate_cycles(inst.deg2_subgraph(), 2 * len(inst.deg2_cns))
         assert len(cycles) == len(sums) > 0
         for cycle, total in zip(cycles, sums):
-            assert total % m_copies == alternating_value_sum(cycle, reloc.value) % m_copies
+            assert total % m_copies == alternating_value_sum(cycle, reloc.values.item) % m_copies
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -259,6 +259,10 @@ class TestMonteCarlo:
     def test_no_threads_rejected(self):
         with pytest.raises(ValueError, match="at least 1 thread"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 3, trials=10, threads=0)
+
+    def test_shared_cycle_rejected(self):
+        with pytest.raises(ValueError, match="^instances 0 and 1 share a cycle$"):
+            md.monte_carlo_avg(shared_cycle_host(), md.UasConfig(4, 0, 3), 3, trials=10)
 
     def test_cycle_free_target(self):
         pair = md.BinaryMatrix.from_entries(1, 2, [(0, 0), (0, 1)])

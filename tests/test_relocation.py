@@ -43,7 +43,7 @@ class TestPrimality:
     def test_small_values(self):
         primes = {2, 3, 5, 7, 11, 13}
         for n in range(-2, 15):
-            assert md.is_prime(n) == (n in primes)
+            assert relocation.is_prime(n) == (n in primes)
 
 
 class TestRelocationMap:
@@ -65,14 +65,14 @@ class TestRelocationMap:
 
     def test_defaults_to_zero(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
-        assert all(reloc.value(e) == 0 for e in range(12))
+        assert reloc.values.tolist() == [0] * 12
         assert reloc.assigned_units == ()
 
     def test_assign_entry(self, uas_4_2):
         reloc = md.RelocationMap(3, uas_4_2.incidence)
         reloc.assign_entry(4, 1, 2)
         assert uas_4_2.incidence.entry_index[4, 1] == 8
-        assert reloc.value(8) == 2
+        assert reloc.values[8] == 2
         assert reloc.assigned_units == (("e", 4, 1, 2),)
         assert np.flatnonzero(reloc.values).tolist() == [8]
 
@@ -93,11 +93,13 @@ class TestRelocationMap:
         assert reloc.assigned_units == (("e", 4, 1, 0),)
         with pytest.raises(ValueError, match="already assigned"):
             reloc.assign_entry(4, 1, 2)
-        assert reloc.value(8) == 0
+        assert reloc.values[8] == 0
 
     def test_values_are_read_only(self, uas_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        assert reloc.values.tolist() == [reloc.value(e) for e in range(12)]
+        index = uas_4_2.incidence.entry_index
+        assert {e: v for e, v in enumerate(reloc.values.tolist()) if v} == {
+            index[r, c]: ell for _, r, c, ell in reloc.assigned_units}
         with pytest.raises(ValueError, match="read-only"):
             reloc.values[0] = 1
 
@@ -140,7 +142,7 @@ class TestRelocationMap:
         reloc = md.RelocationMap(5, m, qc=qc)
         reloc.assign_circulant(0, 1, 4)
         for r in range(3):
-            assert reloc.value(m.entry_index[r, 3 + r % 3]) == 4
+            assert reloc.values[m.entry_index[r, 3 + r % 3]] == 4
         assert np.count_nonzero(reloc.values) == 3
         assert reloc.assigned_units == (("c", 0, 1, 4),)
         with pytest.raises(ValueError):
@@ -211,13 +213,13 @@ class TestActivity:
         blue, red = basis_4_2.cycles
         reloc = arrangement_1(uas_4_2.incidence)
         # blue: +0 -0 +1 -1 +0 -0 ; red: +0 -0 +0 -0 +1 -1
-        assert alternating_value_sum(blue, reloc.value) % 3 == 0
-        assert alternating_value_sum(red, reloc.value) % 3 == 0
+        assert alternating_value_sum(blue, reloc.values.item) % 3 == 0
+        assert alternating_value_sum(red, reloc.values.item) % 3 == 0
         assert is_uas_active(basis_4_2, reloc)
 
     def test_breaking_arrangement(self, uas_4_2, basis_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
-        sums = [alternating_value_sum(c, reloc.value) % 3 for c in basis_4_2.cycles]
+        sums = [alternating_value_sum(c, reloc.values.item) % 3 for c in basis_4_2.cycles]
         assert all(s != 0 for s in sums)
         assert not is_uas_active(basis_4_2, reloc)
         assert not any(is_cycle_active(c, reloc) for c in basis_4_2.cycles)
@@ -242,8 +244,8 @@ class TestActivity:
         steps = cycle.steps[shift:] + cycle.steps[:shift]
         if data.draw(st.booleans()):
             steps = steps[::-1]
-        turned = alternating_value_sum(md.Cycle(steps), reloc.value)
-        original = alternating_value_sum(cycle, reloc.value)
+        turned = alternating_value_sum(md.Cycle(steps), reloc.values.item)
+        original = alternating_value_sum(cycle, reloc.values.item)
         assert (turned % 3 == 0) == (original % 3 == 0)
         assert turned % 3 in ((original % 3), (-original) % 3)
 
@@ -262,7 +264,7 @@ class TestIntact:
             for eid in (eid for _, vn, eid in inst.graph.edges if vn in inst.vns):
                 reloc.assign_entry(*matrix.entries[eid], data.draw(st.integers(0, m_copies - 1)))
             maps.append(reloc)
-        values = np.array([[r.value(e) for r in maps] for e in range(len(matrix.entries))])
+        values = np.stack([r.values for r in maps], axis=1)
         got = intact(activity_plans([inst]), values, m_copies)
         assert got.shape == (1, len(maps))
         for col, reloc in enumerate(maps):
@@ -296,6 +298,11 @@ class TestPotentialPlan:
         inst = md.UasInstance((0, 1, 2), (), (0, 1, 2), md.build_graph(m))
         with pytest.raises(ValueError, match="check 0 has induced degree 3, expected 2"):
             activity_plans([inst])
+
+    def test_instances_of_two_graphs_rejected(self):
+        fix = md.canonical_uas("4_2_g3")
+        with pytest.raises(ValueError, match="planned instances must come from one graph"):
+            activity_plans([fix.instance(), fix.instance()])
 
     def test_disconnected_degree2_part_rejected(self):
         # Two VN pairs, each joined by its own check.
@@ -348,6 +355,7 @@ def planned_classes(rows, cols, p):
 PLANNED_HOSTS = [(3, 4, 5), (3, 5, 5), (4, 4, 4)]
 
 
+@pytest.mark.differential
 class TestPlansAgainstReference:
     """Plans read off the VN adjacency and involvement gathered from them, against their predecessors."""
 
@@ -428,6 +436,7 @@ def entry_units(g):
     return {("e", cn, vn): (eid,) for cn, vn, eid in g.edges}
 
 
+@pytest.mark.differential
 class TestPlanContractAgainstReference:
     """Plans of symmetric, stabilised and irregular instance lists, against per-instance reference walks."""
 
@@ -603,7 +612,7 @@ class TestAgainstReferenceLift:
     def test_designed_matrices(self, shape, target, m_copies, entry):
         qc = array_host(*shape)
         config = md.UasConfig(*target, shape[0])
-        res = md.design_md(qc, m_copies, config, entry_granularity=entry)
+        res = md.design_md(md.expand_qc(qc) if entry else qc, m_copies, config)
         assert res.relocation.granularity == ("entry" if entry else "circulant")
         host = md.expand_qc(qc)
         instances = md.enumerate_uas(md.build_graph(host), config)
