@@ -160,7 +160,7 @@ def cmd_analyze(args) -> int:
         f" cycle count in [{low}, {high}]"
     )
     if qc is not None and instances:
-        units = unit_table(matrix, qc)
+        units = unit_table(qc)
         counts = involvement(activity_plans(instances), units).sum(axis=0).tolist()
         print("per-circulant involvement (block_row block_col count):")
         for (_, bi, bj), cnt in zip(units, counts):

@@ -1,13 +1,13 @@
 """Greedy relocation design that removes a target absorbing set from an MD code.
 
-The loop works on *units*: whole circulants for quasi-cyclic hosts,
-single entries otherwise (pass ``expand_qc(qc)`` to relocate a QC
-host's entries).  Each round counts how many still-active target
-instances involve each unassigned unit through a degree-2 edge, picks
-the most involved unit, lets every instance involving it vote for the
-relocation values under which its potential solve fails
-(``relocation.intact``: no per-VN copy shift keeps all its degree-2
-checks in one copy), and permanently assigns the winning value,
+The loop works on the *units* of ``RelocationMap(m, host)``: whole
+circulants of a QcMatrix host, single entries of a BinaryMatrix (pass
+``expand_qc(qc)`` for a QC host's entries).  Each round counts how many
+still-active target instances involve each unassigned unit through a
+degree-2 edge, picks the most involved unit, lets every instance
+involving it vote for the relocation values under which its potential
+solve fails (``relocation.intact``: no per-VN copy shift keeps all its
+degree-2 checks in one copy), and permanently assigns the winning value,
 preferring the auxiliary matrix that currently holds the fewest units.
 The vote's verdicts under the winning value become the new activity of
 the instances involving the unit, and no other instance can change, so
@@ -28,18 +28,10 @@ from .relocation import (
     RelocationMap,
     activity_plans,
     assemble_md,
-    check_copies,
     intact,
     involvement,
 )
-from .tanner import (
-    BinaryMatrix,
-    QcMatrix,
-    build_graph,
-    check_no_4cycles,
-    check_regular_gamma,
-    expand_qc,
-)
+from .tanner import BinaryMatrix, build_graph, check_no_4cycles, check_regular_gamma
 
 Unit = tuple
 
@@ -125,28 +117,24 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
 
     ``host`` is a QcMatrix (relocating circulants) or a BinaryMatrix
     (relocating entries), so ``design_md(expand_qc(qc), m, config)``
-    designs a QC host entry by entry.  M must be an odd prime and the host
+    designs a QC host entry by entry; the map ``RelocationMap(m_copies,
+    host)`` is built first and checks that M is an odd prime.  The host
     column weight must match the target's.  Structural preconditions (no
     4-cycles, no smaller-d1 siblings) are checked and reported as notes in
     ``DesignReport.warnings``, not errors.
     """
-    check_copies(m_copies)
-    if isinstance(host, QcMatrix):
-        matrix, qc = expand_qc(host), host
-    else:
-        matrix, qc = host, None
-    gamma = check_regular_gamma(matrix)
+    reloc = RelocationMap(m_copies, host)
+    gamma = check_regular_gamma(reloc.matrix)
     if gamma is None:
-        why = "column weights are irregular" if matrix.n_cols else "has no columns"
+        why = "column weights are irregular" if reloc.matrix.n_cols else "has no columns"
         raise ValueError(f"host {why}; target gamma {config.gamma} needs a regular host")
     if gamma != config.gamma:
         raise ValueError(
             f"host column weight {gamma} does not match target gamma {config.gamma}"
         )
-    graph = build_graph(matrix)
+    graph = build_graph(reloc.matrix)
     notes = _precondition_warnings(graph, config)
 
-    reloc = RelocationMap(m_copies, matrix, qc)
     assign = reloc.assign_entry if reloc.qc is None else reloc.assign_circulant
     units = list(reloc.units)
 
@@ -210,7 +198,7 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
         steps=tuple(steps),
         warnings=tuple(notes),
     )
-    return DesignResult(assemble_md(matrix, reloc), reloc, report)
+    return DesignResult(assemble_md(reloc), reloc, report)
 
 
 # ---------------------------------------------------------------------------

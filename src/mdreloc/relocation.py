@@ -52,17 +52,18 @@ def check_copies(m_copies: int) -> None:
         raise ValueError(f"number of copies {m_copies} must be an odd prime")
 
 
-def unit_table(matrix: BinaryMatrix, qc: QcMatrix | None = None) -> dict[tuple, tuple[int, ...]]:
+def unit_table(host: BinaryMatrix | QcMatrix) -> dict[tuple, tuple[int, ...]]:
     """Relocation unit -> the host entry ids it covers, sorted by unit.
 
-    Units are the circulants ('c', bi, bj) of ``qc``, or the single
-    entries ('e', row, col) of ``matrix`` when ``qc`` is None.
+    Units are the circulants ('c', bi, bj) of a QcMatrix host, over its
+    expansion's entry ids, or the entries ('e', row, col) of a BinaryMatrix.
     """
-    if qc is None:
-        return {("e", r, c): (eid,) for eid, (r, c) in enumerate(matrix.entries)}
+    if not isinstance(host, QcMatrix):
+        return {("e", r, c): (eid,) for eid, (r, c) in enumerate(host.entries)}
+    index = expand_qc(host).entry_index
     return {
-        ("c", bi, bj): tuple(matrix.entry_index[pos] for pos in qc.block_positions(bi, bj))
-        for bi, bj, _ in sorted(qc.circulants)
+        ("c", bi, bj): tuple(index[pos] for pos in host.block_positions(bi, bj))
+        for bi, bj, _ in sorted(host.circulants)
     }
 
 
@@ -74,23 +75,21 @@ def _unit_name(unit: tuple) -> str:
 class RelocationMap:
     """Assignment of relocation values to the units of a host matrix.
 
-    ``units`` is the map's ``unit_table``: whole circulants when given the
-    circulant table ``qc`` (``granularity`` "circulant"), single entries
-    otherwise ("entry"), and a map assigns only units of its own
-    granularity.  Each unit may be assigned once.  ``values`` is a
+    ``units`` is the map's ``unit_table``: the circulants of a QcMatrix
+    host (``granularity`` "circulant", ``matrix`` its expansion) or the
+    entries of a BinaryMatrix host ("entry", ``qc`` None).  A map assigns
+    only units of its own granularity, each unit once.  ``values`` is a
     read-only int64 vector holding every host entry's value; entries of
     unassigned units are 0.
     """
 
-    def __init__(self, m_copies: int, matrix: BinaryMatrix, qc: QcMatrix | None = None):
+    def __init__(self, m_copies: int, host: BinaryMatrix | QcMatrix):
         check_copies(m_copies)
-        if qc is not None and expand_qc(qc).entries != matrix.entries:
-            raise ValueError("matrix does not match the expanded circulant table")
         self.m_copies = m_copies
-        self.matrix = matrix
-        self.qc = qc
-        self.granularity = "entry" if qc is None else "circulant"
-        self._values = np.zeros(len(matrix.entries), dtype=np.int64)
+        self.qc = host if isinstance(host, QcMatrix) else None
+        self.matrix = host if self.qc is None else expand_qc(host)
+        self.granularity = "entry" if self.qc is None else "circulant"
+        self._values = np.zeros(len(self.matrix.entries), dtype=np.int64)
         self.values = self._values.view()
         self.values.flags.writeable = False
         self._assigned: dict[tuple, int] = {}
@@ -98,7 +97,7 @@ class RelocationMap:
     @cached_property
     def units(self) -> dict[tuple, tuple[int, ...]]:
         """The map's ``unit_table``: its units and the entry ids each covers."""
-        return unit_table(self.matrix, self.qc)
+        return unit_table(self.qc or self.matrix)
 
     def _assign(self, unit: tuple, ell: int):
         """Give ``unit`` value ``ell``."""
@@ -138,8 +137,11 @@ class RelocationMap:
         return "\n".join(out) + "\n"
 
 
-def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> RelocationMap:
-    """Parse the text produced by ``RelocationMap.to_text``."""
+def parse_reloc(text, host: BinaryMatrix | QcMatrix) -> RelocationMap:
+    """Parse ``RelocationMap.to_text`` output into a map over ``host``.
+
+    The header picks the unit: ``entry`` on a QcMatrix host relocates its expansion.
+    """
     cur = _Lines(_to_text(text))
     first = next(iter(cur), None)
     if first is None:
@@ -156,10 +158,12 @@ def parse_reloc(text, matrix: BinaryMatrix, qc: QcMatrix | None = None) -> Reloc
         raise ParseError(f"malformed header {header!r}", ln0) from None
     if granularity not in GRANULARITIES:
         raise ParseError(f"granularity must be one of {GRANULARITIES}", ln0)
-    if granularity == "circulant" and qc is None:
+    if granularity == "circulant" and not isinstance(host, QcMatrix):
         raise ParseError("circulant granularity needs the circulant table", ln0)
+    if granularity == "entry" and isinstance(host, QcMatrix):
+        host = expand_qc(host)
     try:
-        reloc = RelocationMap(m_copies, matrix, qc=qc if granularity == "circulant" else None)
+        reloc = RelocationMap(m_copies, host)
     except ValueError as exc:
         raise ParseError(str(exc), ln0) from None
     for ln, raw in cur:
@@ -312,20 +316,18 @@ def involvement(plans, units: dict) -> np.ndarray:
 # MD assembly
 
 
-def assemble_md(matrix: BinaryMatrix, reloc: RelocationMap) -> BinaryMatrix:
+def assemble_md(reloc: RelocationMap) -> BinaryMatrix:
     """The M-copy MD matrix: block (i, j) holds entries of value (i - j) mod M.
 
-    Row/column copy j occupies the j-th block of rows/columns, so MD
-    position (i * n_rows + r, j * n_cols + c) is nonzero iff the host has
-    an entry at (r, c) with relocation value (i - j) mod M: an entry of
-    value ell joins VN copy j to check copy (j + ell) mod M.
+    Copy j of ``reloc.matrix`` occupies the j-th block of rows/columns, so
+    MD position (i * n_rows + r, j * n_cols + c) is nonzero iff the host
+    has an entry at (r, c) with relocation value (i - j) mod M: an entry
+    of value ell joins VN copy j to check copy (j + ell) mod M.
     """
-    if reloc.matrix.entries != matrix.entries:
-        raise ValueError("relocation map was built for a different host")
-    m, n_rows, n_cols = reloc.m_copies, matrix.n_rows, matrix.n_cols
+    m, n_rows, n_cols = reloc.m_copies, reloc.matrix.n_rows, reloc.matrix.n_cols
     out = [
         ((j + ell) % m * n_rows + r, j * n_cols + c)
-        for (r, c), ell in zip(matrix.entries, reloc.values.tolist())
+        for (r, c), ell in zip(reloc.matrix.entries, reloc.values.tolist())
         for j in range(m)
     ]
     return BinaryMatrix.from_entries(m * n_rows, m * n_cols, out)

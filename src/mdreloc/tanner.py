@@ -315,11 +315,11 @@ def parse_alist(text) -> BinaryMatrix:
     ln, col_degs = cur.next_ints("the column degrees") if n_cols else (ln, [])
     if len(col_degs) != n_cols:
         raise ParseError(f"expected {n_cols} column degrees, got {len(col_degs)}", ln)
+    if col_degs and max(col_degs) > max_col:
+        raise ParseError("a column degree exceeds the declared maximum", ln)
     ln, row_degs = cur.next_ints("the row degrees") if n_rows else (ln, [])
     if len(row_degs) != n_rows:
         raise ParseError(f"expected {n_rows} row degrees, got {len(row_degs)}", ln)
-    if col_degs and max(col_degs) > max_col:
-        raise ParseError("a column degree exceeds the declared maximum", ln)
     if row_degs and max(row_degs) > max_row:
         raise ParseError("a row degree exceeds the declared maximum", ln)
 
@@ -401,6 +401,8 @@ def parse_qc(text) -> QcMatrix:
         p = int(toks[1])
     except ValueError:
         raise ParseError("circulant size must be an integer", ln) from None
+    if p < 1:
+        raise ParseError("circulant size p must be >= 1", ln)
     ln, dims = cur.next_line("the 'rows <m_b> cols <n_b>' line")
     toks = dims.split()
     if len(toks) != 4 or toks[0] != "rows" or toks[2] != "cols":
@@ -409,6 +411,8 @@ def parse_qc(text) -> QcMatrix:
         m_b, n_b = int(toks[1]), int(toks[3])
     except ValueError:
         raise ParseError("base dimensions must be integers", ln) from None
+    if m_b < 1 or n_b < 1:
+        raise ParseError("base dimensions must be positive", ln)
 
     blocks = {}
     for bi in range(m_b):
@@ -426,10 +430,7 @@ def parse_qc(text) -> QcMatrix:
             if not (0 <= k < p):
                 raise ParseError(f"base row {bi + 1}: shift {k} out of range [0, {p})", ln)
             blocks[(bi, bj)] = k
-    try:
-        return QcMatrix.from_blocks(p, m_b, n_b, blocks)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return QcMatrix.from_blocks(p, m_b, n_b, blocks)
 
 
 def write_qc(q: QcMatrix) -> str:

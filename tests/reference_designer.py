@@ -97,7 +97,7 @@ def design_md(
     for note in notes:
         _warnings.warn(note, stacklevel=2)
 
-    units = unit_table(matrix, qc if use_circulants else None)
+    units = unit_table(qc if use_circulants else matrix)
     unit_of_entry: dict[int, Unit] = {}
     for unit, eids in units.items():
         for eid in eids:
@@ -110,7 +110,7 @@ def design_md(
         for inst in instances
     ]
 
-    reloc = RelocationMap(m_copies, matrix, qc=qc if use_circulants else None)
+    reloc = RelocationMap(m_copies, qc if use_circulants else matrix)
     active = [is_uas_active(b, reloc) for b in bases]
     aux_units = {xi: 0 for xi in range(1, m_copies)}
     assigned: set[Unit] = set()
@@ -190,4 +190,4 @@ def design_md(
         steps=tuple(steps),
         warnings=tuple(notes),
     )
-    return DesignResult(assemble_md(matrix, reloc), reloc, report)
+    return DesignResult(assemble_md(reloc), reloc, report)

@@ -28,5 +28,5 @@ def _mc_chunk(args) -> list[int]:
     counts = []
     for t in range(start, stop):
         reloc = _random_relocation(matrix, m, seed * _MC_STRIDE + t)
-        counts.append(enumerate_md_uas(assemble_md(matrix, reloc), config))
+        counts.append(enumerate_md_uas(assemble_md(reloc), config))
     return counts

@@ -367,14 +367,14 @@ def relocated_qc_hosts(draw):
     m = draw(st.sampled_from([3, 5]))
     values = st.integers(0, m - 1)
     if draw(st.booleans()):
-        reloc = md.RelocationMap(m, host, qc=qc)
+        reloc = md.RelocationMap(m, qc)
         for bi, bj, _ in qc.circulants:
             reloc.assign_circulant(bi, bj, draw(values))
     else:
         reloc = md.RelocationMap(m, host)
         for r, c in host.entries:
             reloc.assign_entry(r, c, draw(values))
-    h_md = md.assemble_md(host, reloc)
+    h_md = md.assemble_md(reloc)
     weights = sorted({d for d in h_md.column_degrees if d >= 2})
     return h_md, draw(st.sampled_from(weights or [2]))
 

@@ -188,9 +188,8 @@ class TestDesignVerify:
         assert "final active instances: 0" in out
 
         emitted = md.parse_alist(Path(md_path).read_text())
-        host = md.expand_qc(array_host(3, 3, 3))
-        reloc = md.parse_reloc(Path(reloc_path).read_text(), host, qc=array_host(3, 3, 3))
-        assert md.assemble_md(host, reloc) == emitted
+        reloc = md.parse_reloc(Path(reloc_path).read_text(), array_host(3, 3, 3))
+        assert md.assemble_md(reloc) == emitted
         report = Path(report_path).read_text()
         assert report.splitlines()[1].split("\t")[5] == "0"
 
@@ -326,6 +325,23 @@ def test_target_gamma_mismatch_exits_3(k4file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err == "error: target gamma 4 differs from host column weight 3\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--input", "{}", "--uas", "4"],
+     "--uas expects 'a,d1[,gamma]' or 'uas:<name>', got '4'"),
+    (["analyze", "--input", "{}", "--uas", "4,2,3,1"],
+     "--uas expects 'a,d1[,gamma]' or 'uas:<name>', got '4,2,3,1'"),
+    (["analyze", "--input", "{}", "--uas", "4,x"], "--uas values must be integers, got '4,x'"),
+    (["analyze", "--input", "{}", "--uas", "1,3,3"],
+     "d1 too large: some VN would have at least as many degree-1 as degree-2 check neighbours"),
+    (["fractions", "--M", "3"], "fractions needs uas:<name> or --input with a UAS incidence file"),
+    (["fractions", "--M", "3", "--input", "{}"], "--uas is required to classify the input instance"),
+], ids=["uas-arity-short", "uas-arity-long", "uas-integer", "uas-d1", "fractions-nothing",
+        "fractions-no-uas"])
+def test_argument_rejections_exit_3(k4file, capsys, argv, message):
+    assert main([k4file if arg == "{}" else arg for arg in argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestOracle:

@@ -202,7 +202,8 @@ class TestClosure:
     def test_relocation_reproduces_emitted_matrix(self):
         host = array_host(3, 3, 5)
         res = md.design_md(host, 3, md.UasConfig(4, 2, 3))
-        rebuilt = md.assemble_md(md.expand_qc(host), res.relocation)
+        assert res.relocation.matrix == md.expand_qc(host)
+        rebuilt = md.assemble_md(res.relocation)
         assert rebuilt == res.h_md
 
 

@@ -226,7 +226,7 @@ class TestMdProfiles:
     def test_subgraph_embeds_in_assembled_matrix(self, uas_4_2, inst_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
         sub = reference_md.md_instance_subgraph(inst_4_2, reloc)
-        h_md = md.assemble_md(uas_4_2.incidence, reloc)
+        h_md = md.assemble_md(reloc)
         md_pairs = {(cn, vn) for cn, vn in h_md.entries}
         assert {(cn, vn) for cn, vn, _ in sub.edges} <= md_pairs
         assert len(sub.edges) == 3 * len(uas_4_2.incidence.entries)

@@ -52,12 +52,12 @@ class TestRelocationMap:
             with pytest.raises(ValueError):
                 md.RelocationMap(bad, uas_4_2.incidence)
 
-    def test_matrix_of_another_circulant_table_rejected(self):
+    def test_host_type_picks_the_unit(self):
         qc = array_host(3, 4, 5)
-        other = md.expand_qc(md.QcMatrix.from_blocks(5, 3, 4, {(0, 0): 1}))
-        with pytest.raises(ValueError, match="matrix does not match the expanded circulant table"):
-            md.RelocationMap(3, other, qc=qc)
-        assert md.RelocationMap(3, md.expand_qc(qc), qc=qc).matrix is md.expand_qc(qc)
+        circulant_map, entry_map = md.RelocationMap(3, qc), md.RelocationMap(3, md.expand_qc(qc))
+        assert circulant_map.matrix is entry_map.matrix is md.expand_qc(qc)
+        assert (circulant_map.qc, circulant_map.granularity) == (qc, "circulant")
+        assert (entry_map.qc, entry_map.granularity) == (None, "entry")
 
     def test_even_prime_rejected(self, uas_4_2):
         with pytest.raises(ValueError, match="odd prime"):
@@ -109,7 +109,7 @@ class TestRelocationMap:
         entry_map = md.RelocationMap(3, m)
         with pytest.raises(ValueError, match="entry granularity cannot assign block"):
             entry_map.assign_circulant(0, 1, 1)
-        circulant_map = md.RelocationMap(3, m, qc=qc)
+        circulant_map = md.RelocationMap(3, qc)
         assert (entry_map.granularity, circulant_map.granularity) == ("entry", "circulant")
         assert set(circulant_map.units) == {("c", bi, bj) for bi, bj, _ in qc.circulants}
         with pytest.raises(ValueError, match="circulant granularity cannot assign entry"):
@@ -119,7 +119,7 @@ class TestRelocationMap:
 
     def test_zero_circulant_rejected(self):
         qc = md.QcMatrix.from_blocks(3, 2, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 2})
-        reloc = md.RelocationMap(3, md.expand_qc(qc), qc=qc)
+        reloc = md.RelocationMap(3, qc)
         with pytest.raises(ValueError, match=r"^block \(1, 1\) is a zero circulant$"):
             reloc.assign_circulant(1, 1, 1)
         # the value range and the granularity are checked before the unit is looked up
@@ -139,7 +139,7 @@ class TestRelocationMap:
     def test_circulant_granularity(self):
         qc = array_host(2, 2, 3)
         m = md.expand_qc(qc)
-        reloc = md.RelocationMap(5, m, qc=qc)
+        reloc = md.RelocationMap(5, qc)
         reloc.assign_circulant(0, 1, 4)
         for r in range(3):
             assert reloc.values[m.entry_index[r, 3 + r % 3]] == 4
@@ -147,11 +147,6 @@ class TestRelocationMap:
         assert reloc.assigned_units == (("c", 0, 1, 4),)
         with pytest.raises(ValueError):
             reloc.assign_circulant(0, 1, 2)
-
-    def test_mismatched_expansion_rejected(self, uas_4_2):
-        qc = array_host(2, 2, 3)
-        with pytest.raises(ValueError):
-            md.RelocationMap(3, uas_4_2.incidence, qc=qc)
 
 
 class TestRelocFile:
@@ -163,12 +158,30 @@ class TestRelocFile:
 
     def test_round_trip_circulant(self):
         qc = array_host(2, 3, 3)
-        m = md.expand_qc(qc)
-        reloc = md.RelocationMap(3, m, qc=qc)
+        reloc = md.RelocationMap(3, qc)
         reloc.assign_circulant(1, 2, 2)
         reloc.assign_circulant(0, 0, 1)
-        parsed = md.parse_reloc(reloc.to_text(), m, qc=qc)
+        parsed = md.parse_reloc(reloc.to_text(), qc)
         assert parsed.to_text() == reloc.to_text()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty relocation file"),
+        ("\n  \n", "line 1: empty relocation file"),
+        ("reloc M=x granularity=entry\n", "line 1: malformed header 'reloc M=x granularity=entry'"),
+        ("reloc M=3 grain=entry\n", "line 1: malformed header 'reloc M=3 grain=entry'"),
+        ("reloc M=4 granularity=entry\n", "line 1: number of copies 4 must be an odd prime"),
+        ("reloc M=3 granularity=entry\ne 4 1 3\n", r"line 2: relocation value 3 out of range \[0, 3\)"),
+    ], ids=["empty", "blank", "header-value", "header-key", "copies", "value-range"])
+    def test_rejections(self, uas_4_2, text, message):
+        with pytest.raises(md.ParseError, match=f"^{message}$"):
+            md.parse_reloc(text, uas_4_2.incidence)
+
+    def test_entry_map_of_a_qc_host_relocates_its_expansion(self):
+        qc = array_host(2, 2, 3)
+        parsed = md.parse_reloc("reloc M=3 granularity=entry\ne 0 3 2\n", qc)
+        assert (parsed.granularity, parsed.qc) == ("entry", None)
+        assert parsed.matrix is md.expand_qc(qc)
+        assert parsed.values.tolist() == [2 if pos == (0, 3) else 0 for pos in parsed.matrix.entries]
 
     def test_header_required(self, uas_4_2):
         with pytest.raises(md.ParseError, match="line 1"):
@@ -195,7 +208,7 @@ class TestRelocFile:
         qc = array_host(2, 2, 3)
         text = "reloc M=3 granularity=entry\ne 0 0 1\n\nc 0 1 2\n"
         with pytest.raises(md.ParseError, match="line 4: a map of entry granularity"):
-            md.parse_reloc(text, md.expand_qc(qc), qc=qc)
+            md.parse_reloc(text, qc)
 
     def test_unknown_granularity_rejected(self, uas_4_2):
         text = "reloc M=3 granularity=block\n"
@@ -319,7 +332,7 @@ class TestUnits:
     def test_circulant_units_and_involvement(self, cols, p):
         qc = array_host(3, cols, p)
         host = md.expand_qc(qc)
-        units = unit_table(host, qc)
+        units = unit_table(qc)
         assert list(units) == sorted(("c", bi, bj) for bi, bj, _ in qc.circulants)
         for (_, bi, bj), eids in units.items():
             assert eids == tuple(host.entry_index[pos] for pos in qc.block_positions(bi, bj))
@@ -385,7 +398,7 @@ class TestPlansAgainstReference:
     @pytest.mark.parametrize("granularity", relocation.GRANULARITIES)
     def test_involvement(self, shape, granularity):
         host, qc, classes = planned_classes(*shape)
-        units = unit_table(host, qc if granularity == "circulant" else None)
+        units = unit_table(qc if granularity == "circulant" else host)
         for instances in classes:
             got = involvement(activity_plans(instances), units)
             assert (got == reference_activity.involvement(instances, units)).all()
@@ -444,7 +457,7 @@ class TestPlanContractAgainstReference:
     @pytest.mark.parametrize("granularity", relocation.GRANULARITIES)
     def test_qc_hosts(self, shape, granularity):
         host, qc, classes = planned_classes(*shape)
-        units = unit_table(host, qc if granularity == "circulant" else None)
+        units = unit_table(qc if granularity == "circulant" else host)
         for seed, instances in enumerate(classes):
             assert_plans_as_reference(instances, units, 5, seed)
 
@@ -453,7 +466,7 @@ class TestPlanContractAgainstReference:
         # A shift keeps every entry in its circulant, so under a circulant
         # map the images of a set, each planned on its own, share its verdict.
         host, qc, classes = planned_classes(*shape)
-        units = list(unit_table(host, qc).values())
+        units = list(unit_table(qc).values())
         unit_of = {eid: k for k, eids in enumerate(units) for eid in eids}
         g = classes[0][0].graph
         vmaps, cmaps = g.shift_group[0].tolist(), g.shift_group[1].tolist()
@@ -522,7 +535,7 @@ class TestPlanContractAgainstReference:
         others = data.draw(st.lists(st.sampled_from(instances), max_size=4))
         subset = data.draw(st.permutations(part + others))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        assert_plans_as_reference(subset, unit_table(host, qc), m_copies, seed)
+        assert_plans_as_reference(subset, unit_table(qc), m_copies, seed)
 
     def test_identity_group_graphs(self):
         host = md.build_graph(md.expand_qc(array_host(3, 4, 5)))
@@ -553,17 +566,12 @@ class TestAssembly:
         reloc = md.RelocationMap(m_copies, host)
         reloc.assign_entry(4, 1, 1)
         reloc.assign_entry(2, 3, m_copies - 1)
-        assert_block_layout(md.assemble_md(host, reloc), host, reloc)
+        assert_block_layout(md.assemble_md(reloc), host, reloc)
 
     def test_column_weight_preserved(self, uas_4_2):
-        h_md = md.assemble_md(uas_4_2.incidence, arrangement_2(uas_4_2.incidence))
+        h_md = md.assemble_md(arrangement_2(uas_4_2.incidence))
         assert md.check_regular_gamma(h_md) == 3
         assert len(h_md.entries) == 3 * len(uas_4_2.incidence.entries)
-
-    def test_host_mismatch_rejected(self, uas_4_2, uas_4_4):
-        reloc = md.RelocationMap(3, uas_4_2.incidence)
-        with pytest.raises(ValueError):
-            md.assemble_md(uas_4_4.incidence, reloc)
 
 
 class TestMdCycleStructure:
@@ -597,7 +605,7 @@ def reference_profile(u, reloc):
 
 def assert_same_lift(matrix, reloc, instances):
     """assemble_md and md_object_profile equal the per-edge reference lift."""
-    h_md = md.assemble_md(matrix, reloc)
+    h_md = md.assemble_md(reloc)
     assert h_md == reference_md.assemble_md(matrix, reloc)
     for inst in instances:
         assert md.md_object_profile(inst, reloc) == reference_profile(inst, reloc)
@@ -623,7 +631,7 @@ class TestAgainstReferenceLift:
     def test_random_maps(self, m_copies, circulant, data):
         qc = array_host(3, 4, 5)
         host = md.expand_qc(qc)
-        reloc = md.RelocationMap(m_copies, host, qc=qc if circulant else None)
+        reloc = md.RelocationMap(m_copies, qc if circulant else host)
         assign = reloc.assign_circulant if circulant else reloc.assign_entry
         for unit in data.draw(st.permutations(list(reloc.units))):
             if data.draw(st.booleans()):

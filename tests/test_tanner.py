@@ -84,6 +84,18 @@ class TestQcMatrix:
             md.QcMatrix.from_blocks(3, 1, 2, {(0, 0): 1}).block_positions(0, 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: md.BinaryMatrix(-1, 2, ()), "matrix dimensions must be nonnegative"),
+    (lambda: md.QcMatrix(0, 1, 1, ()), "circulant size p must be >= 1"),
+    (lambda: md.QcMatrix(3, 1, 0, ()), "base dimensions must be positive"),
+    (lambda: md.QcMatrix(3, 1, 2, ((1, 0, 0),)), r"block \(1, 0\) out of range"),
+    (lambda: md.QcMatrix(3, 1, 2, ((0, 1, 0), (0, 1, 2))), r"duplicate block \(0, 1\)"),
+], ids=["negative-dims", "p", "base-dims", "block-range", "duplicate-block"])
+def test_constructor_rejections(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestTannerGraph:
     def test_edges_sorted_by_entry_id(self):
         g = md.build_graph(ring_matrix())
@@ -108,7 +120,49 @@ class TestTannerGraph:
         assert not md.check_no_4cycles(md.build_graph(md.expand_qc(doubled)))
 
 
+def with_lines(base: list[str], **lines) -> str:
+    """``base`` joined as file text, with line n replaced by ``lines[f"l{n}"]``."""
+    out = list(base)
+    for key, text in lines.items():
+        out[int(key[1:]) - 1] = text
+    return "\n".join(out) + "\n"
+
+
+# [[1, 1], [0, 1]]: columns of degree 1 and 2, rows of degree 2 and 1.
+ALIST = ["2 2", "2 2", "1 2", "2 1", "1 0", "1 2", "1 2", "2 0"]
+QC = ["qc 1", "p 3", "rows 1 cols 2", "0 1"]
+
+
 class TestAlistFormat:
+    def test_rejection_base_parses(self):
+        assert md.parse_alist(with_lines(ALIST)).entries == ((0, 0), (0, 1), (1, 1))
+
+    @pytest.mark.parametrize("text, message", [
+        ("2\n", "line 1: header must hold two nonnegative integers: N M"),
+        ("-1 2\n", "line 1: header must hold two nonnegative integers: N M"),
+        ("2 2\n2\n", "line 2: expected two maximum degrees"),
+        ("2 2\n2 -1\n", "line 2: expected two maximum degrees"),
+        (with_lines(ALIST, l3="1"), "line 3: expected 2 column degrees, got 1"),
+        (with_lines(ALIST, l4="2 1 1"), "line 4: expected 2 row degrees, got 3"),
+        ("2 1\n1 2\n2 1\n2\n1 0\n1 0\n1 2\n",
+         "line 3: a column degree exceeds the declared maximum"),
+        ("2 1\n2 1\n2 1\n2\n1 0\n1 0\n1 2\n",
+         "line 4: a row degree exceeds the declared maximum"),
+        (with_lines(ALIST, l5="1 0 0"),
+         r"line 5: column list 1: expected 1 neighbours \(optionally zero-padded to 2\), got 3 tokens"),
+        (with_lines(ALIST, l6="0 2"), "line 6: column list 2: zero inside the neighbour list"),
+        (with_lines(ALIST, l5="1 2"), "line 5: column list 1: nonzero padding"),
+        (with_lines(ALIST, l5="3 0"), "line 5: column list 1: neighbour index out of range"),
+        (with_lines(ALIST, l6="1 1"), "line 6: column list 2: duplicate neighbour"),
+        (with_lines(ALIST, l8="1 0"), "line 8: column and row neighbour sections disagree"),
+    ], ids=["header-arity", "header-sign", "maxima-arity", "maxima-sign", "col-degree-count",
+            "row-degree-count", "col-degree-max", "row-degree-max", "token-count", "zero-inside",
+            "nonzero-padding", "index-range", "duplicate-neighbour", "sections-disagree"])
+    def test_rejections(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            md.parse_alist(text)
+
+
     def test_round_trip(self):
         m = ring_matrix()
         assert md.parse_alist(md.write_alist(m)) == m
@@ -183,6 +237,27 @@ class TestQcFormat:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):
             md.parse_qc("qc 9\np 3\nrows 1 cols 1\n")
+
+    def test_rejection_base_parses(self):
+        assert md.parse_qc(with_lines(QC)) == md.QcMatrix(3, 1, 2, ((0, 0, 0), (0, 1, 1)))
+
+    @pytest.mark.parametrize("text, message", [
+        (with_lines(QC, l2="size 3"), "line 2: expected 'p <size>'"),
+        (with_lines(QC, l2="p x"), "line 2: circulant size must be an integer"),
+        (with_lines(QC, l2="p 0"), "line 2: circulant size p must be >= 1"),
+        (with_lines(QC, l2="p -3"), "line 2: circulant size p must be >= 1"),
+        (with_lines(QC, l3="rows 1"), "line 3: expected 'rows <m_b> cols <n_b>'"),
+        (with_lines(QC, l3="rows 1 cols y"), "line 3: base dimensions must be integers"),
+        (with_lines(QC, l3="rows 0 cols 2"), "line 3: base dimensions must be positive"),
+        (with_lines(QC, l3="rows 1 cols -2"), "line 3: base dimensions must be positive"),
+        (with_lines(QC, l4="0"), "line 4: base row 1: expected 2 tokens, got 1"),
+        (with_lines(QC, l4="0 z"), "line 4: base row 1: bad shift token 'z'"),
+        (with_lines(QC, l4="0 3"), r"line 4: base row 1: shift 3 out of range \[0, 3\)"),
+    ], ids=["p-line", "p-integer", "p-zero", "p-negative", "dims-line", "dims-integer",
+            "rows-zero", "cols-negative", "token-count", "shift-token", "shift-range"])
+    def test_rejections(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            md.parse_qc(text)
 
     def test_non_ascii_byte_reports_line(self):
         text = md.write_qc(array_host(2, 2, 3))
