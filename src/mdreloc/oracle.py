@@ -202,19 +202,23 @@ def full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFracti
 
     Exponential in the edge count (M^(2 d2)); used to validate the class
     reduction at small sizes, not for routine analysis.  Assignment i has
-    one base-M^2 digit R(e1) * M + R(e2) per plan step.  Each is visited
-    once, streamed from its index in blocks of at least M^2 into a
-    histogram of check-difference vectors that the kernel then scores.
+    one base-M^2 digit R(e1) * M + R(e2) per plan step.  Its code sum d_c M^c
+    is a high prefix's code plus one entry of a table of low-digit codes (at most
+    max(M^2, _BLOCK_CELLS // 16)); prefix blocks in index order fill the histogram.
     """
     m, k = m_copies, len(u.deg2_cns)
     raw, step = m ** (2 * k), max(m * m, _BLOCK_CELLS // 16)
     _potential_count(raw, m, u.a)
     pair_diff = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % m
+    low, n_low = pair_diff, 1
+    while n_low < k and len(low) * m * m <= step:
+        low, n_low = np.add.outer(pair_diff * m**n_low, low).ravel(), n_low + 1
+    prefixes, per_block = raw // len(low), step // len(low)
     counts = np.zeros(m**k, dtype=np.int64)
-    for start in range(0, raw, step):
-        idx = np.arange(start, min(start + step, raw))
-        codes = sum(pair_diff[idx // m ** (2 * c) % (m * m)] * m**c for c in range(k))
-        counts += np.bincount(codes, minlength=m**k)
+    for start in range(0, prefixes, per_block):
+        idx = np.arange(start, min(start + per_block, prefixes))
+        high = sum(pair_diff[idx // m ** (2 * c) % (m * m)] * m ** (n_low + c) for c in range(k - n_low))
+        counts += np.bincount(np.add.outer(high, low).ravel(), minlength=m**k)
     return _measured_fractions(u, m, m**k, lambda start, stop: _digits(m, k, start, stop), counts)
 
 
@@ -261,15 +265,32 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
 # Monte Carlo
 
 _MC_STRIDE = 1_000_003
+_WORD_MARGIN = 4
 
 
 def _draw_values(n_entries: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """Relocation values of trials start..stop-1, one column per host entry id."""
-    rows = []
-    for t in range(start, stop):
-        rng = random.Random(seed * _MC_STRIDE + t)
-        rows.append([rng.randrange(m) for _ in range(n_entries)])
-    return np.array(rows, dtype=np.int64)
+    """Relocation values of trials start..stop-1, one column per host entry id.
+
+    Trial t reads ``random.Random(seed * _MC_STRIDE + t)`` as ``randrange(m)``
+    would per entry (m < 2^32): the top k = m.bit_length() bits of each 32-bit
+    word, skipping values of m or more, from one ``getrandbits`` block of the
+    expected word count plus ``_WORD_MARGIN`` * (1 + sqrt(n_entries)), about three
+    standard deviations.  A trial that runs short is read again with twice the words.
+    """
+    rng, k, out = random.Random(), m.bit_length(), np.empty((stop - start, n_entries), dtype=np.int64)
+    todo, words = np.arange(start, stop), (n_entries << k) // m + _WORD_MARGIN * (1 + int(n_entries**0.5))
+    while len(todo):
+        buf = bytearray()
+        for t in todo.tolist():
+            rng.seed(seed * _MC_STRIDE + t)
+            buf += rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        raw = np.frombuffer(buf, "<u4").reshape(len(todo), words)
+        keep = raw < np.uint32(m << 32 - k)
+        full = keep.sum(axis=1) >= n_entries
+        keep &= (keep.cumsum(axis=1, dtype=np.min_scalar_type(words)) <= n_entries) & full[:, None]
+        out[todo[full] - start] = (raw[keep] >> np.uint32(32 - k)).reshape(-1, n_entries)
+        todo, words = todo[~full], 2 * words
+    return out
 
 
 def _mc_chunk(args) -> np.ndarray:
@@ -336,10 +357,12 @@ def monte_carlo_avg(
     verifying the host's instances share no cycles pairwise.  Then a
     trial's MD count is M times the host instances left intact, which
     ``relocation.intact`` decides without building the MD matrix.  Results
-    do not depend on ``threads``.  M must be an odd prime; the standard
-    error needs at least 2 trials.
+    do not depend on ``threads``.  M must be an odd prime below 2^32 (one
+    32-bit word per drawn value); the standard error needs at least 2 trials.
     """
     check_copies(m_copies)
+    if m_copies >= 2**32:
+        raise ValueError(f"number of copies {m_copies} must be below 2^32 for the draw")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if threads < 1:

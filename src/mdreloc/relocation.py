@@ -167,14 +167,16 @@ def parse_reloc(text, host: BinaryMatrix | QcMatrix) -> RelocationMap:
     except ValueError as exc:
         raise ParseError(str(exc), ln0) from None
     for ln, raw in cur:
-        toks = raw.split()
+        kind, *args = raw.split()
+        form = {"c": "c bi bj ell", "e": "e row col ell"}.get(kind) if len(args) == 3 else None
+        if form is None:
+            raise ParseError(f"expected 'c bi bj ell' or 'e row col ell', got {raw!r}", ln)
         try:
-            if toks[0] == "c" and len(toks) == 4:
-                reloc.assign_circulant(int(toks[1]), int(toks[2]), int(toks[3]))
-            elif toks[0] == "e" and len(toks) == 4:
-                reloc.assign_entry(int(toks[1]), int(toks[2]), int(toks[3]))
-            else:
-                raise ValueError(f"expected 'c bi bj ell' or 'e row col ell', got {raw!r}")
+            ints = [int(tok) for tok in args]
+        except ValueError:
+            raise ParseError(f"expected integers in {form!r}, got {raw!r}", ln) from None
+        try:
+            (reloc.assign_circulant if kind == "c" else reloc.assign_entry)(*ints)
         except ValueError as exc:
             raise ParseError(str(exc), ln) from None
     return reloc

@@ -1,12 +1,15 @@
-"""Reference detached-check oracles: the three bodies the library's kernel replaced.
+"""Reference detached-check oracles: the bodies the library's kernels replaced.
 
 Kept verbatim as differential oracles.  ``reference_min_detached_checks``
 loops over checks for one relocation map, ``reference_exhaustive_fractions``
 evaluates one class representative per Python iteration, and
 ``reference_full_enumeration_fractions`` materialises every raw assignment
-as one int64 table.  They share no chunking, dtype narrowing or cycle-sum
-weights with ``mdreloc.oracle``.  The full enumeration holds the whole
-M^(2 d2) table in memory; keep the inputs small.
+as one int64 table.  These three share no chunking, dtype narrowing or
+cycle-sum weights with ``mdreloc.oracle``.  The full enumeration holds the
+whole M^(2 d2) table in memory; keep the inputs small.
+``reference_raw_histogram`` is the full enumeration's streamed histogram
+before the low-digit code table: each assignment's code by div/mod of its
+index.
 """
 
 from __future__ import annotations
@@ -180,3 +183,15 @@ def reference_full_enumeration_fractions(u: UasInstance, m_copies: int) -> Empir
     all_active = [signed_sums(c) == 0 for c in cycles]
     all_inactive = int((~np.logical_or.reduce(all_active)).sum()) if all_active else total
     return _fractions_from_counts(m, total, beta, basis_inactive, all_inactive)
+
+
+def reference_raw_histogram(m: int, k: int, block_cells: int) -> np.ndarray:
+    """Raw assignments per check-difference code, streamed from their indices."""
+    raw, step = m ** (2 * k), max(m * m, block_cells // 16)
+    pair_diff = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % m
+    counts = np.zeros(m**k, dtype=np.int64)
+    for start in range(0, raw, step):
+        idx = np.arange(start, min(start + step, raw))
+        codes = sum(pair_diff[idx // m ** (2 * c) % (m * m)] * m**c for c in range(k))
+        counts += np.bincount(codes, minlength=m**k)
+    return counts

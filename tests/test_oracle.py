@@ -1,11 +1,13 @@
 """Exhaustive and Monte Carlo oracles versus the closed-form formulas."""
 
 import dataclasses
+import random
 import tracemalloc
 from fractions import Fraction as Fr
 from functools import lru_cache
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,12 @@ import mdreloc.oracle as oracle
 import reference_md
 from conftest import array_host, arrangement_1, arrangement_2, k4_host, shared_cycle_host
 from reference_activity import alternating_value_sum, is_uas_active
-from reference_mc import _mc_chunk as reference_mc_chunk
+from reference_mc import _mc_chunk as reference_mc_chunk, reference_draw_values
 from reference_fractions import (
     reference_exhaustive_fractions,
     reference_full_enumeration_fractions,
     reference_min_detached_checks,
+    reference_raw_histogram,
 )
 
 
@@ -186,6 +189,66 @@ class TestAgainstReference:
         assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
 
 
+@pytest.mark.differential
+class TestRawHistogramAgainstReference:
+    """The low-digit code table plus high prefixes against each index's div/mod code."""
+
+    # The table takes as many low digits as fit max(M^2, cells // 16) codes, so one
+    # bincount block means it covers all k digits.  4_2_g3 has k=5, 4_4_g4 k=6.
+    @pytest.mark.parametrize("name, m_copies, cells, blocks", [
+        ("4_2_g3", 3, oracle._BLOCK_CELLS, 5),  # 4 of 5 digits, 9 prefixes in pairs
+        ("4_2_g3", 3, 16 * 3**10, 1),  # all 5 digits
+        ("4_2_g3", 3, 16 * 250, 243),  # 2 of 5 digits, 729 prefixes in threes
+        ("4_2_g3", 3, 100, 6561),  # 1 digit, one prefix per block
+        ("4_2_g3", 5, oracle._BLOCK_CELLS, 625),  # 3 of 5 digits
+        ("4_4_g4", 3, oracle._BLOCK_CELLS, 41),  # 4 of 6 digits, 81 prefixes in pairs
+        ("4_4_g4", 3, 16 * 3**12, 1),  # all 6 digits
+    ])
+    def test_counts_equal(self, monkeypatch, name, m_copies, cells, blocks):
+        inst = md.canonical_uas(name).instance()
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        with mock.patch.object(oracle, "_measured_fractions", wraps=oracle._measured_fractions) as spy, \
+                mock.patch.object(oracle.np, "bincount", wraps=np.bincount) as bincount:
+            md.full_enumeration_fractions(inst, m_copies)
+        assert bincount.call_count == blocks
+        counts = spy.call_args.args[4]
+        assert np.array_equal(counts, reference_raw_histogram(m_copies, len(inst.deg2_cns), cells))
+
+
+@pytest.mark.differential
+class TestDrawAgainstReference:
+    """One getrandbits block per trial against one randrange call per entry."""
+
+    @pytest.mark.parametrize("n_entries", [1, 12, 60, 231])
+    # 2^32 - 5, the largest 32-bit prime, takes whole words.
+    @pytest.mark.parametrize("m_copies", [3, 5, 7, 13, 101, 65537, 2**32 - 5])
+    def test_values_equal(self, m_copies, n_entries):
+        for seed in (0, 11, -4, 2**40 + 3):
+            for start, stop in ((5, 45), (9, 9)):
+                drawn = oracle._draw_values(n_entries, m_copies, seed, start, stop)
+                expected = reference_draw_values(n_entries, m_copies, seed, start, stop)
+                assert drawn.dtype == expected.dtype
+                assert drawn.tolist() == expected.tolist()
+
+    def test_short_blocks_drawn_again(self, monkeypatch):
+        # Without a margin a block holds the expected word count, so trials run short.
+        cases = [(n, m, seed) for n in (1, 12, 60, 231) for m in (3, 5, 65537) for seed in (0, -4)]
+        expected = [reference_draw_values(n, m, seed, 3, 43).tolist() for n, m, seed in cases]
+        calls = []
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(oracle, "_WORD_MARGIN", 0)
+        monkeypatch.setattr(oracle.random, "Random", Counting)
+        for (n, m, seed), want in zip(cases, expected):
+            calls.clear()
+            assert oracle._draw_values(n, m, seed, 3, 43).tolist() == want
+            assert len(calls) > 40
+
+
 class TestKernelLimits:
     def test_full_enumeration_of_4_4_bounded(self, inst_4_4):
         # Materialising every assignment as int64 peaks above 500 MB here.
@@ -255,6 +318,11 @@ class TestMonteCarlo:
     def test_copies_not_odd_prime_rejected(self, m_copies):
         with pytest.raises(ValueError, match="must be an odd prime"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), m_copies, trials=10)
+
+    def test_copies_beyond_one_word_rejected(self):
+        # 2^32 + 15 is prime; randrange would read two words per value.
+        with pytest.raises(ValueError, match=r"^number of copies 4294967311 must be below 2\^32 for the draw$"):
+            md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 2**32 + 15, trials=10)
 
     def test_no_threads_rejected(self):
         with pytest.raises(ValueError, match="at least 1 thread"):

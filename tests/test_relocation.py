@@ -171,7 +171,12 @@ class TestRelocFile:
         ("reloc M=3 grain=entry\n", "line 1: malformed header 'reloc M=3 grain=entry'"),
         ("reloc M=4 granularity=entry\n", "line 1: number of copies 4 must be an odd prime"),
         ("reloc M=3 granularity=entry\ne 4 1 3\n", r"line 2: relocation value 3 out of range \[0, 3\)"),
-    ], ids=["empty", "blank", "header-value", "header-key", "copies", "value-range"])
+        ("reloc M=3 granularity=entry\ne 4 1\n", "line 2: expected 'c bi bj ell' or 'e row col ell', got 'e 4 1'"),
+        ("reloc M=3 granularity=entry\ne 4 1 x\n", "line 2: expected integers in 'e row col ell', got 'e 4 1 x'"),
+        ("reloc M=3 granularity=entry\n\nc 0 1.5 2\n",
+         "line 3: expected integers in 'c bi bj ell', got 'c 0 1.5 2'"),
+    ], ids=["empty", "blank", "header-value", "header-key", "copies", "value-range", "unit-form",
+            "entry-token", "circulant-token"])
     def test_rejections(self, uas_4_2, text, message):
         with pytest.raises(md.ParseError, match=f"^{message}$"):
             md.parse_reloc(text, uas_4_2.incidence)
