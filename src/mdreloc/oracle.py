@@ -27,6 +27,10 @@ the full enumeration histograms its raw assignments into them.  Rows stream
 through it in blocks of at most ``_BLOCK_CELLS`` (row, potential) cells, so
 its memory is bounded for every a and M; a run of more than MAX_CHECK_PAIRS
 (assignment, potential) pairs is refused with ``ValueError`` before any work.
+Steps constant over a block (all of ``min_detached_checks``'s one row; the
+tree steps and high loop digits of exhaustive rows) are scored once per
+potential.  The plan steps, and the fractions' cycle sign columns, come from
+memos kept per instance object, so a sweep over M plans once.
 """
 
 from __future__ import annotations
@@ -101,9 +105,11 @@ def _detached_check_counts(a: int, steps, m: int, total: int, rows_at, counts=No
     when None).  A potential gives each VN a copy shift s (the first VN
     pinned to 0; a global shift changes nothing).  The step's check is kept
     when R(e1) + s(x) = R(e2) + s(y) mod M (both edges in one copy of the
-    check), i.e. d = s(y) - s(x).  Also counts, per matrix of signed step
-    weights, the rows on which every cycle sum is nonzero.  Both tallies
-    add up multiplicities.
+    check), i.e. d = s(y) - s(x).  A step on which every row of a block
+    holds the same d is scored once per potential into a base count; only
+    the other steps are compared over the block's (row, potential) cells.
+    Also counts, per matrix of signed step weights, the rows on which every
+    cycle sum is nonzero.  Both tallies add up multiplicities.
     """
     n_pots = _potential_count(total, m, a)
     pairs, cdt = tuple((x, y) for x, y, _, _ in steps), np.min_scalar_type(len(steps))
@@ -113,16 +119,62 @@ def _detached_check_counts(a: int, steps, m: int, total: int, rows_at, counts=No
         rows = rows_at(r0, min(r0 + row_step, total))
         mult = 1 if counts is None else counts[r0:r0 + len(rows)]
         beta = np.full(len(rows), len(steps), dtype=cdt)
+        fixed = (rows == rows[0]).all(axis=0)
         for p0 in range(0, n_pots, pot_step):
             p1 = min(p0 + pot_step, n_pots)
-            detached = np.zeros((len(rows), p1 - p0), dtype=cdt)
-            for diff, target in zip(rows.T, _targets(m, a, pairs, p0, p1)):
-                detached += diff[:, None] != target
+            targets = _targets(m, a, pairs, p0, p1)
+            detached = np.empty((len(rows), p1 - p0), dtype=cdt)
+            detached[:] = (rows[0, fixed][:, None] != targets[fixed]).sum(axis=0, dtype=cdt)
+            for k in np.flatnonzero(~fixed):
+                detached += rows[:, k, None] != targets[k]
             np.minimum(beta, detached.min(axis=1), out=beta)
         np.add.at(hist, beta, mult)
         for i, w in enumerate(weights):
             inactive[i] += int((((rows.astype(w.dtype) @ w) % m != 0).all(axis=1) * mult).sum())
     return hist, inactive
+
+
+def _last_instance(build):
+    """Memoize ``build(u)`` for the last instance object passed, matched with ``is``.
+
+    Instance equality ignores the graph, so equal instances of two graphs
+    do not share an entry; holding the object keeps its id from reuse.
+    """
+    last = (None, None)
+
+    def cached(u: UasInstance):
+        nonlocal last
+        held, value = last
+        if held is not u:
+            value = build(u)
+            last = u, value
+        return value
+
+    return cached
+
+
+@_last_instance
+def _plan_steps(u: UasInstance) -> tuple[tuple[int, int, int, int], ...]:
+    """The instance's potential plan as (x, y, e1, e2) steps, tree steps then loops."""
+    return tuple(map(tuple, np.concatenate(activity_plans([u]), axis=1)[0].tolist()))
+
+
+@_last_instance
+def _cycle_signs(u: UasInstance) -> tuple[np.ndarray, np.ndarray]:
+    """e1's sign per plan step (rows) in each cycle, for the minimum basis and for all cycles.
+
+    A cycle meets both edges of each of its checks, with opposite signs, so
+    a check-difference row times a cycle's column is its alternating value sum.
+    """
+    steps, sub, signs = _plan_steps(u), u.deg2_subgraph(), []
+    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * u.a)):
+        w = np.zeros((len(steps), len(cycles)), np.int8)
+        for j, cycle in enumerate(cycles):
+            sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
+            w[:, j] = [sign.get(e1, 0) for *_, e1, _ in steps]
+            assert all(sign.get(e2, 0) == -sign.get(e1, 0) for *_, e1, e2 in steps)
+        signs.append(w)
+    return tuple(signs)
 
 
 def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
@@ -131,7 +183,7 @@ def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     The minimum is 0 exactly when the set reappears intact in every copy
     (see ``_detached_check_counts`` for the search over alignments).
     """
-    steps, v, m = np.concatenate(activity_plans([u]), axis=1)[0].tolist(), reloc.values, reloc.m_copies
+    steps, v, m = _plan_steps(u), reloc.values, reloc.m_copies
     row = np.array([[(v[e1] - v[e2]) % m for *_, e1, e2 in steps]])
     hist, _ = _detached_check_counts(u.a, steps, m, 1, lambda start, stop: row)
     return int(np.flatnonzero(hist)[0])
@@ -164,18 +216,10 @@ def _measured_fractions(u: UasInstance, m: int, total: int, rows_at,
                         counts=None) -> EmpiricalFractions:
     """Fractions over ``total`` check-difference rows streamed by ``rows_at``.
 
-    A cycle meets both edges of each of its checks, with opposite signs, so
-    its column of weights holds e1's sign per plan step; a row times the
-    column is the cycle's alternating value sum.
+    The cycle sign columns are widened to a dtype that holds a row's sums at this M.
     """
-    steps, sub, weights = np.concatenate(activity_plans([u]), axis=1)[0].tolist(), u.deg2_subgraph(), []
-    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * u.a)):
-        w = np.zeros((len(steps), len(cycles)), np.int16 if len(steps) * m < 2**15 else np.int64)
-        for j, cycle in enumerate(cycles):
-            sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
-            w[:, j] = [sign.get(e1, 0) for *_, e1, _ in steps]
-            assert all(sign.get(e2, 0) == -sign.get(e1, 0) for *_, e1, e2 in steps)
-        weights.append(w)
+    steps = _plan_steps(u)
+    weights = [w.astype(np.int16 if len(steps) * m < 2**15 else np.int64) for w in _cycle_signs(u)]
     hist, inactive = _detached_check_counts(u.a, steps, m, total, rows_at, counts, weights)
     n, n_active = int(hist.sum()), int(hist[0])
     tallies = (n_active, n - n_active, int(hist[1]), int(hist[2:].sum()), *inactive)

@@ -98,15 +98,37 @@ class TestExhaustive:
             assert getattr(full, field) == getattr(reduced, field), field
 
 
-@pytest.fixture(scope="module")
-def inst_6_2():
+@lru_cache(maxsize=None)
+def six_vn_instance() -> md.UasInstance:
     """The first (6,2,γ3) instance of array_host(3,7,11): a=6, 8 checks, n_f=3."""
     host = md.build_graph(md.expand_qc(array_host(3, 7, 11)))
     return md.enumerate_uas(host, md.UasConfig(6, 2, 3))[0]
 
 
+@pytest.fixture(scope="module")
+def inst_6_2():
+    return six_vn_instance()
+
+
+BLOCK_SIZES = [1, 27, 100, 1000]
+
+
+@lru_cache(maxsize=None)
+def reference_fractions_of(name, m_copies):
+    inst = six_vn_instance() if name == "6_2" else md.canonical_uas(name).instance()
+    return inst, reference_exhaustive_fractions(inst, m_copies)
+
+
+@pytest.mark.differential
 class TestAgainstReference:
-    """The chunked kernel against the per-check, per-row and int64 bodies it replaced."""
+    """The chunked kernel against the per-check, per-row and int64 bodies it replaced.
+
+    A kernel block holds max(1, cells // M^(a-1)) rows, and cells below
+    M^(a-1) also split the potentials.  A one-row block has every step
+    constant; a few exhaustive rows keep the tree steps and the high loop
+    digits constant; the whole full enumeration of 4_2_g3 at M=3 varies
+    every step.  The tests that patch nothing run the default size.
+    """
 
     @pytest.mark.parametrize("m_copies", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("name", ["4_2_g3", "4_4_g4"])
@@ -135,7 +157,16 @@ class TestAgainstReference:
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
         assert [md.exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)] == expected
 
-    @pytest.mark.parametrize("cells", [5, 27, 100, 1000])
+    # At M=5 and 7 only the larger sizes, so no case runs more than 6561 blocks.
+    @pytest.mark.parametrize("m_copies, cells", [(3, c) for c in BLOCK_SIZES]
+                             + [(5, c) for c in BLOCK_SIZES[2:]] + [(7, c) for c in BLOCK_SIZES[3:]])
+    @pytest.mark.parametrize("name", ["4_2_g3", "4_4_g4", "6_2"])
+    def test_block_shapes(self, monkeypatch, name, m_copies, cells):
+        inst, expected = reference_fractions_of(name, m_copies)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        assert md.exhaustive_fractions(inst, m_copies) == expected
+
+    @pytest.mark.parametrize("cells", [1, 5, 27, 100, 1000])
     def test_small_blocks_split_raw_stream(self, inst_4_2, monkeypatch, cells):
         # The raw stream goes in blocks of max(M^2, cells // 16) assignments and
         # the weighted kernel in blocks below or above the 27 potentials; at
@@ -186,7 +217,9 @@ class TestAgainstReference:
         reloc = md.RelocationMap(m_copies, fix.incidence)
         for r, c in fix.incidence.entries:
             reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
-        assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
+        cells = data.draw(st.sampled_from(BLOCK_SIZES + [oracle._BLOCK_CELLS]))
+        with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
+            assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
 
 
 @pytest.mark.differential
@@ -247,6 +280,59 @@ class TestDrawAgainstReference:
             calls.clear()
             assert oracle._draw_values(n, m, seed, 3, 43).tolist() == want
             assert len(calls) > 40
+
+
+def own_steps(u):
+    return np.concatenate(oracle.activity_plans([u]), axis=1)[0].tolist()
+
+
+class TestInstanceMemo:
+    """M-independent work is built once per instance object, never shared by equal instances."""
+
+    def test_equal_instances_of_two_graphs(self, uas_4_2, inst_4_2):
+        # Checks 0 and 4 are both degree 2, so swapping their rows keeps every
+        # node id of the instance and moves its edges.
+        inc = uas_4_2.incidence
+        swap = {0: 4, 4: 0}
+        rows = [(swap.get(r, r), c) for r, c in inc.entries]
+        other = md.enumerate_uas(md.build_graph(md.BinaryMatrix.from_entries(inc.n_rows, inc.n_cols, rows)),
+                                 uas_4_2.config)[0]
+        assert other == inst_4_2 and own_steps(other) != own_steps(inst_4_2)
+        for u in (inst_4_2, other, inst_4_2):
+            assert list(map(list, oracle._plan_steps(u))) == own_steps(u)
+
+    def test_sweep_builds_once(self):
+        inst = md.canonical_uas("4_4_g4").instance()
+        with mock.patch.object(oracle, "activity_plans", wraps=oracle.activity_plans) as plans, \
+                mock.patch.object(oracle, "minimum_cycle_basis", wraps=oracle.minimum_cycle_basis) as basis, \
+                mock.patch.object(oracle, "enumerate_cycles", wraps=oracle.enumerate_cycles) as cycles:
+            for m_copies in (3, 5, 7, 11, 13):
+                md.exhaustive_fractions(inst, m_copies)
+        assert (plans.call_count, basis.call_count, cycles.call_count) == (1, 1, 1)
+
+    def test_fresh_instance_plans_again(self, uas_4_2):
+        first, second = uas_4_2.instance(), uas_4_2.instance()
+        assert first == second and first is not second
+        with mock.patch.object(oracle, "activity_plans", wraps=oracle.activity_plans) as plans:
+            for u in (first, first, second):
+                md.exhaustive_fractions(u, 3)
+        assert plans.call_count == 2
+
+    def test_detached_checks_skip_cycle_basis(self):
+        # A 4-cycle host whose (4,2) instances have no chained minimum cycle basis.
+        shifts = [0] * 8 + [1]
+        host = md.expand_qc(md.QcMatrix.from_blocks(
+            3, 3, 3, {(i, j): shifts[i * 3 + j] for i in range(3) for j in range(3)}))
+        instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
+        with pytest.raises(ValueError, match="consecutive cycles"):
+            md.minimum_cycle_basis(instances[0].deg2_subgraph())
+        reloc = md.RelocationMap(3, host)
+        for k, (r, c) in enumerate(host.entries):
+            reloc.assign_entry(r, c, k % 3)
+        with mock.patch.object(oracle, "minimum_cycle_basis", wraps=oracle.minimum_cycle_basis) as basis:
+            got = [md.min_detached_checks(u, reloc) for u in instances]
+        assert basis.call_count == 0
+        assert got == [reference_min_detached_checks(u, reloc) for u in instances]
 
 
 class TestKernelLimits:
