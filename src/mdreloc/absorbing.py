@@ -26,6 +26,9 @@ VN per orbit and expanded through the group, so the output is the plain
 search's list.
 A graph without such a free symmetry gets the plain search.
 
+An (a, d1) set that loses degree-1 checks becomes an (a, d1 - 2), (a, d1 - 4),
+... object; the search that lists a class lists these siblings too.
+
 Two canonical fixtures, ``4_2_g3`` and ``4_4_g4``, are shipped for tests
 and command-line experiments; they are the smallest problematic objects
 for column weights 3 and 4 respectively.
@@ -151,8 +154,22 @@ class UasInstance:
         return TannerGraph(self.deg2_cns, self.vns, tuple(edges))
 
 
-def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
-    """All (a, d1) instances in the graph, sorted by VN tuple.
+class UasList(list):
+    """The (a, d1) instances ``enumerate_uas`` lists.
+
+    ``siblings`` maps d' = d1 - 2, d1 - 4, ... >= 0, in that order, to the (a, d') instances.
+    """
+
+    def __init__(self, instances, siblings: dict[int, list[UasInstance]]):
+        super().__init__(instances)
+        self.siblings = siblings
+
+
+def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
+    """All (a, d1) instances in the graph, sorted by VN tuple, and their siblings.
+
+    One pass finds the family d' = d1, d1 - 2, ... >= 0; the ``siblings``
+    of the returned ``UasList`` list each smaller class in the same order.
 
     Searches connected VN sets only (connectivity through shared checks),
     growing each set from its first VN in a fixed order so every
@@ -183,23 +200,25 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     joins s VNs shares a check with one of them and at most lam checks
     with each (lam: the most checks two eligible VNs share, 1 without
     4-cycles), so it touches 1 <= t <= min(gamma, lam * s) degree-1
-    checks and changes D by gamma - 2t.  A branch of k VNs is dropped
-    unless D - drop[k] <= d1 <= D + (gamma - 2)(a - k), where drop[k] sums
+    checks and changes D by gamma - 2t.  With d0 = d1 mod 2 the least d',
+    a branch of k VNs is dropped unless D - drop[k] <= d1 and
+    d0 <= D + (gamma - 2)(a - k), where drop[k] sums
     2 min(gamma, lam * s) - gamma over s = k .. a - 1; at a - 1 VNs it
-    also needs D > d1, as the last VN needs 2t > gamma.  The last VN is
+    also needs D > d0, as the last VN needs 2t > gamma.  The last VN is
     not searched for: a set of a - 1 VNs is completed only by a
-    candidate with ``m & two == 0`` and exactly
-    t = (D + gamma - d1) / 2 bits in ``m & one``, which makes D = d1; the
-    majority rule then needs each other VN v to have fewer than gamma / 2
-    of its checks among the final degree-1 ones.  No connectivity test is
-    needed: every set grows through checks it shares, and a shared check
+    candidate with ``m & two == 0`` and one of the family's
+    t = (D + gamma - d') / 2 > gamma / 2 bits in ``m & one``, which makes
+    D = d'; the majority rule then needs each other VN v to have fewer
+    than gamma / 2 of its checks among the final degree-1 ones.  No
+    connectivity test is needed: every set grows through checks it shares, and a shared check
     has induced degree 2.  Masks become check ids only for the sets found.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
+    family = range(d1, -1, -2)
     if a == 1:
         # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
         # could match, and the strict majority condition always fails.
-        return []
+        return UasList([], {d: [] for d in family[1:]})
     vmaps, cmaps = g.shift_group
     size = len(vmaps)
     # The search works on ranks: order[i] is the position in g.vns of the
@@ -237,24 +256,25 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
     )
     # bounds[k]: the least and most D a branch of k VNs may have.
     drop = [sum(2 * min(gamma, lam * s) - gamma for s in range(k, a)) for k in range(a)]
-    bounds = [(d1 - (gamma - 2) * (a - k), d1 + drop[k]) for k in range(a)]
-    bounds[a - 1] = (d1 + 1, d1 + drop[a - 1])
+    bounds = [(family[-1] - (gamma - 2) * (a - k), d1 + drop[k]) for k in range(a)]
+    bounds[a - 1] = (family[-1] + 1, d1 + drop[a - 1])
 
-    # (VN ranks, degree-1 check mask, degree-2 check mask) of every set found.
-    found: list[tuple[list[int], int, int]] = []
+    # (VN ranks, degree-1 check mask, degree-2 check mask) of every set found, by d'.
+    found: dict[int, list[tuple[list[int], int, int]]] = {d: [] for d in family}
+    # accept[D]: the family's t for a - 1 VNs with D degree-1 checks; 2t > gamma
+    # exactly when D > d', and D + gamma - d' is even as a * gamma - d' is.
+    accept = [{(n + gamma - d) // 2 for d in family if d < n} for n in range((a - 1) * gamma + 1)]
 
     def finish(sub: list[int], ext: list[int], one: int, two: int):
-        """Complete a set of a - 1 VNs with each candidate that makes D = d1."""
-        # 2t > gamma, as D > d1 (bounds[a - 1]; for a = 2, D = gamma > d1), and
-        # D + gamma - d1 is even because a * gamma - d1 is.
-        t = (one.bit_count() + gamma - d1) // 2
+        """Complete a set of a - 1 VNs with each candidate that makes D a family d'."""
+        ts = accept[one.bit_count()]
         for w in ext:
             m = mask[w]
-            if not m & two and (m & one).bit_count() == t:
+            if not m & two and (m & one).bit_count() in ts:
                 final1 = one ^ m
                 # Majority rule for the other VNs.
                 if all(2 * (final1 & mask[v]).bit_count() < gamma for v in sub):
-                    found.append((sub + [w], final1, two | (one & m)))
+                    found[final1.bit_count()].append((sub + [w], final1, two | (one & m)))
 
     def extend(sub: list[int], ext: list[int], closed: int, one: int, two: int):
         if len(sub) == a - 1:
@@ -280,26 +300,31 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> list[UasInstance]:
             below = (2 << root) - 1
             extend([root], positions(nbit[root] & ~below), below | nbit[root], mask[root], 0)
 
-    # Each set found is one row of positions: its VNs, then its degree-1
-    # and degree-2 checks, offset by len(g.vns).  All elements map all rows
-    # at once, ids replace positions, and each part is sorted: an image is
-    # one instance's row, named by its VN tuple.  Sorting the rows by VN
-    # tuple and keeping the first of equal tuples leaves the instances.
-    n_v, d2 = len(g.vns), degree2_check_count(c)
-    sets = np.array([[order[v] for v in sub] + [n_v + i for i in positions(one) + positions(two)]
-                     for sub, one, two in found], dtype=np.int64).reshape(len(found), a + d1 + d2)
-    images = np.array(g.vns + g.cns)[np.concatenate((vmaps, cmaps + n_v), axis=1)[:, sets]]
-    parts = (images[..., :a], images[..., a:a + d1], images[..., a + d1:])
-    rows = np.concatenate([np.sort(part, axis=2) for part in parts], axis=2).reshape(-1, a + d1 + d2)
-    by_vns, new = _distinct(rows[:, :a])
-    rows = rows[by_vns[new]].tolist()
-    # The orbit identity: a set with r of its VNs in its root's orbit
-    # stands for |G| / r instances.
-    hits = Counter(sum(v // size == sub[0] // size for v in sub) for sub, _, _ in found)
-    weight = sum(Fraction(size * n, r) for r, n in hits.items())
-    if weight != len(rows):
-        raise AssertionError(f"orbit expansion gave {len(rows)} instances, expected {weight}")
-    return [UasInstance(tuple(r[:a]), tuple(r[a:a + d1]), tuple(r[a + d1:]), g) for r in rows]
+    def expand(d: int) -> list[UasInstance]:
+        # Each (a, d) set found is one row of positions: its VNs, then its degree-1
+        # and degree-2 checks, offset by len(g.vns).  All elements map all rows
+        # at once, ids replace positions, and each part is sorted: an image is
+        # one instance's row, named by its VN tuple.  Sorting the rows by VN
+        # tuple and keeping the first of equal tuples leaves the instances.
+        if not found[d]:
+            return []
+        n_v, width = len(g.vns), a + d + (a * gamma - d) // 2
+        sets = np.array([[order[v] for v in sub] + [n_v + i for i in positions(one) + positions(two)]
+                         for sub, one, two in found[d]], dtype=np.int64)
+        images = np.array(g.vns + g.cns)[np.concatenate((vmaps, cmaps + n_v), axis=1)[:, sets]]
+        parts = (images[..., :a], images[..., a:a + d], images[..., a + d:])
+        rows = np.concatenate([np.sort(part, axis=2) for part in parts], axis=2).reshape(-1, width)
+        by_vns, new = _distinct(rows[:, :a])
+        rows = rows[by_vns[new]].tolist()
+        # The orbit identity: a set with r of its VNs in its root's orbit
+        # stands for |G| / r instances.
+        hits = Counter(sum(v // size == sub[0] // size for v in sub) for sub, _, _ in found[d])
+        weight = sum(Fraction(size * n, r) for r, n in hits.items())
+        if weight != len(rows):
+            raise AssertionError(f"orbit expansion gave {len(rows)} ({a}, {d}) instances, expected {weight}")
+        return [UasInstance(tuple(r[:a]), tuple(r[a:a + d]), tuple(r[a + d:]), g) for r in rows]
+
+    return UasList(expand(d1), {d: expand(d) for d in family[1:]})
 
 
 # ---------------------------------------------------------------------------

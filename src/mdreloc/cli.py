@@ -45,7 +45,6 @@ from .tanner import (
     QcMatrix,
     _to_text,
     build_graph,
-    check_no_4cycles,
     check_regular_gamma,
     expand_qc,
     parse_alist,
@@ -145,9 +144,10 @@ def cmd_analyze(args) -> int:
         print(f"quasi-cyclic: p={qc.p}, base {qc.m_b} x {qc.n_b}, {len(qc.circulants)} circulants")
     weight = gamma if gamma is not None else "irregular" if matrix.n_cols else "none (no columns)"
     print(f"column weight: {weight}")
-    print(f"4-cycle free: {'yes' if check_no_4cycles(graph) else 'no'}")
+    # --max-cycle-len >= 4, so the enumeration lists every 4-cycle.
     cycles = enumerate_cycles(graph, args.max_cycle_len)
     by_len = Counter(c.length for c in cycles)
+    print(f"4-cycle free: {'no' if by_len[4] else 'yes'}")
     counts = ", ".join(f"{n}: {by_len[n]}" for n in sorted(by_len)) or "none"
     print(f"cycles up to length {args.max_cycle_len}: {len(cycles)} ({counts})")
     if config is None:

@@ -13,7 +13,9 @@ The vote's verdicts under the winning value become the new activity of
 the instances involving the unit, and no other instance can change, so
 each step makes exactly one potential solve.  The loop stops when no
 active instance remains, or when no unit can attract a vote (the design
-is then reported incomplete rather than forced).
+is then reported incomplete rather than forced).  The one host search
+that lists the target instances also gives the smaller-d1 siblings the
+report's notes name.
 """
 
 from __future__ import annotations
@@ -96,22 +98,6 @@ def vote(plans, unit_entries, values: np.ndarray, m: int) -> np.ndarray:
     return intact(plans, trial, m)
 
 
-def _precondition_warnings(graph, config) -> list[str]:
-    notes = []
-    if not check_no_4cycles(graph):
-        notes.append("host has 4-cycles; cycle-length guarantees do not apply")
-    d1 = config.d1 - 2
-    while d1 >= 0:
-        smaller = UasConfig(config.a, d1, config.gamma)
-        if enumerate_uas(graph, smaller):
-            notes.append(
-                f"host contains ({smaller.a}, {smaller.d1}) instances; relocated"
-                f" ({config.a}, {config.d1}) sets may degrade into them"
-            )
-        d1 -= 2
-    return notes
-
-
 def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
     """Run the full design loop and assemble the MD matrix.
 
@@ -133,12 +119,14 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
             f"host column weight {gamma} does not match target gamma {config.gamma}"
         )
     graph = build_graph(reloc.matrix)
-    notes = _precondition_warnings(graph, config)
+    instances = enumerate_uas(graph, config)
+    notes = [] if check_no_4cycles(graph) else ["host has 4-cycles; cycle-length guarantees do not apply"]
+    notes += [f"host contains ({config.a}, {d}) instances; relocated ({config.a}, {config.d1})"
+              f" sets may degrade into them" for d, found in instances.siblings.items() if found]
 
     assign = reloc.assign_entry if reloc.qc is None else reloc.assign_circulant
     units = list(reloc.units)
 
-    instances = enumerate_uas(graph, config)
     plans = activity_plans(instances)
     touches = involvement(plans, reloc.units)
 

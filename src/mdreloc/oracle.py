@@ -67,20 +67,19 @@ from .tanner import BinaryMatrix, build_graph
 MAX_CHECK_PAIRS = 1 << 32
 
 
-def _digits(m: int, width: int, start: int, stop: int) -> np.ndarray:
-    """Base-m digit strings of the numbers start..stop-1, one per row, little-endian."""
+def _digits(m: int, width: int, start: int, stop: int, lead: int = 0) -> np.ndarray:
+    """Base-m digit strings of the numbers start..stop-1, one per row after ``lead`` zeros, little-endian."""
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.min_scalar_type(m - 1))
+    out = np.zeros((stop - start, lead + width), dtype=np.min_scalar_type(m - 1))
     for k in range(width):
-        out[:, k] = (idx // m**k) % m
+        out[:, lead + k] = (idx // m**k) % m
     return out
 
 
 @lru_cache(maxsize=8)
 def _targets(m: int, a: int, pairs: tuple[tuple[int, int], ...], start: int, stop: int):
     """s(y) - s(x) mod M for each VN pair (x, y), over potentials start..stop-1."""
-    s = np.zeros((stop - start, a), dtype=np.min_scalar_type(m - 1))
-    s[:, 1:] = _digits(m, a - 1, start, stop)
+    s = _digits(m, a - 1, start, stop, lead=1)
     out = np.empty((len(pairs), stop - start), dtype=s.dtype)
     for k, (x, y) in enumerate(pairs):
         out[k] = (s[:, y].astype(np.int64) - s[:, x]) % m
@@ -237,8 +236,7 @@ def exhaustive_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:
     enumeration checks this reduction against raw assignments.
     """
     m, n_f = m_copies, len(u.deg2_cns) - u.a + 1
-    return _measured_fractions(u, m, m**n_f, lambda start, stop: np.pad(
-        _digits(m, n_f, start, stop), ((0, 0), (u.a - 1, 0))))
+    return _measured_fractions(u, m, m**n_f, lambda start, stop: _digits(m, n_f, start, stop, u.a - 1))
 
 
 def full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFractions:

@@ -3,9 +3,11 @@
 Kept verbatim as a differential oracle.  Every host instance gets a
 minimum cycle basis, and activity and votes are read off its basic
 cycles' alternating sums one entry at a time, so it shares no activity
-code with ``mdreloc.designer.design_md``.  Only the unit table, the
-precondition notes and the result types are shared; ``select_unit``
-picks units by a dict scan, independently of the designer's argmax.
+code with ``mdreloc.designer.design_md``.  Only the unit table and the
+result types are shared; ``select_unit`` picks units by a dict scan,
+independently of the designer's argmax.  ``_precondition_warnings`` is
+the designer's earlier note builder: one search per smaller-d1 sibling
+class, apart from the target search that lists the siblings now.
 """
 
 from __future__ import annotations
@@ -15,22 +17,32 @@ from fractions import Fraction
 
 from mdreloc.absorbing import UasConfig, enumerate_uas
 from mdreloc.cycles import CycleBasis, minimum_cycle_basis
-from mdreloc.designer import (
-    DesignReport,
-    DesignResult,
-    StepRecord,
-    Unit,
-    _precondition_warnings,
-)
+from mdreloc.designer import DesignReport, DesignResult, StepRecord, Unit
 from mdreloc.relocation import (
     RelocationMap,
     assemble_md,
     check_copies,
     unit_table,
 )
-from mdreloc.tanner import QcMatrix, build_graph, check_regular_gamma, expand_qc
+from mdreloc.tanner import QcMatrix, build_graph, check_no_4cycles, check_regular_gamma, expand_qc
 
 from reference_activity import alternating_value_sum, is_uas_active
+
+
+def _precondition_warnings(graph, config) -> list[str]:
+    notes = []
+    if not check_no_4cycles(graph):
+        notes.append("host has 4-cycles; cycle-length guarantees do not apply")
+    d1 = config.d1 - 2
+    while d1 >= 0:
+        smaller = UasConfig(config.a, d1, config.gamma)
+        if enumerate_uas(graph, smaller):
+            notes.append(
+                f"host contains ({smaller.a}, {smaller.d1}) instances; relocated"
+                f" ({config.a}, {config.d1}) sets may degrade into them"
+            )
+        d1 -= 2
+    return notes
 
 
 def select_unit(counts: dict) -> Unit | None:

@@ -1,5 +1,6 @@
 """Absorbing-set structure: configs, enumeration, and reference fixtures."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import (
     legal_configs,
     moved_entry_graph,
 )
+from reference_designer import _precondition_warnings as reference_notes
 from reference_uas import (
     _build_instance as reference_instance,
     reference_enumerate_uas,
@@ -250,6 +252,23 @@ def _ref_fields(found):
     return [(i.vns, i.deg1_cns, i.deg2_cns, deg2_eids) for i, deg2_eids in found]
 
 
+def _assert_family(g, configs) -> dict:
+    """Each class's list and each of its sibling lists equal the reference's lists.
+
+    Returns the reference's rows by class, each class searched once.
+    """
+    ref = {}
+    for config in configs:
+        got = md.enumerate_uas(g, config)
+        assert list(got.siblings) == list(range(config.d1 - 2, -1, -2)), config
+        for d, found in [(config.d1, got), *got.siblings.items()]:
+            c = dataclasses.replace(config, d1=d)
+            if c not in ref:
+                ref[c] = _ref_fields(reference_enumerate_uas(g, c))
+            assert _fields(found) == ref[c], (config, d)
+    return ref
+
+
 class TestAgainstReference:
     """The pruned search returns exactly the unpruned reference's list."""
 
@@ -323,11 +342,7 @@ class TestAgainstReference:
     @given(host=irregular_hosts())
     def test_irregular_column_weights(self, host):
         m, gamma = host
-        g = md.build_graph(m)
-        for config in legal_configs(range(1, 6), gamma):
-            assert _fields(md.enumerate_uas(g, config)) == _ref_fields(
-                reference_enumerate_uas(g, config)
-            ), config
+        _assert_family(md.build_graph(m), legal_configs(range(1, 6), gamma))
 
 
 def _group(g):
@@ -479,7 +494,8 @@ def _case_graph(case):
         return md.build_graph(md.expand_qc(array_host(*args)))
     if kind == "design":
         return designed_graph(*args)
-    return {"dihedral": dihedral_graph, "moved": moved_entry_graph}[kind]()
+    return {"dihedral": dihedral_graph, "moved": moved_entry_graph,
+            "k4": lambda: md.build_graph(k4_host())}[kind]()
 
 
 @pytest.mark.differential
@@ -522,3 +538,54 @@ class TestGroupAgainstReference:
             assert len(least) * len(group) >= len(got) >= len(least)
             found += len(got) - len(least)
         assert found or len(group) == 1
+
+
+# Hosts whose sibling census is known: (graph case, target (a, d1), sibling counts by d').
+SIBLING_CASES = [
+    pytest.param(("k4", ()), (4, 2), {0: 1}, id="k4"),
+    pytest.param(("qc", (3, 5, 5)), (6, 2), {0: 50}, id="qc(3, 5, 5)"),
+    pytest.param(("qc", (4, 5, 5)), (6, 4), {2: 200, 0: 0}, id="qc(4, 5, 5)"),
+]
+
+# design_md needs a regular host, which the moved-entry matrix is not.
+NOTE_CASES = [p for p in GROUP_CASES if p.id != "moved-entry"] + [
+    pytest.param(p.values[0], [p.values[1]], id=p.id) for p in SIBLING_CASES
+]
+
+
+@pytest.mark.differential
+class TestSiblingClasses:
+    """The search that lists a class lists its smaller-d1 siblings, each as the reference does."""
+
+    @pytest.mark.parametrize("case, target, counts", SIBLING_CASES)
+    def test_sibling_counts(self, case, target, counts):
+        g = _case_graph(case)
+        gamma = len(g.vn_adj[0])
+        ref = _assert_family(g, [md.UasConfig(*target, gamma)])
+        assert {c.d1: len(rows) for c, rows in ref.items() if c.d1 < target[1]} == counts
+
+    @pytest.mark.parametrize("case, classes", GROUP_CASES)
+    def test_group_cases(self, case, classes):
+        g = _case_graph(case)
+        if case == ("qc", (3, 7, 11)):
+            # The reference walks every connected 5-set of this host once per
+            # class, about 10 s each, so a = 5 families are checked on the
+            # smaller hosts only.
+            classes = [c for c in classes if c[0] < 5]
+        _assert_family(g, [md.UasConfig(a, d1, len(g.vn_adj[0])) for a, d1 in classes])
+
+    @pytest.mark.parametrize("case, classes", NOTE_CASES)
+    def test_design_notes_equal_reference(self, case, classes):
+        # The notes design_md reads off the siblings equal those of one
+        # search per sibling class.
+        g = _case_graph(case)
+        entries = [(cn, vn) for cn, vn, _ in g.edges]
+        host = md.BinaryMatrix.from_entries(len(g.cns), len(g.vns), entries)
+        for a, d1 in classes:
+            config = md.UasConfig(a, d1, len(g.vn_adj[0]))
+            notes = md.design_md(host, 3, config).report.warnings
+            assert notes == tuple(reference_notes(md.build_graph(host), config)), config
+
+    def test_size_one_target(self):
+        got = md.enumerate_uas(md.build_graph(k4_host()), md.UasConfig(1, 2, 6))
+        assert got == [] and got.siblings == {0: []}

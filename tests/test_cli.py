@@ -94,6 +94,17 @@ class TestAnalyze:
             "cycles up to length 8: 0 (none)",
         ]
 
+    def test_host_with_4_cycles(self, tmp_path, capsys):
+        path = tmp_path / "shared.alist"
+        path.write_text(md.write_alist(shared_cycle_host()))
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "matrix: 6 x 5, 15 entries",
+            "column weight: 3",
+            "4-cycle free: no",
+            "cycles up to length 8: 22 (4: 3, 6: 7, 8: 12)",
+        ]
+
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["analyze", "--input", "/definitely/not/here.qc"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -236,6 +236,23 @@ class TestMeasuredCounts:
 
 
 class TestPreconditions:
+    @pytest.mark.parametrize(
+        "host, target", [(k4_host(), (4, 2, 3)), (array_host(4, 5, 5), (6, 4, 4))], ids=["k4", "qc(4, 5, 5)"]
+    )
+    def test_one_host_search(self, monkeypatch, host, target):
+        # The search that lists the target instances also gives the siblings
+        # the notes name, so no sibling class is searched apart.
+        calls = []
+
+        def counted(graph, config):
+            calls.append(config)
+            return md.enumerate_uas(graph, config)
+
+        monkeypatch.setattr("mdreloc.designer.enumerate_uas", counted)
+        res = md.design_md(host, 3, md.UasConfig(*target))
+        assert calls == [md.UasConfig(*target)]
+        assert len(res.report.warnings) == 1
+
     def test_4cycle_host_warns_but_proceeds(self):
         doubled = md.QcMatrix.from_blocks(2, 2, 2, {(i, j): 0 for i in range(2) for j in range(2)})
         res = run_quiet(doubled, 3, md.UasConfig(2, 0, 2))
