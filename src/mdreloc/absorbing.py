@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -158,11 +159,16 @@ class UasList(list):
     """The (a, d1) instances ``enumerate_uas`` lists.
 
     ``siblings`` maps d' = d1 - 2, d1 - 4, ... >= 0, in that order, to the (a, d') instances.
+    ``expand(d')`` builds a class from the search's sets, on the first read of ``siblings``.
     """
 
-    def __init__(self, instances, siblings: dict[int, list[UasInstance]]):
+    def __init__(self, instances, family, expand):
         super().__init__(instances)
-        self.siblings = siblings
+        self._family, self._expand = family, expand
+
+    @cached_property
+    def siblings(self) -> dict[int, list[UasInstance]]:
+        return {d: self._expand(d) for d in self._family}
 
 
 def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
@@ -218,7 +224,7 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
     if a == 1:
         # Degenerate size-1 sets: gamma degree-1 checks, so only d1 == gamma
         # could match, and the strict majority condition always fails.
-        return UasList([], {d: [] for d in family[1:]})
+        return UasList([], family[1:], lambda d: [])
     vmaps, cmaps = g.shift_group
     size = len(vmaps)
     # The search works on ranks: order[i] is the position in g.vns of the
@@ -324,7 +330,7 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
             raise AssertionError(f"orbit expansion gave {len(rows)} ({a}, {d}) instances, expected {weight}")
         return [UasInstance(tuple(r[:a]), tuple(r[a:a + d]), tuple(r[a + d:]), g) for r in rows]
 
-    return UasList(expand(d1), {d: expand(d) for d in family[1:]})
+    return UasList(expand(d1), family[1:], expand)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Subcommands:
 * ``verify``     recount instances on an assembled MD matrix
 * ``oracle``     Monte Carlo estimate of the expected surviving instances
 
-Exit codes: 0 success, 2 unreadable/unparsable input, 3 inconsistent
-configuration or an output file that cannot be written, 10 design
+Exit codes: 0 success, 2 unreadable/unparsable input, 3 any other
+refused input (a ``ValueError``: inconsistent configuration, a target
+the library rejects, an output file that cannot be written), 10 design
 finished with active instances left, 11 verify count differed from
 --expect, 141 standard output was closed early (for example by
 ``| head``), as a shell reports a command killed by SIGPIPE.
@@ -43,7 +44,6 @@ from .tanner import (
     BinaryMatrix,
     ParseError,
     QcMatrix,
-    _to_text,
     build_graph,
     check_regular_gamma,
     expand_qc,
@@ -53,17 +53,12 @@ from .tanner import (
 )
 
 
-class ConfigError(Exception):
-    """Mutually inconsistent or invalid command arguments."""
-
-
-def _read_file(path: str) -> str:
+def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return _to_text(data)
 
 
 def _parse_uas_arg(
@@ -74,22 +69,19 @@ def _parse_uas_arg(
         try:
             fixture = canonical_uas(spec[4:])
         except KeyError as exc:
-            raise ConfigError(exc.args[0]) from None
+            raise ValueError(exc.args[0]) from None
         return fixture.config, fixture
     parts = spec.split(",")
     if len(parts) not in (2, 3):
-        raise ConfigError(f"--uas expects 'a,d1[,gamma]' or 'uas:<name>', got {spec!r}")
+        raise ValueError(f"--uas expects 'a,d1[,gamma]' or 'uas:<name>', got {spec!r}")
     try:
         nums = [int(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"--uas values must be integers, got {spec!r}") from None
+        raise ValueError(f"--uas values must be integers, got {spec!r}") from None
     gamma = nums[2] if len(nums) == 3 else default_gamma
     if gamma is None:
-        raise ConfigError(f"--uas needs an explicit gamma when the host {host}")
-    try:
-        return UasConfig(nums[0], nums[1], gamma), None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"--uas needs an explicit gamma when the host {host}")
+    return UasConfig(nums[0], nums[1], gamma), None
 
 
 def _load_target(
@@ -100,16 +92,16 @@ def _load_target(
     The qc format is recognized by its 'qc 1' header (qc is None for an
     alist), and the target is None without ``spec``.
     """
-    text = _read_file(path)
-    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    qc = parse_qc(text) if head.startswith("qc") else None
-    matrix = parse_alist(text) if qc is None else expand_qc(qc)
+    data = _read_file(path)
+    # The parsers' first nonblank text: these are the ASCII characters str.strip removes.
+    qc = parse_qc(data) if data.lstrip(b" \t\n\v\f\r\x1c\x1d\x1e\x1f").startswith(b"qc") else None
+    matrix = parse_alist(data) if qc is None else expand_qc(qc)
     if spec is None:
         return matrix, qc, None
     gamma = check_regular_gamma(matrix)
     config, _ = _parse_uas_arg(spec, gamma, "is irregular" if matrix.n_cols else "has no columns")
     if gamma is not None and config.gamma != gamma:
-        raise ConfigError(f"target gamma {config.gamma} differs from host column weight {gamma}")
+        raise ValueError(f"target gamma {config.gamma} differs from host column weight {gamma}")
     return matrix, qc, config
 
 
@@ -117,7 +109,7 @@ def _check_m(m: int) -> int:
     try:
         check_copies(m)
     except ValueError as exc:
-        raise ConfigError(f"--M: {exc}") from None
+        raise ValueError(f"--M: {exc}") from None
     return m
 
 
@@ -126,7 +118,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +127,7 @@ def _write_file(path: str, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     if args.max_cycle_len < 4 or args.max_cycle_len % 2:
-        raise ConfigError("--max-cycle-len must be an even number >= 4")
+        raise ValueError("--max-cycle-len must be an even number >= 4")
     matrix, qc, config = _load_target(args.input, args.uas)
     graph = build_graph(matrix)
     gamma = check_regular_gamma(matrix)
@@ -172,17 +164,17 @@ def _fraction_instance(args):
     """The single UAS instance named by --uas / --input."""
     if args.uas and args.uas.startswith("uas:"):
         if args.input is not None:
-            raise ConfigError("--input cannot be combined with --uas uas:<name>")
+            raise ValueError("--input cannot be combined with --uas uas:<name>")
         _, fixture = _parse_uas_arg(args.uas, None)
         return fixture.config, fixture.instance(), fixture.name
     if args.input is None:
-        raise ConfigError("fractions needs uas:<name> or --input with a UAS incidence file")
+        raise ValueError("fractions needs uas:<name> or --input with a UAS incidence file")
     if args.uas is None:
-        raise ConfigError("--uas is required to classify the input instance")
+        raise ValueError("--uas is required to classify the input instance")
     matrix, _, config = _load_target(args.input, args.uas)
     instances = enumerate_uas(build_graph(matrix), config)
     if len(instances) != 1:
-        raise ConfigError(
+        raise ValueError(
             f"input holds {len(instances)} ({config.a}, {config.d1}) instances, expected exactly 1"
         )
     return config, instances[0], config.name
@@ -191,15 +183,12 @@ def _fraction_instance(args):
 def cmd_fractions(args) -> int:
     m = _check_m(args.m)
     config, instance, label = _fraction_instance(args)
-    try:
-        basis = minimum_cycle_basis(instance.deg2_subgraph())
-        groups = basis_intersections(basis)
-        report = fraction_report(
-            basis.size, m, len(groups.exclusive_groups), len(groups.shared_groups)
-        )
-        emp = exhaustive_fractions(instance, m) if args.oracle else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    basis = minimum_cycle_basis(instance.deg2_subgraph())
+    groups = basis_intersections(basis)
+    report = fraction_report(
+        basis.size, m, len(groups.exclusive_groups), len(groups.shared_groups)
+    )
+    emp = exhaustive_fractions(instance, m) if args.oracle else None
     header, row = TSV_HEADER, tsv_row(label, report)
     if emp is not None:
         header += "\temp_f_nof\temp_f_nou\temp_f_not\temp_f_noc\tmatch"
@@ -224,10 +213,7 @@ def cmd_fractions(args) -> int:
 def cmd_design(args) -> int:
     m = _check_m(args.m)
     matrix, qc, config = _load_target(args.input, args.uas)
-    try:
-        result = design_md(matrix if qc is None or args.entry_granularity else qc, m, config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = design_md(matrix if qc is None or args.entry_granularity else qc, m, config)
     sys.stdout.write(report_log(result.report))
     if args.out_md:
         _write_file(args.out_md, write_alist(result.h_md))
@@ -252,14 +238,11 @@ def cmd_oracle(args) -> int:
     m = _check_m(args.m)
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
-        raise ConfigError(f"--threads must be between 1 and {cpus}, got {args.threads}")
+        raise ValueError(f"--threads must be between 1 and {cpus}, got {args.threads}")
     matrix, _, config = _load_target(args.input, args.uas)
-    try:
-        result = monte_carlo_avg(
-            matrix, config, m, args.trials, seed=args.seed, threads=args.threads
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = monte_carlo_avg(
+        matrix, config, m, args.trials, seed=args.seed, threads=args.threads
+    )
     expected = float(result.expected)
     bound = 3 * result.std_error
     print(f"host instances: {result.host_instances}")
@@ -332,12 +315,10 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except ParseError as exc:
+    except ValueError as exc:
+        # A ParseError is unreadable input; every other ValueError is refused input.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
     except BrokenPipeError:
         # The reader went away.  Send what is still buffered to devnull so
         # the interpreter's final flush does not fail again.

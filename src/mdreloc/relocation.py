@@ -332,4 +332,4 @@ def assemble_md(reloc: RelocationMap) -> BinaryMatrix:
         for (r, c), ell in zip(reloc.matrix.entries, reloc.values.tolist())
         for j in range(m)
     ]
-    return BinaryMatrix.from_entries(m * n_rows, m * n_cols, out)
+    return BinaryMatrix(m * n_rows, m * n_cols, tuple(sorted(out)))

@@ -67,7 +67,7 @@ class BinaryMatrix:
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries) -> "BinaryMatrix":
-        """Build from an iterable of (row, col) pairs in any order.
+        """Build from an external iterable of (row, col) pairs in any order.
 
         Duplicate positions are a hard error rather than being merged,
         since a silent merge would hide a bug in whatever generated them.
@@ -166,7 +166,7 @@ class QcMatrix:
     def expanded(self) -> BinaryMatrix:
         """The full matrix, built on first use; ``expand_qc`` returns it."""
         entries = [pos for bi, bj, _ in self.circulants for pos in self.block_positions(bi, bj)]
-        return BinaryMatrix.from_entries(self.m_b * self.p, self.n_b * self.p, entries)
+        return BinaryMatrix(self.m_b * self.p, self.n_b * self.p, tuple(sorted(entries)))
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def parse_alist(text) -> BinaryMatrix:
     if from_cols != from_rows:
         raise ParseError("column and row neighbour sections disagree", cur.pos)
 
-    return BinaryMatrix.from_entries(n_rows, n_cols, from_cols)
+    return BinaryMatrix(n_rows, n_cols, tuple(sorted(from_cols)))
 
 
 def write_alist(m: BinaryMatrix) -> str:

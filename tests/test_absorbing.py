@@ -589,3 +589,20 @@ class TestSiblingClasses:
     def test_size_one_target(self):
         got = md.enumerate_uas(md.build_graph(k4_host()), md.UasConfig(1, 2, 6))
         assert got == [] and got.siblings == {0: []}
+
+
+def test_recount_expands_only_the_target_class(monkeypatch):
+    # A (6, 2) search on array_host(3, 5, 5) also finds 50 (6, 0) siblings;
+    # the recount reads only the target class, so only that class is expanded.
+    import mdreloc.absorbing as absorbing
+
+    calls = []
+    real = absorbing._distinct
+    monkeypatch.setattr(absorbing, "_distinct", lambda rows: calls.append(len(rows)) or real(rows))
+    host, config = md.expand_qc(array_host(3, 5, 5)), md.UasConfig(6, 2, 3)
+    assert md.enumerate_md_uas(host, config) == 1050
+    assert len(calls) == 1
+    found = md.enumerate_uas(md.build_graph(host), config)
+    assert len(calls) == 2
+    assert {d: len(rows) for d, rows in found.siblings.items()} == {0: 50}
+    assert len(calls) == 3

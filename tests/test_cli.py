@@ -116,6 +116,14 @@ class TestAnalyze:
         assert captured.err == "error: --max-cycle-len must be an even number >= 4\n"
         assert captured.out == ""
 
+    def test_qc_header_after_blank_lines(self, tmp_path, capsys):
+        # The qc header is found after any lines the parsers skip as blank.
+        path = tmp_path / "padded.qc"
+        blank = b"\n \t\x0b\x0c\r\x1c\x1d\x1e\x1f\n"
+        path.write_bytes(blank + md.write_qc(array_host(3, 3, 3)).encode())
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert "quasi-cyclic: p=3, base 3 x 3, 9 circulants" in capsys.readouterr().out
+
     def test_corrupt_file_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"
         bad.write_text("qc 1\np x\nrows 1 cols 1\n")
@@ -353,6 +361,23 @@ def test_target_gamma_mismatch_exits_3(k4file, capsys, argv):
 def test_argument_rejections_exit_3(k4file, capsys, argv, message):
     assert main([k4file if arg == "{}" else arg for arg in argv]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--md", "{}", "--uas", "4,0"], "enumerate_md_uas"),
+    (["analyze", "--input", "{}"], "enumerate_cycles"),
+    (["analyze", "--input", "{}", "--uas", "4,0"], "enumerate_uas"),
+], ids=["verify", "analyze-cycles", "analyze-target"])
+def test_library_value_error_exits_3(k4file, monkeypatch, capsys, argv, name):
+    # main alone maps a ValueError that escapes a subcommand to exit 3.
+    import mdreloc.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise ValueError(f"{name} refused")
+
+    monkeypatch.setattr(cli_mod, name, refuse)
+    assert main([k4file if arg == "{}" else arg for arg in argv]) == 3
+    assert capsys.readouterr().err == f"error: {name} refused\n"
 
 
 class TestOracle:

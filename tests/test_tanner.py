@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mdreloc as md
 from mdreloc import ParseError
 
+import reference_md
 from conftest import array_host
 
 
@@ -291,3 +292,60 @@ class TestQcFormat:
         q = md.QcMatrix.from_blocks(p, m_b, n_b, blocks)
         assert md.parse_qc(md.write_qc(q)) == q
         assert md.expand_qc(q).n_rows == m_b * p
+
+
+@st.composite
+def entry_lists(draw, max_rows=6, max_cols=6, min_size=0):
+    """(n_rows, n_cols, distinct positions in drawn order)."""
+    n_rows, n_cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    return n_rows, n_cols, draw(st.lists(st.sampled_from(cells), min_size=min_size, unique=True))
+
+
+def assert_plain_ints(m: md.BinaryMatrix):
+    assert all(type(v) is int for pos in m.entries for v in pos)
+
+
+@pytest.mark.differential
+class TestDirectBuildsAgainstFromEntries:
+    """The builders that sort distinct positions into the constructor, against ``from_entries``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(entry_lists())
+    def test_parse_alist(self, drawn):
+        want = md.BinaryMatrix.from_entries(*drawn)
+        got = md.parse_alist(md.write_alist(want).encode())
+        assert got == want
+        assert_plain_ints(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 5]), entry_lists(4, 4), st.data())
+    def test_qc_expansion(self, p, drawn, data):
+        m_b, n_b, cells = drawn
+        shifts = {cell: data.draw(st.integers(0, p - 1)) for cell in cells}
+        q = md.QcMatrix.from_blocks(p, m_b, n_b, shifts)
+        positions = [pos for bi, bj, _ in q.circulants for pos in q.block_positions(bi, bj)]
+        want = md.BinaryMatrix.from_entries(m_b * p, n_b * p, positions)
+        got = md.expand_qc(q)
+        assert got == want
+        assert_plain_ints(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(entry_lists(), st.sampled_from([3, 5]), st.data())
+    def test_assemble_md(self, drawn, m_copies, data):
+        host = md.BinaryMatrix.from_entries(*drawn)
+        reloc = md.RelocationMap(m_copies, host)
+        for r, c in host.entries:
+            reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
+        got = md.assemble_md(reloc)
+        assert got == reference_md.assemble_md(host, reloc)
+        assert_plain_ints(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(entry_lists(min_size=1), st.data())
+    def test_repeated_entry_rejected(self, drawn, data):
+        # The constructor's row-major check is the one duplicate check of the direct builds.
+        n_rows, n_cols, cells = drawn
+        entries = sorted(cells + [data.draw(st.sampled_from(cells))])
+        with pytest.raises(ValueError, match="strictly row-major"):
+            md.BinaryMatrix(n_rows, n_cols, tuple(entries))
