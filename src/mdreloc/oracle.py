@@ -3,16 +3,16 @@
 These results sit on the other side of an equality check from the
 closed forms and the designer, but not all from first principles:
 ``monte_carlo_avg`` and ``md_object_profile`` score with
-``relocation.intact``, and the detached-check searches below take their
+``relocation.intact``, and the detached-check counts below take their
 steps from ``relocation.activity_plans``.  Per-edge references in the
 tests check those paths (``tests/reference_mc.py``, ``reference_md.py``
-and ``reference_fractions.py``).
+and ``reference_fractions.py``, which keeps the potential searches).
 
-* ``min_detached_checks`` searches all copy alignments of an absorbing
-  set directly instead of evaluating cycle sums.
-* ``exhaustive_fractions`` measures the arrangement fractions over all
-  M^n_f assignment classes; ``full_enumeration_fractions`` does the same
-  over every single assignment, to validate the class reduction.
+* ``min_detached_checks`` finds the fewest checks an absorbing set loses
+  over all copy alignments.
+* ``exhaustive_fractions`` measures the arrangement fractions by brute force
+  over all M^n_f assignment classes; ``full_enumeration_fractions`` does the
+  same over every single assignment, to validate the class reduction.
 * ``enumerate_md_uas`` recounts absorbing sets on an assembled MD matrix
   with the ordinary subgraph enumerator, no relocation shortcuts.
 * ``monte_carlo_avg`` estimates the expected surviving-instance count
@@ -21,16 +21,13 @@ and ``reference_fractions.py``).
 * ``md_object_profile`` reads the shape of an instance's lift off the
   same potential solve; the tests compare it with a per-edge lift.
 
-The first three share one detached-check kernel, ``_detached_check_counts``,
-which scores vectors of check differences R(e1) - R(e2) with multiplicities;
-the full enumeration histograms its raw assignments into them.  Rows stream
-through it in blocks of at most ``_BLOCK_CELLS`` (row, potential) cells, so
-its memory is bounded for every a and M; a run of more than MAX_CHECK_PAIRS
-(assignment, potential) pairs is refused with ``ValueError`` before any work.
-Steps constant over a block (all of ``min_detached_checks``'s one row; the
-tree steps and high loop digits of exhaustive rows) are scored once per
-potential.  The plan steps, and the fractions' cycle sign columns, come from
-memos kept per instance object, so a sweep over M plans once.
+The first three take β, the fewest detached checks, from cycle hitting
+sets (``_fewest_cuts``), not from a search of the M^(a-1) copy alignments.
+The fractions stream check-difference rows through ``_detached_check_counts``
+in blocks of at most ``_BLOCK_CELLS`` (row, step or cycle) cells.  Runs of
+more than MAX_CHECK_PAIRS (assignment, potential) pairs are refused with
+``ValueError`` before any work: the search's limit, kept as the contract.
+Plan steps, cycle signs and subset tables are memoized per instance object.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -61,9 +59,6 @@ from .relocation import (
 )
 from .tanner import BinaryMatrix, build_graph
 
-# ``_BLOCK_CELLS`` bounds the (assignment, potential) pairs of a detached-check
-# block and the (trial, entry) values of a Monte Carlo job.
-# Larger runs would not finish, so the kernel refuses them before any work.
 MAX_CHECK_PAIRS = 1 << 32
 
 
@@ -76,60 +71,53 @@ def _digits(m: int, width: int, start: int, stop: int, lead: int = 0) -> np.ndar
     return out
 
 
-@lru_cache(maxsize=8)
-def _targets(m: int, a: int, pairs: tuple[tuple[int, int], ...], start: int, stop: int):
-    """s(y) - s(x) mod M for each VN pair (x, y), over potentials start..stop-1."""
-    s = _digits(m, a - 1, start, stop, lead=1)
-    out = np.empty((len(pairs), stop - start), dtype=s.dtype)
-    for k, (x, y) in enumerate(pairs):
-        out[k] = (s[:, y].astype(np.int64) - s[:, x]) % m
-    out.setflags(write=False)
-    return out
-
-
-def _potential_count(assignments: int, m: int, a: int) -> int:
-    """M^(a-1) potentials per assignment; refuses more than ``MAX_CHECK_PAIRS`` pairs."""
+def _check_pair_limit(assignments: int, m: int, a: int) -> None:
+    """Refuses more than ``MAX_CHECK_PAIRS`` pairs of an assignment and one of its M^(a-1) potentials."""
     if assignments * m ** (a - 1) > MAX_CHECK_PAIRS:
         raise ValueError(f"{assignments} assignments x {m ** (a - 1)} potentials at M={m}"
                          f" exceed the checking limit of {MAX_CHECK_PAIRS}")
-    return m ** (a - 1)
 
 
-def _detached_check_counts(a: int, steps, m: int, total: int, rows_at, counts=None, weights=()):
-    """Histogram over ``total`` check-difference rows of the fewest detached checks.
+def _fewest_cuts(bad: np.ndarray, avoid, cap: int) -> np.ndarray:
+    """β per row of ``bad`` (true where a cycle's sum is nonzero mod M), capped at ``cap``.
 
-    ``steps`` is a potential plan over ``a`` VNs, tree steps then loops.
-    ``rows_at(start, stop)`` gives rows start..stop-1, one d = R(e1) - R(e2)
-    mod M per step (x, y, e1, e2), with multiplicities ``counts`` (1 each
-    when None).  A potential gives each VN a copy shift s (the first VN
-    pinned to 0; a global shift changes nothing).  The step's check is kept
-    when R(e1) + s(x) = R(e2) + s(y) mod M (both edges in one copy of the
-    check), i.e. d = s(y) - s(x).  A step on which every row of a block
-    holds the same d is scored once per potential into a base count; only
-    the other steps are compared over the block's (row, potential) cells.
-    Also counts, per matrix of signed step weights, the rows on which every
-    cycle sum is nonzero.  Both tallies add up multiplicities.
+    Copy shifts keep every check outside a set F whole exactly when each
+    cycle avoiding F sums to 0 (a voltage lift repeats a subgraph only
+    then), so β is the fewest plan steps meeting every bad cycle.  β <= j
+    when ``bad @ avoid(j)`` has a zero column, and then for all larger j,
+    so β counts the failing sizes, tried until no row fails.
     """
-    n_pots = _potential_count(total, m, a)
-    pairs, cdt = tuple((x, y) for x, y, _, _ in steps), np.min_scalar_type(len(steps))
-    pot_step, row_step = min(n_pots, _BLOCK_CELLS), max(1, _BLOCK_CELLS // n_pots)
-    hist, inactive = np.zeros(len(steps) + 1, dtype=np.int64), [0] * len(weights)
+    beta, bad = np.zeros(len(bad), dtype=np.int64), bad.astype(np.float32)
+    for j in range(cap):
+        miss = (bad @ avoid(j)).all(axis=1)
+        if not miss.any():
+            break
+        beta += miss
+    return beta
+
+
+def _detached_check_counts(u: UasInstance, steps, m: int, total: int, rows_at, counts, weights):
+    """Histogram of β in 0, 1, >= 2 over ``total`` check-difference rows, and two inactive counts.
+
+    ``rows_at(start, stop)`` gives rows start..stop-1 of d = R(e1) - R(e2)
+    mod M per step (x, y, e1, e2) of ``u``'s plan ``steps``, with
+    multiplicities ``counts`` (1 each when None).  One matmul per block with
+    ``weights``, the (basis, all-cycle) pair of sign matrices, gives every
+    cycle sum; ``_fewest_cuts`` reads β off the all-cycle sums, and the rows
+    whose sums are all nonzero are counted per matrix.  Both tallies add up
+    multiplicities.
+    """
+    _check_pair_limit(total, m, u.a)
+    w = np.concatenate(weights, axis=1, dtype=np.int16 if len(steps) * m < 2**15 else np.int64)
+    n_basis, row_step = weights[0].shape[1], max(1, _BLOCK_CELLS // (len(steps) + w.shape[1]))
+    hist, inactive, avoid = np.zeros(3, dtype=np.int64), [0, 0], _avoid(u)
     for r0 in range(0, total, row_step):
         rows = rows_at(r0, min(r0 + row_step, total))
         mult = 1 if counts is None else counts[r0:r0 + len(rows)]
-        beta = np.full(len(rows), len(steps), dtype=cdt)
-        fixed = (rows == rows[0]).all(axis=0)
-        for p0 in range(0, n_pots, pot_step):
-            p1 = min(p0 + pot_step, n_pots)
-            targets = _targets(m, a, pairs, p0, p1)
-            detached = np.empty((len(rows), p1 - p0), dtype=cdt)
-            detached[:] = (rows[0, fixed][:, None] != targets[fixed]).sum(axis=0, dtype=cdt)
-            for k in np.flatnonzero(~fixed):
-                detached += rows[:, k, None] != targets[k]
-            np.minimum(beta, detached.min(axis=1), out=beta)
-        np.add.at(hist, beta, mult)
-        for i, w in enumerate(weights):
-            inactive[i] += int((((rows.astype(w.dtype) @ w) % m != 0).all(axis=1) * mult).sum())
+        bad = (rows.astype(w.dtype) @ w) % m != 0
+        for i, cycles in enumerate((bad[:, :n_basis], bad[:, n_basis:])):
+            inactive[i] += int((cycles.all(axis=1) * mult).sum())
+        np.add.at(hist, _fewest_cuts(bad[:, n_basis:], avoid, 2), mult)
     return hist, inactive
 
 
@@ -158,34 +146,45 @@ def _plan_steps(u: UasInstance) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(map(tuple, np.concatenate(activity_plans([u]), axis=1)[0].tolist()))
 
 
-@_last_instance
-def _cycle_signs(u: UasInstance) -> tuple[np.ndarray, np.ndarray]:
-    """e1's sign per plan step (rows) in each cycle, for the minimum basis and for all cycles.
+def _sign_columns(u: UasInstance, cycles) -> np.ndarray:
+    """e1's sign per plan step (rows) in each cycle (columns).
 
     A cycle meets both edges of each of its checks, with opposite signs, so
     a check-difference row times a cycle's column is its alternating value sum.
     """
-    steps, sub, signs = _plan_steps(u), u.deg2_subgraph(), []
-    for cycles in (minimum_cycle_basis(sub).cycles, enumerate_cycles(sub, 2 * u.a)):
-        w = np.zeros((len(steps), len(cycles)), np.int8)
-        for j, cycle in enumerate(cycles):
-            sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
-            w[:, j] = [sign.get(e1, 0) for *_, e1, _ in steps]
-            assert all(sign.get(e2, 0) == -sign.get(e1, 0) for *_, e1, e2 in steps)
-        signs.append(w)
-    return tuple(signs)
+    steps = _plan_steps(u)
+    w = np.zeros((len(steps), len(cycles)), np.int8)
+    for j, cycle in enumerate(cycles):
+        sign = {eid: 1 if i % 2 else -1 for i, (_, _, eid) in enumerate(cycle.steps)}
+        w[:, j] = [sign.get(e1, 0) for *_, e1, _ in steps]
+        assert all(sign.get(e2, 0) == -sign.get(e1, 0) for *_, e1, e2 in steps)
+    return w
+
+
+# Sign columns of the minimum cycle basis, and of every cycle from ``enumerate_cycles`` alone.
+_basis_signs = _last_instance(lambda u: _sign_columns(u, minimum_cycle_basis(u.deg2_subgraph()).cycles))
+_all_cycle_signs = _last_instance(lambda u: _sign_columns(u, enumerate_cycles(u.deg2_subgraph(), 2 * u.a)))
+
+
+@_last_instance
+def _avoid(u: UasInstance):
+    """``avoid(j)``: float32 (cycles, j-subsets of plan steps), 1 where a cycle uses none of the subset."""
+    uses = _all_cycle_signs(u) != 0
+    subsets = lambda j: np.array(list(combinations(range(len(uses)), j)), dtype=np.intp)
+    return cache(lambda j: (~uses[subsets(j)].any(axis=1)).T.astype(np.float32))
 
 
 def min_detached_checks(u: UasInstance, reloc: RelocationMap) -> int:
     """Fewest degree-2 checks lost over all copy alignments of the set.
 
-    The minimum is 0 exactly when the set reappears intact in every copy
-    (see ``_detached_check_counts`` for the search over alignments).
+    That is the fewest checks meeting every cycle whose sum is nonzero mod M
+    (``_fewest_cuts``), 0 exactly when the set reappears intact in every
+    copy, and never more than the n_f loop steps, which meet every cycle.
     """
     steps, v, m = _plan_steps(u), reloc.values, reloc.m_copies
-    row = np.array([[(v[e1] - v[e2]) % m for *_, e1, e2 in steps]])
-    hist, _ = _detached_check_counts(u.a, steps, m, 1, lambda start, stop: row)
-    return int(np.flatnonzero(hist)[0])
+    _check_pair_limit(1, m, u.a)
+    bad = np.array([(v[e1] - v[e2]) % m for *_, e1, e2 in steps]) @ _all_cycle_signs(u) % m != 0
+    return int(_fewest_cuts(bad[None], _avoid(u), len(steps) - u.a + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +212,9 @@ class EmpiricalFractions:
 
 def _measured_fractions(u: UasInstance, m: int, total: int, rows_at,
                         counts=None) -> EmpiricalFractions:
-    """Fractions over ``total`` check-difference rows streamed by ``rows_at``.
-
-    The cycle sign columns are widened to a dtype that holds a row's sums at this M.
-    """
-    steps = _plan_steps(u)
-    weights = [w.astype(np.int16 if len(steps) * m < 2**15 else np.int64) for w in _cycle_signs(u)]
-    hist, inactive = _detached_check_counts(u.a, steps, m, total, rows_at, counts, weights)
+    """Fractions over ``total`` check-difference rows streamed by ``rows_at``; β is capped at 2."""
+    weights = (_basis_signs(u), _all_cycle_signs(u))
+    hist, inactive = _detached_check_counts(u, _plan_steps(u), m, total, rows_at, counts, weights)
     n, n_active = int(hist.sum()), int(hist[0])
     tallies = (n_active, n - n_active, int(hist[1]), int(hist[2:].sum()), *inactive)
     return EmpiricalFractions(m, n, *(Fraction(c, n) for c in tallies))
@@ -250,7 +245,7 @@ def full_enumeration_fractions(u: UasInstance, m_copies: int) -> EmpiricalFracti
     """
     m, k = m_copies, len(u.deg2_cns)
     raw, step = m ** (2 * k), max(m * m, _BLOCK_CELLS // 16)
-    _potential_count(raw, m, u.a)
+    _check_pair_limit(raw, m, u.a)
     pair_diff = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % m
     low, n_low = pair_diff, 1
     while n_low < k and len(low) * m * m <= step:
@@ -402,9 +397,9 @@ def monte_carlo_avg(
     do not depend on ``threads``.  M must be an odd prime below 2^32 (one
     32-bit word per drawn value); the standard error needs at least 2 trials.
     """
-    check_copies(m_copies)
     if m_copies >= 2**32:
         raise ValueError(f"number of copies {m_copies} must be below 2^32 for the draw")
+    check_copies(m_copies)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if threads < 1:

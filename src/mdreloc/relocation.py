@@ -26,6 +26,7 @@ steps from them.  One numpy pass builds every instance's plan.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -35,15 +36,17 @@ from .tanner import BinaryMatrix, ParseError, QcMatrix, _Lines, _to_text, expand
 GRANULARITIES = ("circulant", "entry")
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13 (Sorenson & Webster)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on the first 13 primes, exact below ``_WITNESS_BOUND``; trial division outside it."""
+    if n <= _WITNESSES[-1] or n >= _WITNESS_BOUND:
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s)) for b in _WITNESSES)
 
 
 def check_copies(m_copies: int) -> None:

@@ -4,8 +4,10 @@ Kept verbatim as differential oracles.  ``reference_min_detached_checks``
 loops over checks for one relocation map, ``reference_exhaustive_fractions``
 evaluates one class representative per Python iteration, and
 ``reference_full_enumeration_fractions`` materialises every raw assignment
-as one int64 table.  These three share no chunking, dtype narrowing or
-cycle-sum weights with ``mdreloc.oracle``.  The full enumeration holds the
+as one int64 table.  All three find the fewest detached checks by
+searching every VN shift (potential), where ``mdreloc.oracle`` reads it
+off cycle hitting sets, and they share no chunking, dtype narrowing or
+cycle-sum weights with it.  The full enumeration holds the
 whole M^(2 d2) table in memory; keep the inputs small.
 ``reference_raw_histogram`` is the full enumeration's streamed histogram
 before the low-digit code table: each assignment's code by div/mod of its

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,13 @@ class TestFractions:
         captured = capsys.readouterr()
         assert captured.err == "error: need at least one basic cycle\n"
         assert captured.out == ""
+
+    def test_huge_prime_m_finishes(self, capsys):
+        # 2^61 - 1 is prime; a trial-division check of it ran for many seconds.
+        t0 = time.perf_counter()
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(2**61 - 1)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"4_2_g3\t{2**61 - 1}\t2\t")
 
     def test_composite_m_rejected(self, capsys):
         assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "4"]) == 3

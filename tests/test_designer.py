@@ -317,7 +317,7 @@ def assert_same_design(host, m_copies, config, entry_granularity):
         except ValueError as exc:
             # On hosts with 4-cycles the reference can fail to order an
             # instance's minimum cycle basis; then check the final activity
-            # against the copy-alignment search instead.
+            # against the fewest detached checks instead.
             assert "consecutive cycles" in str(exc)
             graph = md.build_graph(md.expand_qc(host))
             left = [md.min_detached_checks(u, got.relocation) == 0

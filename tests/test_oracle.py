@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 import tracemalloc
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -105,6 +106,14 @@ def six_vn_instance() -> md.UasInstance:
     return md.enumerate_uas(host, md.UasConfig(6, 2, 3))[0]
 
 
+@lru_cache(maxsize=None)
+def four_cycle_host() -> md.BinaryMatrix:
+    """A 4-cycle host whose (4,2) instances have no chained minimum cycle basis."""
+    shifts = [0] * 8 + [1]
+    return md.expand_qc(md.QcMatrix.from_blocks(
+        3, 3, 3, {(i, j): shifts[i * 3 + j] for i in range(3) for j in range(3)}))
+
+
 @pytest.fixture(scope="module")
 def inst_6_2():
     return six_vn_instance()
@@ -123,11 +132,10 @@ def reference_fractions_of(name, m_copies):
 class TestAgainstReference:
     """The chunked kernel against the per-check, per-row and int64 bodies it replaced.
 
-    A kernel block holds max(1, cells // M^(a-1)) rows, and cells below
-    M^(a-1) also split the potentials.  A one-row block has every step
-    constant; a few exhaustive rows keep the tree steps and the high loop
-    digits constant; the whole full enumeration of 4_2_g3 at M=3 varies
-    every step.  The tests that patch nothing run the default size.
+    A kernel block holds max(1, cells // w) rows, where a row spans w plan
+    steps and basis and all-cycle sign columns (10 for 4_2_g3, 16 for
+    4_4_g4, 18 for the (6,2) set).  The tests that patch nothing run the
+    default size, which takes every row in one block.
     """
 
     @pytest.mark.parametrize("m_copies", [3, 5, 7, 11, 13])
@@ -151,8 +159,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("cells", [1, 5, 27, 100])
     def test_small_blocks_split_potentials(self, inst_4_4, inst_6_2, monkeypatch, cells):
-        # Blocks narrower than the 27 (a=4) or 243 (a=6) potentials at M=3 make
-        # the kernel carry its running minimum across potential blocks.
+        # A row holds 16 (4_4_g4) or 18 (6_2) step and cycle cells, so these blocks
+        # take one to six of the 27 classes at M=3, and the kernel carries its
+        # histogram and inactive counts across row blocks, the last one partial.
         expected = [reference_exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)]
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
         assert [md.exhaustive_fractions(inst, 3) for inst in (inst_4_4, inst_6_2)] == expected
@@ -169,8 +178,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("cells", [1, 5, 27, 100, 1000])
     def test_small_blocks_split_raw_stream(self, inst_4_2, monkeypatch, cells):
         # The raw stream goes in blocks of max(M^2, cells // 16) assignments and
-        # the weighted kernel in blocks below or above the 27 potentials; at
-        # 1000 cells the last block of each is partial.
+        # the weighted kernel in blocks of max(1, cells // 10) of the 243 rows;
+        # at 1000 cells the last block of each is partial.
         expected = reference_full_enumeration_fractions(inst_4_2, 3)
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
         assert md.full_enumeration_fractions(inst_4_2, 3) == expected
@@ -220,6 +229,41 @@ class TestAgainstReference:
         cells = data.draw(st.sampled_from(BLOCK_SIZES + [oracle._BLOCK_CELLS]))
         with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
             assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
+
+
+@lru_cache(maxsize=None)
+def beta_cases() -> dict[str, list[tuple[md.UasInstance, md.BinaryMatrix]]]:
+    """(instance, host matrix) pairs: the (6,2) set, a 4-cycle host's (4,2) sets and the fixtures."""
+    four_cycle = four_cycle_host()
+    cases = {"6_2": [(six_vn_instance(), md.expand_qc(array_host(3, 7, 11)))],
+             "4-cycle": [(u, four_cycle) for u in md.enumerate_uas(md.build_graph(four_cycle),
+                                                                   md.UasConfig(4, 2, 3))]}
+    for name in ("4_2_g3", "4_4_g4"):
+        fix = md.canonical_uas(name)
+        cases[name] = [(fix.instance(), fix.incidence)]
+    return cases
+
+
+@pytest.mark.differential
+class TestExactBetaAgainstReference:
+    """Cycle hitting sets against the search over all M^(a-1) potentials, past subset size 1."""
+
+    def test_hypothesis_maps(self):
+        seen = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(name=st.sampled_from(sorted(beta_cases())), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
+        def check(name, m_copies, data):
+            inst, host = data.draw(st.sampled_from(beta_cases()[name]))
+            reloc = md.RelocationMap(m_copies, host)
+            for cn, vn, _ in inst.deg2_subgraph().edges:
+                reloc.assign_entry(cn, vn, data.draw(st.integers(0, m_copies - 1)))
+            beta = md.min_detached_checks(inst, reloc)
+            assert beta == reference_min_detached_checks(inst, reloc)
+            seen.append(beta)
+
+        check()
+        assert {2, 3} <= set(seen)
 
 
 @pytest.mark.differential
@@ -319,10 +363,7 @@ class TestInstanceMemo:
         assert plans.call_count == 2
 
     def test_detached_checks_skip_cycle_basis(self):
-        # A 4-cycle host whose (4,2) instances have no chained minimum cycle basis.
-        shifts = [0] * 8 + [1]
-        host = md.expand_qc(md.QcMatrix.from_blocks(
-            3, 3, 3, {(i, j): shifts[i * 3 + j] for i in range(3) for j in range(3)}))
+        host = four_cycle_host()
         instances = md.enumerate_uas(md.build_graph(host), md.UasConfig(4, 2, 3))
         with pytest.raises(ValueError, match="consecutive cycles"):
             md.minimum_cycle_basis(instances[0].deg2_subgraph())
@@ -409,6 +450,13 @@ class TestMonteCarlo:
         # 2^32 + 15 is prime; randrange would read two words per value.
         with pytest.raises(ValueError, match=r"^number of copies 4294967311 must be below 2\^32 for the draw$"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 2**32 + 15, trials=10)
+
+    def test_huge_prime_refused_at_once(self):
+        # The 2^32 bound is tested before the primality of 2^61 - 1.
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"must be below 2\^32 for the draw$"):
+            md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 2**61 - 1, trials=10)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_no_threads_rejected(self):
         with pytest.raises(ValueError, match="at least 1 thread"):

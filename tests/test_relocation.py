@@ -14,6 +14,7 @@ from mdreloc.relocation import activity_plans, intact, involvement, unit_table
 
 import reference_activity
 import reference_md
+from reference_primes import reference_is_prime
 from reference_activity import alternating_value_sum, is_cycle_active, is_uas_active
 from conftest import (
     arrangement_1,
@@ -39,11 +40,48 @@ def activity_set(name):
     return fix.instance(), fix.incidence
 
 
+# Carmichael numbers (Korselt's criterion) and strong pseudoprimes to the first
+# 1, 2, 3, 4, 5, 6 and 9 primes; each passes the base-2 Fermat test.
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 62745, 63973,
+              75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409,
+              314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461]
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       3825123056546413051]
+
+
 class TestPrimality:
     def test_small_values(self):
         primes = {2, 3, 5, 7, 11, 13}
         for n in range(-2, 15):
             assert relocation.is_prime(n) == (n in primes)
+
+    @pytest.mark.differential
+    def test_matches_trial_division_below_1e5(self):
+        assert [relocation.is_prime(n) for n in range(-3, 10**5)] == [
+            reference_is_prime(n) for n in range(-3, 10**5)
+        ]
+
+    @pytest.mark.differential
+    def test_pseudoprimes_rejected(self):
+        # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are prime.
+        chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 2000)
+                    if all(reference_is_prime(f * k + 1) for f in (6, 12, 18))]
+        assert len(chernick) > 10 and max(chernick) > 10**12
+        for n in CARMICHAEL + chernick + STRONG_PSEUDOPRIMES:
+            assert pow(2, n - 1, n) == 1
+            assert relocation.is_prime(n) is reference_is_prime(n) is False, n
+
+    def test_large_values_known_from_their_factors(self):
+        # A strong pseudoprime to the first 12 primes, caught by the 13th (41).
+        assert 399165290221 * 798330580441 == 318665857834031151167461 < relocation._WITNESS_BOUND
+        assert not relocation.is_prime(318665857834031151167461)
+        assert relocation.is_prime(2**61 - 1) and relocation.is_prime(2**64 - 59)
+        assert not relocation.is_prime((2**31 - 1) * (10**9 + 7))
+
+    @pytest.mark.differential
+    def test_trial_division_beyond_the_bound(self, monkeypatch):
+        monkeypatch.setattr(relocation, "_WITNESS_BOUND", 1000)
+        assert [relocation.is_prime(n) for n in range(3000)] == [reference_is_prime(n) for n in range(3000)]
 
 
 class TestRelocationMap:
@@ -269,7 +307,7 @@ class TestActivity:
 
 
 class TestIntact:
-    """The potential-solve kernel against the cycle definition and the alignment search."""
+    """The potential-solve kernel against the cycle definition and the fewest detached checks."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["4_2_g3", "4_4_g4", "6_2_g3"]), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
