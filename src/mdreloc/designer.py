@@ -2,19 +2,19 @@
 
 The loop works on the *units* of ``RelocationMap(m, host)``: whole
 circulants of a QcMatrix host, single entries of a BinaryMatrix (pass
-``expand_qc(qc)`` for a QC host's entries).  Each round counts how many
-still-active target instances involve each unassigned unit through a
-degree-2 edge, picks the most involved unit, lets every instance
-involving it vote for the relocation values under which its potential
-solve fails (``relocation.intact``: no per-VN copy shift keeps all its
-degree-2 checks in one copy), and permanently assigns the winning value,
-preferring the auxiliary matrix that currently holds the fewest units.
-The vote's verdicts under the winning value become the new activity of
-the instances involving the unit, and no other instance can change, so
-each step makes exactly one potential solve.  The loop stops when no
-active instance remains, or when no unit can attract a vote (the design
-is then reported incomplete rather than forced).  The one host search
-that lists the target instances also gives the smaller-d1 siblings the
+``expand_qc(qc)`` for a QC host's entries).  Each round picks the
+unassigned unit that most still-active target instances involve through
+a degree-2 edge, lets every instance involving it vote for the
+relocation values under which one of its fundamental-cycle sums is
+nonzero mod M (``relocation.intact``), and permanently assigns the
+winning value, preferring the auxiliary matrix that currently holds the
+fewest units.  The vote's verdicts under the winning value become the
+new activity of the instances involving the unit; no other instance can
+change, so each step makes one ``intact`` call and moves the counts by
+the instances that flipped.  The loop stops when no active instance
+remains, or when no unit can attract a vote (the design is then
+reported incomplete rather than forced).  The one host search that
+lists the target instances also gives the smaller-d1 siblings the
 report's notes name.
 """
 
@@ -130,21 +130,22 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
     plans = activity_plans(instances)
     touches = involvement(plans, reloc.units)
 
-    # Every instance is intact under the all-zero map.
+    # All instances are intact under the zero map; hits[j] counts those involving unit j.
     active = np.ones(len(instances), dtype=bool)
+    hits = touches.sum(axis=0)
     aux = [0] * (m_copies - 1)
     steps: list[StepRecord] = []
 
-    # A pass that does not break assigns a free unit and clears its column,
-    # and only uncleared columns score, so at most len(units) passes run.
+    # Each unbroken pass assigns a free unit and zeroes its count, so at
+    # most len(units) passes run.
     while active.any():
         active_count = int(active.sum())
         # Units are sorted, so argmax breaks ties to the smallest unit.
-        hits = touches[active].sum(axis=0)
         j = int(hits.argmax())
-        if hits[j] == 0:
+        count = int(hits[j])
+        if count == 0:
             break
-        unit, involved = units[j], touches[:, j]
+        unit, involved = units[j], touches[:, j].nonzero()[0]
         kept = vote(tuple(p[involved] for p in plans), reloc.units[unit], reloc.values, m_copies)
         tally = (~kept).sum(axis=0).tolist()
         # Most votes, then the auxiliary matrix with the fewest units, then
@@ -154,13 +155,15 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
         if chosen:
             assign(*unit[1:], chosen)
             aux[c] += 1
-            # ``involved`` is a view of column j: read it before clearing.
-            active[involved] = kept[:, c]
+            # Only involved instances flip; their signed rows move the counts.
+            hits += (kept[:, c] - active[involved].astype(np.int64)) @ touches[involved]
+            hits[j] = 0
             touches[:, j] = False
+            active[involved] = kept[:, c]
         steps.append(
             StepRecord(
                 unit=unit,
-                involvement=int(hits[j]),
+                involvement=count,
                 votes=tuple(enumerate(tally, start=1)),
                 chosen=chosen,
                 active_before=active_count,

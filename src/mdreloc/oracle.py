@@ -17,9 +17,9 @@ and ``reference_fractions.py``, which keeps the potential searches).
   with the ordinary subgraph enumerator, no relocation shortcuts.
 * ``monte_carlo_avg`` estimates the expected surviving-instance count
   under uniform random relocation, scoring blocks of trials on the host
-  with one potential solve per instance instead of recounting MD matrices.
+  by fundamental-cycle sums instead of recounting MD matrices.
 * ``md_object_profile`` reads the shape of an instance's lift off the
-  same potential solve; the tests compare it with a per-edge lift.
+  same fundamental-cycle sums; the tests compare it with a per-edge lift.
 
 The first three take β, the fewest detached checks, from cycle hitting
 sets (``_fewest_cuts``), not from a search of the M^(a-1) copy alignments.
@@ -142,8 +142,8 @@ def _last_instance(build):
 
 @_last_instance
 def _plan_steps(u: UasInstance) -> tuple[tuple[int, int, int, int], ...]:
-    """The instance's potential plan as (x, y, e1, e2) steps, tree steps then loops."""
-    return tuple(map(tuple, np.concatenate(activity_plans([u]), axis=1)[0].tolist()))
+    """The instance's plan steps (x, y, e1, e2), tree steps then loops."""
+    return tuple(map(tuple, activity_plans([u])[0][0].tolist()))
 
 
 def _sign_columns(u: UasInstance, cycles) -> np.ndarray:
@@ -288,9 +288,10 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
     The MD graph is a Z_M voltage lift of the host, so the instance lifts
     to one component per coset of the subgroup of Z_M its cycle sums
     generate.  M is an odd prime (``check_copies``), so that subgroup is
-    trivial, giving M disjoint copies, exactly when ``intact`` passes, and
-    all of Z_M, giving one object of M * a VNs, otherwise.  Every lifted
-    check keeps its host degree, so no MD matrix is built.
+    trivial, giving M disjoint copies, exactly when every fundamental-cycle
+    sum is 0 (``intact``), and all of Z_M, giving one object of M * a VNs,
+    otherwise.  Every lifted check keeps its host degree, so no MD matrix
+    is built.
     """
     a, d1, m = u.a, u.d1, reloc.m_copies
     if intact(activity_plans([u]), reloc.values[:, None], m)[0, 0]:
@@ -393,9 +394,10 @@ def monte_carlo_avg(
     checked, the first via the structural classifier and the second by
     verifying the host's instances share no cycles pairwise.  Then a
     trial's MD count is M times the host instances left intact, which
-    ``relocation.intact`` decides without building the MD matrix.  Results
-    do not depend on ``threads``.  M must be an odd prime below 2^32 (one
-    32-bit word per drawn value); the standard error needs at least 2 trials.
+    ``relocation.intact``'s fundamental-cycle sums decide without building
+    the MD matrix.  Results do not depend on ``threads``.  M must
+    be an odd prime below 2^32 (one 32-bit word per drawn value); the
+    standard error needs at least 2 trials.
     """
     if m_copies >= 2**32:
         raise ValueError(f"number of copies {m_copies} must be below 2^32 for the draw")

@@ -8,20 +8,19 @@ host entry id.  The designer, the MD assembly and the oracles read both.
 The MD matrix is an M x M grid of blocks over the host shape: entries
 with value 0 stay on the diagonal blocks, and an entry with value L is
 moved so that variable-node copy j is checked in check-node copy
-(j + L) mod M.  Equivalently block (i, j) of the MD matrix holds exactly
-the host entries whose value is (i - j) mod M.
+(j + L) mod M.
 
 A cycle of the host survives inside a single copy structure iff its
 alternating entry-value sum vanishes mod M; such cycles (and absorbing
 sets all of whose cycles satisfy this) are called *active* here.
 ``intact``, the library's one activity test, decides this for many
-instances and maps at once by a spanning-tree potential solve; the
-designer, the Monte Carlo and ``oracle.md_object_profile`` run it.
-``activity_plans`` is the activity test's one reader of an instance's
-degree-2 edges: ``intact`` solves on its plans, ``involvement`` gathers
-from the same plans the relocation units each instance touches, for the
-designer and ``analyze``, and the oracle's one-instance readers take their
-steps from them.  One numpy pass builds every instance's plan.
+instances and maps at once by fundamental-cycle sums; the designer, the
+Monte Carlo and ``oracle.md_object_profile`` run it.  ``activity_plans``
+is the activity test's one reader of an instance's degree-2 edges:
+``intact`` sums on its plans, ``involvement`` gathers from the same plans
+the relocation units each instance touches, for the designer and
+``analyze``, and the oracle's one-instance readers take their steps from
+them.  One numpy pass builds every instance's plan.
 """
 
 from __future__ import annotations
@@ -40,13 +39,52 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13 (Sorenson & Webster)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            out = -out if n % 8 in (3, 5) else out
+        a, n = n, a
+        out = -out if a % 4 == n % 4 == 3 else out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 41 with Selfridge's P = 1, Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) == 1:
+        d = 2 - d if d < 0 else -d - 2
+    if j == 0:
+        return False
+    q, s = (1 - d) // 4, ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s with k odd
+    half = lambda x: (x + n * (x & 1)) // 2 % n
+    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1, then U_k, V_k and Q^k by the bits of k
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0:
+        return True
+    for _ in range(s):  # V at k * 2^r for r < s
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 13 primes, exact below ``_WITNESS_BOUND``; trial division outside it."""
-    if n <= _WITNESSES[-1] or n >= _WITNESS_BOUND:
-        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Miller-Rabin on the first 13 primes, exact below ``_WITNESS_BOUND``; Baillie-PSW above it."""
+    if n <= _WITNESSES[-1]:
+        return n in _WITNESSES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s)) for b in _WITNESSES)
+    return (all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s)) for b in _WITNESSES)
+            and (n < _WITNESS_BOUND or _strong_lucas(n)))
 
 
 def check_copies(m_copies: int) -> None:
@@ -189,26 +227,26 @@ def parse_reloc(text, host: BinaryMatrix | QcMatrix) -> RelocationMap:
 # Activity
 
 
-# Cells per block: (instance, VN, column) potentials solved at once by
+# Cells per block: (instance, step, column) differences summed at once by
 # ``intact``, and (instance, check, edge) matches made at once by
 # ``activity_plans``; the oracle blocks its own kernels by the same budget.
 _BLOCK_CELLS = 1 << 18
 
 
 def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
-    """The instances' potential plans stacked as (tree, loops) int64 arrays.
+    """The instances' plans stacked as (steps, cycles) arrays.
 
-    A potential gives each VN a copy shift s.  A check with edge e1 at VN
-    x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
-    mod M, so each step is (x, y, e1, e2) over positions in ``u.vns`` and
-    host entry ids and reads s(y) = s(x) + R(e1) - R(e2).  Layer i of each
-    array holds instance i's steps, one per degree-2 check.  The tree steps
-    span the degree-2 subgraph from the first VN (pinned to 0), each
-    oriented from a VN an earlier step solved, so in order they solve the
-    one candidate potential; the set stays intact exactly when every loop
-    (non-tree check, sorted by check id) agrees with it.  That is the
-    paper's test, every cycle's alternating sum 0 mod M, read on the
-    fundamental cycles; any spanning tree decides the same activity.
+    Layer i of int64 ``steps`` holds instance i's steps (x, y, e1, e2),
+    one per degree-2 check, over positions in ``u.vns`` and host entry
+    ids: the check's edge e1 at VN x and e2 at VN y.  The a - 1 tree steps
+    span the degree-2 subgraph from the first VN, each oriented from a VN
+    an earlier step reached; the loops (non-tree checks, by check id)
+    follow.  Row l of layer i of int8 ``cycles`` is loop l's cycle as
+    signs over the steps: +1 on the loop, +1 or -1 on the tree path from
+    its y back to its x as it runs along or against a step.  Times the
+    differences R(e1) - R(e2) it gives the cycle's alternating value sum;
+    the set is intact exactly when all are 0 mod M, the paper's test on
+    any fundamental basis.
 
     All instances must come from one graph and have the same VN and
     degree-2 check counts, as the instances of one (a, d1) class do.  Each
@@ -216,10 +254,10 @@ def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
     padded (check, entry id) table per VN, in blocks of at most
     ``_BLOCK_CELLS`` (instance, check, edge) cells.  The tree grows in
     a - 1 rounds: each instance takes its first check by id that joins a
-    solved VN to an unsolved one.
+    reached VN to a new one, whose tree path is its parent's plus that step.
     """
     if not instances:
-        return np.zeros((0, 0, 4), dtype=np.int64), np.zeros((0, 0, 4), dtype=np.int64)
+        return np.zeros((0, 0, 4), dtype=np.int64), np.zeros((0, 0, 0), dtype=np.int8)
     g = instances[0].graph
     if any(u.graph is not g for u in instances):
         raise ValueError("planned instances must come from one graph")
@@ -232,9 +270,8 @@ def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
     vns = np.array([u.vns for u in instances], dtype=np.int64)
     deg2 = np.array([u.deg2_cns for u in instances], dtype=np.int64)
     (n, a), d2, width = vns.shape, deg2.shape[1], adj.shape[1]
-    tree = np.empty((n, a - 1, 4), dtype=np.int64)
     # Fewer than a - 1 checks cannot connect the VNs; the rounds refuse them.
-    loops = np.empty((n, max(0, d2 - a + 1), 4), dtype=np.int64)
+    plan, cycles = np.empty((n, d2, 4), dtype=np.int64), np.empty((n, max(0, d2 - a + 1), d2), dtype=np.int8)
     step = max(1, _BLOCK_CELLS // max(1, d2 * a * width))
     for b0 in range(0, n, step):
         edges, checks = adj[vns[b0:b0 + step]].reshape(-1, a * width, 2), deg2[b0:b0 + step]
@@ -247,54 +284,54 @@ def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
         # Each check's two edges in VN order: x, y their VNs, e1, e2 their ids.
         ends = hit.nonzero()[2].reshape(nb, d2, 2)
         steps = np.concatenate((ends // width, edges[rows[:, None, None], ends, 1]), axis=2)
-        # when[i, v]: the round that solved VN v of instance i, a while
-        # unsolved; at[i, j] the flat indices into it of step j's x and y.
-        when = np.full((nb, a), a)
-        when[:, 0] = 0
+        # at[i, j]: step j's x and y as flat indices into seen (VNs reached)
+        # and path (their tree paths, +1 over tree steps).
         at = steps[..., :2] + a * rows[:, None, None]
-        picked = np.empty((nb, a - 1), dtype=np.int64)
+        seen = np.zeros(nb * a, dtype=bool)
+        seen[::a] = True
+        path = np.zeros((nb * a, a - 1), dtype=np.int8)
+        picked, turned = np.empty((nb, a - 1), dtype=np.int64), np.empty((nb, a - 1), dtype=bool)
         for k in range(a - 1):
-            reached = when.take(at) <= k
+            reached = seen[at]
             crossing = reached[..., 0] != reached[..., 1]
             if not crossing.any(axis=1).all():
                 raise ValueError("degree-2 subgraph is not connected")
-            picked[:, k] = crossing.argmax(axis=1)
-            unsolved = np.where(reached[..., 0], at[..., 1], at[..., 0])
-            when.put(unsolved[rows, picked[:, k]], k + 1)
-        # A tree step whose y end was solved first is turned round.
+            j = picked[:, k] = crossing.argmax(axis=1)
+            # A tree step whose y end was reached first is turned round.
+            turned[:, k] = ~reached[rows, j, 0]
+            pair = at[rows, j]
+            parent, new = np.where(turned[:, k, None], pair[:, ::-1], pair).T
+            seen[new] = True
+            path[new] = path[parent]
+            path[new, k] = 1
         block = steps[rows[:, None], picked]
-        order = when.take(at[rows[:, None], picked])
-        tree[b0:b0 + step] = np.where(order[..., 1:] < order[..., :1], block[..., [1, 0, 3, 2]], block)
+        plan[b0:b0 + step, :a - 1] = np.where(turned[..., None], block[..., [1, 0, 3, 2]], block)
         in_tree = np.zeros((nb, d2), dtype=bool)
         in_tree[rows[:, None], picked] = True
-        loops[b0:b0 + step] = steps[~in_tree].reshape(nb, -1, 4)
-    return tree, loops
+        plan[b0:b0 + step, a - 1:] = steps[~in_tree].reshape(nb, -1, 4)
+        loop_at = at[~in_tree].reshape(nb, -1, 2)
+        cycles[b0:b0 + step, :, :a - 1] = path[loop_at[..., 0]] - path[loop_at[..., 1]]
+        cycles[b0:b0 + step, :, a - 1:] = np.eye(d2 - a + 1, dtype=np.int8)
+    return plan, cycles
 
 
 def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
     """Bool (instances, columns): instance i survives the map in column j.
 
     ``plans`` comes from ``activity_plans``; ``values`` holds one row per
-    host entry id and one column per relocation map.  Each instance is
-    solved for its potential and checked on its loops (see
-    ``activity_plans``).  Instances go in blocks of at most
-    ``_BLOCK_CELLS`` (instance, VN, column) cells, and at least one
+    host entry id and one column per relocation map.  An instance survives
+    when its fundamental-cycle sums, its ``cycles`` times its step
+    differences, are all 0 mod M.  Instances go in blocks of at most
+    ``_BLOCK_CELLS`` (instance, step, column) cells, and at least one
     instance per block.
     """
-    tree, loops = plans
-    n_vns, cols = tree.shape[1] + 1, values.shape[1]
-    step = max(1, _BLOCK_CELLS // (n_vns * cols))
-    out = np.empty((len(tree), cols), dtype=bool)
-    for b0 in range(0, len(tree), step):
-        block_tree, block_loops = tree[b0:b0 + step], loops[b0:b0 + step]
-        at = np.arange(len(block_tree))
-        s = np.zeros((len(block_tree), n_vns, cols), dtype=np.int64)
-        for x, y, e1, e2 in block_tree.transpose(1, 2, 0):
-            s[at, y] = s[at, x] + values[e1] - values[e2]
-        ok = np.ones((len(block_tree), cols), dtype=bool)
-        for x, y, e1, e2 in block_loops.transpose(1, 2, 0):
-            ok &= (s[at, x] + values[e1] - values[e2] - s[at, y]) % m == 0
-        out[b0:b0 + step] = ok
+    steps, cycles = plans
+    step = max(1, _BLOCK_CELLS // max(1, steps.shape[1] * values.shape[1]))
+    out = np.empty((len(steps), values.shape[1]), dtype=bool)
+    for b0 in range(0, len(steps), step):
+        block = steps[b0:b0 + step]
+        diff = values[block[..., 2]] - values[block[..., 3]]
+        out[b0:b0 + step] = (cycles[b0:b0 + step] @ diff % m == 0).all(axis=1)
     return out
 
 
@@ -310,10 +347,9 @@ def involvement(plans, units: dict) -> np.ndarray:
                         dtype=np.int64).reshape(-1, 2).T
     column = np.empty(len(eid), dtype=np.int64)
     column[eid] = col
-    tree, loops = plans
-    ends = np.concatenate((tree[..., 2:], loops[..., 2:]), axis=1)
-    out = np.zeros((len(tree), len(units)), dtype=bool)
-    out[np.arange(len(tree))[:, None, None], column[ends]] = True
+    steps = plans[0]
+    out = np.zeros((len(steps), len(units)), dtype=bool)
+    out[np.arange(len(steps))[:, None, None], column[steps[..., 2:]]] = True
     return out
 
 

@@ -1,13 +1,16 @@
-"""Reference activity test: the paper's cycle-sum definition, one cycle at a time.
+"""Reference activity tests: the paper's cycle-sum definition and the potential solve.
 
-Kept verbatim as a differential oracle for ``mdreloc.relocation.intact``,
-the library's one activity test, which decides the same question for many
-instances and maps at once by a spanning-tree potential solve.  These
-functions read alternating entry-value sums off explicit cycles, so they
-share no code with that kernel.
+Kept as differential oracles for ``mdreloc.relocation.intact``, the
+library's one activity test, which decides the same question for many
+instances and maps at once by fundamental-cycle sums.  The first functions
+read alternating entry-value sums off explicit cycles, so they share no
+code with that kernel.
 
-The potential plan and the involvement loop below are the library's
-earlier versions, kept as differential oracles for
+``intact`` below is the library's earlier potential-solve kernel, without
+its instance blocks: it solves each instance's spanning tree for a copy
+shift per VN and checks every loop against it, on the (tree, loops) plans
+of ``activity_plans`` below.  That plan and the involvement loop are the
+library's earlier versions too, kept as differential oracles for
 ``relocation.activity_plans`` and ``relocation.involvement``.  The plan
 reads each degree-2 check's host row rather than the instance's VN
 adjacency, and the loop reads each instance's degree-2 entry ids off the
@@ -78,11 +81,32 @@ def potential_plan(u):
 
 
 def activity_plans(instances) -> tuple[np.ndarray, np.ndarray]:
-    """The reference plans, stacked as ``relocation.intact`` reads them."""
+    """The reference plans, stacked as (tree, loops) arrays for ``intact`` below."""
     plans = [potential_plan(u) for u in instances]
     widths = [len(steps) for steps in plans[0]] if plans else [0, 0]
     return tuple(np.array([p[k] for p in plans], dtype=np.int64).reshape(len(plans), widths[k], 4)
                  for k in (0, 1))
+
+
+def intact(plans, values: np.ndarray, m: int) -> np.ndarray:
+    """Bool (instances, columns) by the potential solve on (tree, loops) plans.
+
+    A potential gives each VN a copy shift s.  A check with edge e1 at VN
+    x and e2 at VN y stays in one copy when R(e1) + s(x) = R(e2) + s(y)
+    mod M; the tree steps solve the one candidate potential from the first
+    VN (pinned to 0), and the set stays intact exactly when every loop
+    agrees with it.
+    """
+    tree, loops = plans
+    n_vns, cols = tree.shape[1] + 1, values.shape[1]
+    at = np.arange(len(tree))
+    s = np.zeros((len(tree), n_vns, cols), dtype=np.int64)
+    for x, y, e1, e2 in tree.transpose(1, 2, 0):
+        s[at, y] = s[at, x] + values[e1] - values[e2]
+    ok = np.ones((len(tree), cols), dtype=bool)
+    for x, y, e1, e2 in loops.transpose(1, 2, 0):
+        ok &= (s[at, x] + values[e1] - values[e2] - s[at, y]) % m == 0
+    return ok
 
 
 def deg2_entry_ids(u) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Reference designer: the cycle-basis loop the potential-solve designer replaced.
+"""Reference designer: the cycle-basis loop the fundamental-cycle-sum designer replaced.
 
 Kept verbatim as a differential oracle.  Every host instance gets a
 minimum cycle basis, and activity and votes are read off its basic

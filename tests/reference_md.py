@@ -5,7 +5,7 @@ per host entry at a time off ``RelocationMap.values`` and place each
 entry's M copies by ``md_edge_copies``, so they share no lifting code with
 ``mdreloc.relocation.assemble_md`` (which lifts the whole value vector)
 or with ``mdreloc.oracle.md_object_profile`` (which reads the shape of
-an instance's lift off the ``intact`` potential solve).
+an instance's lift off the fundamental-cycle sums of ``intact``).
 """
 
 from __future__ import annotations

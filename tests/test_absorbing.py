@@ -234,10 +234,9 @@ class TestEnumeration:
 
 
 def _plan_edges(instances) -> list[tuple[int, ...]]:
-    """Each instance's sorted degree-2 entry ids, as its potential plan lists them."""
-    tree, loops = activity_plans(instances)
-    ends = np.concatenate((tree[..., 2:], loops[..., 2:]), axis=1)
-    return [tuple(sorted(row.ravel().tolist())) for row in ends]
+    """Each instance's sorted degree-2 entry ids, as its plan steps list them."""
+    steps, _ = activity_plans(instances)
+    return [tuple(sorted(row.ravel().tolist())) for row in steps[..., 2:]]
 
 
 def _fields(instances):

@@ -191,6 +191,13 @@ class TestFractions:
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().out.splitlines()[1].startswith(f"4_2_g3\t{2**61 - 1}\t2\t")
 
+    def test_prime_m_past_the_witness_bound_finishes(self, capsys):
+        # 2^89 - 1 is prime and past Miller-Rabin's exact range; trial division never ended.
+        t0 = time.perf_counter()
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(2**89 - 1)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"4_2_g3\t{2**89 - 1}\t2\t")
+
     def test_composite_m_rejected(self, capsys):
         assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "4"]) == 3
         assert "odd prime" in capsys.readouterr().err

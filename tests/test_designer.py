@@ -331,7 +331,7 @@ def assert_same_design(host, m_copies, config, entry_granularity):
 
 
 class TestAgainstReference:
-    """The potential-solve designer against the cycle-basis loop it replaced."""
+    """The fundamental-cycle-sum designer against the cycle-basis loop it replaced."""
 
     # Every ladder host, target, M and granularity appears at least once; the
     # (5,3) and (6,2) rows include the designs CHANGES.md records for D6.

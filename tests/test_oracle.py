@@ -226,9 +226,7 @@ class TestAgainstReference:
         reloc = md.RelocationMap(m_copies, fix.incidence)
         for r, c in fix.incidence.entries:
             reloc.assign_entry(r, c, data.draw(st.integers(0, m_copies - 1)))
-        cells = data.draw(st.sampled_from(BLOCK_SIZES + [oracle._BLOCK_CELLS]))
-        with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
-            assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
+        assert md.min_detached_checks(inst, reloc) == reference_min_detached_checks(inst, reloc)
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +325,7 @@ class TestDrawAgainstReference:
 
 
 def own_steps(u):
-    return np.concatenate(oracle.activity_plans([u]), axis=1)[0].tolist()
+    return oracle.activity_plans([u])[0][0].tolist()
 
 
 class TestInstanceMemo:
@@ -515,8 +513,8 @@ def two_k4_host() -> md.BinaryMatrix:
 def k33_host() -> md.BinaryMatrix:
     """One check per edge of K3,3: a single stand-alone (6,0,3) instance.
 
-    Its spanning tree is no star, so the potential solve must orient steps
-    whose first VN is not yet solved.
+    Its spanning tree is no star, so the plans must orient steps whose
+    first VN is not yet reached, and the cycle signs follow paths of two steps.
     """
     pairs = [(i, j) for i in range(3) for j in range(3, 6)]
     return md.BinaryMatrix.from_entries(9, 6, [(r, v) for r, pair in enumerate(pairs) for v in pair])
@@ -527,7 +525,7 @@ HOSTS = {"k4": (k4_host(), md.UasConfig(4, 0, 3)), "two-k4": (two_k4_host(), md.
 
 
 class TestMonteCarloAgainstReference:
-    """Per-trial counts of the potential solve against assembling and recounting."""
+    """Per-trial counts of the fundamental-cycle sums against assembling and recounting."""
 
     @staticmethod
     def batched(name, m_copies, seed, start, stop, threads=1):

@@ -1,6 +1,8 @@
 """Relocation maps, cycle activity, and MD matrix assembly."""
 
 import functools
+import time
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -47,6 +49,9 @@ CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 4104
               314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461]
 STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
                        3825123056546413051]
+# Strong Lucas pseudoprimes with Selfridge's parameters below 10^5 (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                             75077, 97439]
 
 
 class TestPrimality:
@@ -79,9 +84,26 @@ class TestPrimality:
         assert not relocation.is_prime((2**31 - 1) * (10**9 + 7))
 
     @pytest.mark.differential
-    def test_trial_division_beyond_the_bound(self, monkeypatch):
+    def test_baillie_psw_beyond_the_bound(self, monkeypatch):
         monkeypatch.setattr(relocation, "_WITNESS_BOUND", 1000)
         assert [relocation.is_prime(n) for n in range(3000)] == [reference_is_prime(n) for n in range(3000)]
+        monkeypatch.setattr(relocation, "_WITNESS_BOUND", 42)
+        assert [relocation.is_prime(n) for n in range(10**5)] == [reference_is_prime(n) for n in range(10**5)]
+
+    @pytest.mark.differential
+    def test_strong_lucas_test_alone(self):
+        odd = range(43, 10**5, 2)
+        assert [n for n in odd if relocation._strong_lucas(n) != reference_is_prime(n)] == STRONG_LUCAS_PSEUDOPRIMES
+        assert not any(relocation._strong_lucas(n) for n in CARMICHAEL + STRONG_PSEUDOPRIMES if n > 41)
+        assert not relocation._strong_lucas(1009**2)
+
+    def test_primes_above_the_bound(self):
+        t0 = time.perf_counter()
+        assert relocation.is_prime(2**89 - 1) and relocation.is_prime(2**127 - 1)
+        assert 2**89 - 1 > relocation._WITNESS_BOUND
+        assert not relocation.is_prime((2**61 - 1) * (2**89 - 1))
+        assert not relocation.is_prime((2**89 - 1) ** 2) and not relocation.is_prime(2**89 + 1)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestRelocationMap:
@@ -307,7 +329,7 @@ class TestActivity:
 
 
 class TestIntact:
-    """The potential-solve kernel against the cycle definition and the fewest detached checks."""
+    """The fundamental-cycle-sum kernel against the cycle definition and the fewest detached checks."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["4_2_g3", "4_4_g4", "6_2_g3"]), m_copies=st.sampled_from([3, 5, 7]), data=st.data())
@@ -423,7 +445,7 @@ class TestPlansAgainstReference:
         seed = data.draw(st.integers(0, 2**32 - 1))
         values = np.random.default_rng(seed).integers(0, m_copies, size=(len(host.entries), 4))
         got = intact(activity_plans(instances), values, m_copies)
-        assert (got == intact(reference_activity.activity_plans(instances), values, m_copies)).all()
+        assert (got == reference_activity.intact(reference_activity.activity_plans(instances), values, m_copies)).all()
 
     @settings(max_examples=60, deadline=None)
     @given(host=irregular_hosts(), m_copies=st.sampled_from([3, 5]), seed=st.integers(0, 2**32 - 1))
@@ -434,7 +456,7 @@ class TestPlansAgainstReference:
         for config in legal_configs(range(2, 6), gamma):
             instances = md.enumerate_uas(g, config)
             got = intact(activity_plans(instances), values, m_copies)
-            want = intact(reference_activity.activity_plans(instances), values, m_copies)
+            want = reference_activity.intact(reference_activity.activity_plans(instances), values, m_copies)
             assert (got == want).all(), config
 
     @pytest.mark.parametrize("shape", PLANNED_HOSTS)
@@ -451,16 +473,78 @@ class TestPlansAgainstReference:
         assert involvement(activity_plans([]), units).shape == (0, len(units))
 
 
+@functools.lru_cache
+def path_instances():
+    """Tree-only sets (n_f = 0): windows of three VNs on a path of checks, two of them degree 2."""
+    host = md.BinaryMatrix.from_entries(5, 6, [(r, c) for r in range(5) for c in (r, r + 1)])
+    g = md.build_graph(host)
+    instances = [md.UasInstance((i, i + 1, i + 2), tuple(c for c in (i - 1, i + 2) if 0 <= c < 5), (i, i + 1), g)
+                 for i in range(4)]
+    return host, instances
+
+
+def explicit_cycles(u):
+    """Every cycle of the instance's degree-2 subgraph, none for a tree."""
+    return md.enumerate_cycles(u.deg2_subgraph(), max(4, 2 * u.a))
+
+
+def activity_sets():
+    """(name, host, instances): array-host classes, tree-only sets and the empty list."""
+    for shape in PLANNED_HOSTS:
+        host, _, classes = planned_classes(*shape)
+        for instances in classes:
+            yield f"{shape} {instances[0].a}_{instances[0].d1}", host, instances
+    yield "paths", *path_instances()
+    yield "empty", md.expand_qc(array_host(3, 4, 5)), []
+
+
+@pytest.mark.differential
+class TestCycleSumsAgainstReference:
+    """The fundamental-cycle-sum kernel against the potential solve and explicit cycle sums."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m_copies=st.sampled_from([3, 5, 7]), cells=st.sampled_from([1, 7, 50, relocation._BLOCK_CELLS]),
+           data=st.data())
+    def test_intact(self, m_copies, cells, data):
+        _, host, instances = data.draw(st.sampled_from(list(activity_sets())), label="set")
+        cols = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).integers(0, m_copies, size=(len(host.entries), cols))
+        with mock.patch.object(relocation, "_BLOCK_CELLS", cells):
+            plans = activity_plans(instances)
+            got = intact(plans, values, m_copies)
+        assert got.shape == (len(instances), cols)
+        want = reference_activity.intact(reference_activity.activity_plans(instances), values, m_copies)
+        assert (got == want).all()
+        rows = data.draw(st.lists(st.integers(0, len(instances) - 1), max_size=6)) if instances else []
+        for i in rows:
+            for col in range(cols):
+                sums = [alternating_value_sum(c, values[:, col].item) for c in explicit_cycles(instances[i])]
+                assert got[i, col] == all(s % m_copies == 0 for s in sums)
+
+    def test_tree_only_sets_stay_intact(self):
+        host, instances = path_instances()
+        steps, cycles = activity_plans(instances)
+        assert steps.shape == (4, 2, 4) and cycles.shape == (4, 0, 2)
+        assert all(explicit_cycles(u) == [] for u in instances)
+        values = np.random.default_rng(0).integers(0, 5, size=(len(host.entries), 3))
+        assert intact((steps, cycles), values, 5).all()
+
+
 def assert_plan_contract(instances, plans):
-    """Each row holds its instance's own steps, in an order that solves the potential.
+    """Each row holds its instance's own steps, in an order that solves the potential, and its cycles.
 
     One step per degree-2 check; x and y are positions in ``u.vns`` whose
     edges e1 and e2 meet at that check; the loops come in check-id order;
     every tree step reads a VN that the root or an earlier step solved,
-    and the tree reaches every VN.
+    and the tree reaches every VN.  Each loop's cycle row has +1 on its
+    own loop step, 0 on the other loops, and on the tree steps the signs
+    of the tree path from the loop's y back to its x.
     """
-    tree, loops = (steps.tolist() for steps in plans)
-    for u, t, l in zip(instances, tree, loops):
+    steps, cycles = plans
+    n_tree = steps.shape[1] - cycles.shape[1]
+    for u, row, cyc in zip(instances, steps.tolist(), cycles.tolist()):
+        t, l = row[:n_tree], row[n_tree:]
         ends = {eid: (cn, vn) for vn in u.vns for cn, eid in u.graph.vn_adj[vn]}
         checks = []
         for x, y, e1, e2 in t + l:
@@ -474,6 +558,15 @@ def assert_plan_contract(instances, plans):
             assert x in solved and y not in solved
             solved.add(y)
         assert len(solved) == len(u.vns)
+        # path[v]: +1 on the tree steps from the root to VN v.
+        path = {t[0][0] if t else 0: [0] * len(t)}
+        for k, (x, y, *_) in enumerate(t):
+            path[y] = path[x][:k] + [1] + path[x][k + 1:]
+        assert len(cyc) == len(l)
+        for k, ((x, y, *_), signs) in enumerate(zip(l, cyc)):
+            assert signs[n_tree + k] == 1
+            assert signs[n_tree:] == [int(i == k) for i in range(len(l))]
+            assert signs[:n_tree] == [px - py for px, py in zip(path[x], path[y])]
 
 
 def assert_plans_as_reference(instances, units, m_copies, seed):
@@ -481,7 +574,7 @@ def assert_plans_as_reference(instances, units, m_copies, seed):
     plans = activity_plans(instances)
     n_entries = 1 + max(eid for eids in units.values() for eid in eids)
     values = np.random.default_rng(seed).integers(0, m_copies, size=(n_entries, 4))
-    want = intact(reference_activity.activity_plans(instances), values, m_copies)
+    want = reference_activity.intact(reference_activity.activity_plans(instances), values, m_copies)
     assert (intact(plans, values, m_copies) == want).all()
     assert (involvement(plans, units) == reference_activity.involvement(instances, units)).all()
     assert_plan_contract(instances, plans)
@@ -534,10 +627,10 @@ class TestPlanContractAgainstReference:
         lists = [md.enumerate_uas(host, md.UasConfig(4, 2, 3)), md.enumerate_uas(moved, md.UasConfig(6, 4, 3))]
         whole = [activity_plans(instances) for instances in lists]
         monkeypatch.setattr(relocation, "_BLOCK_CELLS", cells)
-        for instances, (tree, loops) in zip(lists, whole):
+        for instances, (steps, cycles) in zip(lists, whole):
             got = activity_plans(instances)
-            assert (got[0] == tree).all() and got[0].shape == tree.shape
-            assert (got[1] == loops).all() and got[1].shape == loops.shape
+            assert (got[0] == steps).all() and got[0].shape == steps.shape
+            assert (got[1] == cycles).all() and got[1].shape == cycles.shape
             assert_plan_contract(instances, got)
 
     @pytest.mark.parametrize(
