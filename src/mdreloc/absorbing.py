@@ -177,47 +177,40 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
     One pass finds the family d' = d1, d1 - 2, ... >= 0; the ``siblings``
     of the returned ``UasList`` list each smaller class in the same order.
 
-    Searches connected VN sets only (connectivity through shared checks),
-    growing each set from its first VN in a fixed order so every
-    candidate is visited once, and pruning as soon as any check reaches
-    induced degree 3.
+    An ESU search (Wernicke 2006) over connected VN sets, pruned as soon
+    as a check reaches induced degree 3, run modulo the graph's shift
+    group (``TannerGraph.shift_group``: permutation arrays V and C over VN
+    and CN positions).  VNs are ranked by (orbit, position), the least
+    image ``V.min(axis=0)`` naming the orbit; sets grow only from each
+    orbit's first VN and are mapped through the whole group at once, one
+    sort of the image rows by VN tuple dropping repeats.  The count is
+    checked against the orbit identity |G| * sum(1/r), r being how many of
+    a set's VNs lie in its root's orbit.
 
-    The search runs modulo the graph's own cyclic shifts
-    (``TannerGraph.shift_group``: the copy shift of an MD matrix, the
-    circulant shift of a QC matrix), as permutation arrays V and C over
-    VN and CN positions.  VNs are ordered by (orbit, position), the least
-    image ``V.min(axis=0)`` naming the orbit, and sets are grown only from
-    each orbit's first VN: every set has an image under the group whose
-    first VN is one of those roots.  The sets found are mapped through
-    the whole group at once: their VN, degree-1 and degree-2 positions go
-    through V and C, each part is sorted, and one sort of the rows by
-    VN tuple both drops repeated images and orders the instances.  The
-    count is checked against the orbit identity |G| * sum(1/r) = number
-    of instances, where r is how many of the set's VNs lie in its root's
-    orbit.  When no shift survives detection the group is the identity,
-    every VN is a root and the search is the plain one.
-
-    The state of a set is two bitmasks of checks, one bit per check at
-    its position in ``g.cns``: ``one`` holds the checks of induced degree
-    1 and ``two`` those of degree 2.  A VN whose mask m meets ``two`` is
-    refused (a check would reach degree 3); otherwise it makes
-    one ^ m the degree-1 checks and two | (one & m) the degree-2 ones.
-    D, the number of degree-1 checks, is ``one.bit_count()``.  A VN that
-    joins s VNs shares a check with one of them and at most lam checks
-    with each (lam: the most checks two eligible VNs share, 1 without
-    4-cycles), so it touches 1 <= t <= min(gamma, lam * s) degree-1
-    checks and changes D by gamma - 2t.  With d0 = d1 mod 2 the least d',
-    a branch of k VNs is dropped unless D - drop[k] <= d1 and
+    A set's state is four bitmasks.  ``one`` and ``two`` hold its checks
+    of induced degree 1 and 2, one bit per position in ``g.cns``; D is
+    ``one.bit_count()``.  ``ext`` holds the VN ranks that may join next,
+    walked in rank order, and ``closed`` every rank up to the root and
+    every rank in or next to the set; a child's ``ext`` is the ranks of
+    ``ext`` above the one that joined plus its neighbours not in
+    ``closed``.  A VN whose mask m meets ``two`` is refused (a check
+    would reach degree 3); otherwise it makes one ^ m the degree-1 checks
+    and two | (one & m) the degree-2 ones.  A VN that joins s VNs shares a
+    check with one of them and at most lam checks with each (lam: the most
+    checks two eligible VNs share), so it has 1 <= t <= min(gamma, lam * s)
+    bits in ``one`` and changes D by gamma - 2t.  With d0 = d1 mod 2, a
+    branch of k VNs is dropped unless D - drop[k] <= d1 and
     d0 <= D + (gamma - 2)(a - k), where drop[k] sums
     2 min(gamma, lam * s) - gamma over s = k .. a - 1; at a - 1 VNs it
-    also needs D > d0, as the last VN needs 2t > gamma.  The last VN is
-    not searched for: a set of a - 1 VNs is completed only by a
-    candidate with ``m & two == 0`` and one of the family's
-    t = (D + gamma - d') / 2 > gamma / 2 bits in ``m & one``, which makes
-    D = d'; the majority rule then needs each other VN v to have fewer
-    than gamma / 2 of its checks among the final degree-1 ones.  No
-    connectivity test is needed: every set grows through checks it shares, and a shared check
-    has induced degree 2.  Masks become check ids only for the sets found.
+    also needs D > d0.  The last VN is not searched for: a set of a - 1
+    VNs is completed by a candidate with ``m & two == 0`` and one of the
+    family's t = (D + gamma - d') / 2 > gamma / 2, which makes D = d'; the
+    majority rule then needs each other VN to have fewer than gamma / 2
+    checks among the final degree-1 ones.  A bound on D thus asks t >= t0;
+    for t0 >= 2 only the ranks of ``ext`` on min(t0, 3) or more checks of
+    ``one`` are tried, counted by bit-sliced counters over ``on[j]``, the
+    eligible ranks on check position j, and each is still tested exactly.
+    Masks become ids only for the sets found.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
     family = range(d1, -1, -2)
@@ -247,16 +240,14 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
             bits ^= low
         return out
 
-    # Each eligible VN's neighbours through shared checks, as a mask of
-    # ranks; lam is 1 unless some pair of them shares a second check.
+    # Masks of eligible ranks: on[j] those on check position j, nbit[i] those
+    # sharing a check with rank i.  lam is 1 unless some pair shares two checks.
+    on = [sum(1 << rank[vn] for vn, _ in g.cn_adj[cn] if mask[rank[vn]]) for cn in g.cns]
     nbit = [0] * len(order)
-    pairs = 0
-    for cn in g.cns:
-        members = [rank[vn] for vn, _ in g.cn_adj[cn] if mask[rank[vn]]]
-        pairs += len(members) * (len(members) - 1)
-        both = sum(1 << i for i in members)
-        for i in members:
+    for both in on:
+        for i in positions(both):
             nbit[i] |= both ^ 1 << i
+    pairs = sum(k * (k - 1) for k in map(int.bit_count, on))
     lam = 1 if sum(map(int.bit_count, nbit)) == pairs else max(
         (mask[u] & mask[v]).bit_count() for u, b in enumerate(nbit) for v in positions(b)
     )
@@ -271,10 +262,28 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
     # exactly when D > d', and D + gamma - d' is even as a * gamma - d' is.
     accept = [{(n + gamma - d) // 2 for d in family if d < n} for n in range((a - 1) * gamma + 1)]
 
-    def finish(sub: list[int], ext: list[int], one: int, two: int):
+    def candidates(ext: int, one: int, t: int) -> int:
+        # The ranks of ext on min(t, 3) or more checks of one; a_k: those on k so far.
+        if t < 2:
+            return ext
+        a1 = a2 = a3 = 0
+        while one:
+            low = one & -one
+            x = on[low.bit_length() - 1]
+            a3 |= a2 & x
+            a2 |= a1 & x
+            a1 |= x
+            one ^= low
+        return ext & (a2 if t == 2 else a3)
+
+    def finish(sub: list[int], ext: int, one: int, two: int):
         """Complete a set of a - 1 VNs with each candidate that makes D a family d'."""
         ts = accept[one.bit_count()]
-        for w in ext:
+        ext = candidates(ext, one, min(ts))
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
             m = mask[w]
             if not m & two and (m & one).bit_count() in ts:
                 final1 = one ^ m
@@ -282,29 +291,32 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
                 if all(2 * (final1 & mask[v]).bit_count() < gamma for v in sub):
                     found[final1.bit_count()].append((sub + [w], final1, two | (one & m)))
 
-    def extend(sub: list[int], ext: list[int], closed: int, one: int, two: int):
+    def extend(sub: list[int], ext: int, closed: int, one: int, two: int):
         if len(sub) == a - 1:
             finish(sub, ext, one, two)
             return
         lo, hi = bounds[len(sub) + 1]
-        for i, w in enumerate(ext):
+        todo = candidates(ext, one, (one.bit_count() + gamma - hi + 1) // 2)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            w = low.bit_length() - 1
             m = mask[w]
             if m & two:
                 continue
             one_w = one ^ m
             if lo <= one_w.bit_count() <= hi:
                 # Exclusive new neighbours keep every connected set
-                # reachable by exactly one insertion order.  ``closed``
-                # holds every rank up to the root and every member of ``ext``.
+                # reachable by exactly one insertion order.
                 new = nbit[w] & ~closed
                 sub.append(w)
-                extend(sub, ext[i + 1 :] + positions(new), closed | new, one_w, two | (one & m))
+                extend(sub, ext & ~((low << 1) - 1) | new, closed | new, one_w, two | (one & m))
                 sub.pop()
 
     for root in range(0, len(order), size):
         if mask[root]:
             below = (2 << root) - 1
-            extend([root], positions(nbit[root] & ~below), below | nbit[root], mask[root], 0)
+            extend([root], nbit[root] & ~below, below | nbit[root], mask[root], 0)
 
     def expand(d: int) -> list[UasInstance]:
         # Each (a, d) set found is one row of positions: its VNs, then its degree-1

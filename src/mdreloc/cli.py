@@ -22,6 +22,7 @@ finished with active instances left, 11 verify count differed from
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -256,6 +257,7 @@ def cmd_oracle(args) -> int:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mdreloc",

@@ -291,9 +291,11 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
     trivial, giving M disjoint copies, exactly when every fundamental-cycle
     sum is 0 (``intact``), and all of Z_M, giving one object of M * a VNs,
     otherwise.  Every lifted check keeps its host degree, so no MD matrix
-    is built.
+    is built.  M must be below 2^32.
     """
     a, d1, m = u.a, u.d1, reloc.m_copies
+    if m >= 2**32:
+        raise ValueError(f"number of copies {m} must be below 2^32 for the profile")
     if intact(activity_plans([u]), reloc.values[:, None], m)[0, 0]:
         return MdObjectProfile(m * a, m * d1, False, ((a, d1),) * m)
     return MdObjectProfile(m * a, m * d1, True, ((m * a, m * d1),))

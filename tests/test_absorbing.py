@@ -268,6 +268,23 @@ def _assert_family(g, configs) -> dict:
     return ref
 
 
+@st.composite
+def wide_column_hosts(draw):
+    """(matrix, gamma): gamma 5 or 6, most columns of weight gamma, the rest one more or one fewer.
+
+    Few rows per column weight make VN pairs share several checks (4-cycles).
+    """
+    gamma = draw(st.integers(5, 6))
+    n_rows = draw(st.integers(gamma + 2, 3 * gamma))
+    n_cols = draw(st.integers(3, 9))
+    entries = []
+    for col in range(n_cols):
+        weight = draw(st.sampled_from([gamma] * 4 + [gamma - 1, gamma + 1]))
+        rows = draw(st.sets(st.integers(0, n_rows - 1), min_size=weight, max_size=weight))
+        entries += [(r, col) for r in rows]
+    return md.BinaryMatrix.from_entries(n_rows, n_cols, entries), gamma
+
+
 class TestAgainstReference:
     """The pruned search returns exactly the unpruned reference's list."""
 
@@ -340,6 +357,15 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(host=irregular_hosts())
     def test_irregular_column_weights(self, host):
+        m, gamma = host
+        _assert_family(md.build_graph(m), legal_configs(range(1, 6), gamma))
+
+    @pytest.mark.differential
+    @settings(max_examples=100, deadline=None)
+    @given(host=wide_column_hosts())
+    def test_column_weights_5_and_6(self, host):
+        # A joining VN then needs up to 4 degree-1 checks in common with the
+        # set, past the search's 3-level candidate counters.
         m, gamma = host
         _assert_family(md.build_graph(m), legal_configs(range(1, 6), gamma))
 

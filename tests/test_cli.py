@@ -230,6 +230,12 @@ class TestDesignVerify:
         assert main(["verify", "--md", md_path, "--uas", "4,2", "--expect", "0"]) == 0
         assert "instances: 0" in capsys.readouterr().out
 
+    def test_copies_beyond_one_word_exit_3(self, host33, capsys):
+        # 2^61 - 1 is prime; the design would build lists of M - 1 values.
+        assert main(["design", "--input", host33, "--M", str(2**61 - 1), "--uas", "4,2"]) == 3
+        message = "error: number of copies 2305843009213693951 must be below 2^32 for the design\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_verify_mismatch_exits_11(self, host33, capsys):
         rc = main(["verify", "--md", host33, "--uas", "4,2", "--expect", "0"])
         assert rc == 11
@@ -395,6 +401,32 @@ def test_library_value_error_exits_3(k4file, monkeypatch, capsys, argv, name):
     assert capsys.readouterr().err == f"error: {name} refused\n"
 
 
+def test_one_parser_serves_every_call(k4file, capsys):
+    # main builds its parser once per process; an option given in one call
+    # (--expect) must not carry over to the next.
+    import mdreloc.cli as cli_mod
+
+    calls = [
+        ["verify", "--md", k4file, "--uas", "4,0", "--expect", "2"],
+        ["analyze", "--input", k4file, "--uas", "4,0"],
+        ["verify", "--md", k4file, "--uas", "4,0"],
+        ["verify", "--md", k4file, "--uas", "5"],
+    ]
+
+    def run(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli_mod._build_parser.cache_clear()
+            outputs.append((main(argv), capsys.readouterr()))
+        return outputs
+
+    reused = run(fresh=False)
+    assert [code for code, _ in reused] == [11, 0, 0, 3]
+    assert reused == run(fresh=True)
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+
+
 class TestOracle:
     def test_reports_agreement(self, k4file, capsys):
         rc = main([
@@ -540,6 +572,15 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert "matrix: 6 x 4" in proc.stdout
+
+    def test_copies_beyond_one_word_exit_3_without_traceback(self, host33, source_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdreloc", "design", "--input", host33, "--M", str(2**61 - 1), "--uas", "4,2"],
+            capture_output=True, text=True, env=source_env,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: number of copies 2305843009213693951 must be below 2^32 for the design\n"
+        assert proc.stdout == ""
 
     def test_closed_pipe_exits_quietly(self, host33, source_env):
         proc = subprocess.Popen(

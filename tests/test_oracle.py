@@ -411,6 +411,12 @@ class TestMdProfiles:
         prof = md.md_object_profile(inst_4_2, reloc)
         assert prof.components == ((4, 2), (4, 2), (4, 2))
 
+    def test_copies_beyond_one_word_rejected(self, uas_4_2, inst_4_2):
+        # The zero map keeps the instance intact, which would list 2^61 - 1 copies.
+        reloc = md.RelocationMap(2**61 - 1, uas_4_2.incidence)
+        with pytest.raises(ValueError, match=r"^number of copies 2305843009213693951 must be below 2\^32 for the profile$"):
+            md.md_object_profile(inst_4_2, reloc)
+
     def test_subgraph_embeds_in_assembled_matrix(self, uas_4_2, inst_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
         sub = reference_md.md_instance_subgraph(inst_4_2, reloc)
