@@ -207,9 +207,9 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
     family's t = (D + gamma - d') / 2 > gamma / 2, which makes D = d'; the
     majority rule then needs each other VN to have fewer than gamma / 2
     checks among the final degree-1 ones.  A bound on D thus asks t >= t0;
-    for t0 >= 2 only the ranks of ``ext`` on min(t0, 3) or more checks of
-    ``one`` are tried, counted by bit-sliced counters over ``on[j]``, the
-    eligible ranks on check position j, and each is still tested exactly.
+    for t0 >= 2 only the ranks of ``ext`` on two or more checks of ``one``
+    are tried, counted by bit-sliced counters over ``on[j]``, the eligible
+    ranks on check position j, and each is still tested exactly.
     Masks become ids only for the sets found.
     """
     a, d1, gamma = c.a, c.d1, c.gamma
@@ -263,18 +263,17 @@ def enumerate_uas(g: TannerGraph, c: UasConfig) -> UasList:
     accept = [{(n + gamma - d) // 2 for d in family if d < n} for n in range((a - 1) * gamma + 1)]
 
     def candidates(ext: int, one: int, t: int) -> int:
-        # The ranks of ext on min(t, 3) or more checks of one; a_k: those on k so far.
+        # The ranks of ext on two or more checks of one; a_k: those on k so far.
         if t < 2:
             return ext
-        a1 = a2 = a3 = 0
+        a1 = a2 = 0
         while one:
             low = one & -one
             x = on[low.bit_length() - 1]
-            a3 |= a2 & x
             a2 |= a1 & x
             a1 |= x
             one ^= low
-        return ext & (a2 if t == 2 else a3)
+        return ext & a2
 
     def finish(sub: list[int], ext: int, one: int, two: int):
         """Complete a set of a - 1 VNs with each candidate that makes D a family d'."""

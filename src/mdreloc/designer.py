@@ -30,6 +30,7 @@ from .relocation import (
     RelocationMap,
     activity_plans,
     assemble_md,
+    check_copies,
     intact,
     involvement,
 )
@@ -103,14 +104,13 @@ def design_md(host, m_copies: int, config: UasConfig) -> DesignResult:
 
     ``host`` is a QcMatrix (relocating circulants) or a BinaryMatrix
     (relocating entries), so ``design_md(expand_qc(qc), m, config)``
-    designs a QC host entry by entry.  M must be below 2^32 and an odd
-    prime (``RelocationMap(m_copies, host)`` checks this), and the host
+    designs a QC host entry by entry.  M must be an odd prime below 2^32
+    (``check_copies(m_copies, "design")``), and the host
     column weight must match the target's.  Structural preconditions (no
     4-cycles, no smaller-d1 siblings) are checked and reported as notes in
     ``DesignReport.warnings``, not errors.
     """
-    if m_copies >= 2**32:
-        raise ValueError(f"number of copies {m_copies} must be below 2^32 for the design")
+    check_copies(m_copies, "design")
     reloc = RelocationMap(m_copies, host)
     gamma = check_regular_gamma(reloc.matrix)
     if gamma is None:

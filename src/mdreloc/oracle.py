@@ -294,8 +294,7 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
     is built.  M must be below 2^32.
     """
     a, d1, m = u.a, u.d1, reloc.m_copies
-    if m >= 2**32:
-        raise ValueError(f"number of copies {m} must be below 2^32 for the profile")
+    check_copies(m, "profile")
     if intact(activity_plans([u]), reloc.values[:, None], m)[0, 0]:
         return MdObjectProfile(m * a, m * d1, False, ((a, d1),) * m)
     return MdObjectProfile(m * a, m * d1, True, ((m * a, m * d1),))
@@ -401,9 +400,7 @@ def monte_carlo_avg(
     be an odd prime below 2^32 (one 32-bit word per drawn value); the
     standard error needs at least 2 trials.
     """
-    if m_copies >= 2**32:
-        raise ValueError(f"number of copies {m_copies} must be below 2^32 for the draw")
-    check_copies(m_copies)
+    check_copies(m_copies, "draw")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if threads < 1:

@@ -87,8 +87,10 @@ def is_prime(n: int) -> bool:
             and (n < _WITNESS_BOUND or _strong_lucas(n)))
 
 
-def check_copies(m_copies: int) -> None:
-    """Raise ValueError unless the number of copies M is an odd prime."""
+def check_copies(m_copies: int, word_for: str | None = None) -> None:
+    """Raise ValueError unless the number of copies M is an odd prime, and below 2^32 for a ``word_for`` use."""
+    if word_for is not None and m_copies >= 2**32:
+        raise ValueError(f"number of copies {m_copies} must be below 2^32 for the {word_for}")
     if m_copies <= 2 or not is_prime(m_copies):
         raise ValueError(f"number of copies {m_copies} must be an odd prime")
 

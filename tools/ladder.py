@@ -7,7 +7,7 @@ Run from the repository root.  ``--src`` names the ``src/`` directory to
 import ``mdreloc`` from (default: this checkout's).  Each row is one
 ``enumerate_uas`` call on a fresh Tanner graph, timed as the mean of a
 fixed number of calls (50 on the bench-scale rows, 1 on the others) and
-repeated ``--repeats`` times in this process: ``group_s`` is the median
+repeated ``REPEATS`` times in this process: ``group_s`` is the median
 time to detect the graph's shift group, ``search_s`` the median time of
 the search with its expansion of the target class.  ``instances`` and ``sha256`` (over one
 ``vns;deg1;deg2`` line per instance, in list order) must agree between
@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
 
 # (row name, array_host shape, target (a, d1, gamma), M of the MD matrix or None
 # for the host itself, relocate entries rather than circulants, calls per repeat)
@@ -56,9 +57,9 @@ def digest(instances) -> str:
     return h.hexdigest()
 
 
-def time_row(md, matrix, config, repeats: int, calls: int) -> dict:
+def time_row(md, matrix, config, calls: int) -> dict:
     group, search = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         group_s = search_s = 0.0
         for _ in range(calls):
             found = None  # free the last list before the next search
@@ -84,7 +85,6 @@ def main(argv=None) -> int:
     ap.add_argument("--column", required=True, help="name of the column to write, e.g. parent or change")
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the mdreloc package")
     ap.add_argument("--out", default=str(ROOT / "BENCH_33.json"))
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import mdreloc as md
@@ -95,14 +95,14 @@ def main(argv=None) -> int:
         host = md.expand_qc(qc)
         config = md.UasConfig(*target)
         matrix = host if m is None else md.design_md(host if entry else qc, m, config).h_md
-        rows[name] = time_row(md, matrix, config, args.repeats, calls)
+        rows[name] = time_row(md, matrix, config, calls)
         print(f"{name}: {rows[name]['search_s']:.4f} s, {rows[name]['instances']} instances", flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update(
         tool="tools/ladder.py",
-        repeats=args.repeats,
+        repeats=REPEATS,
         python=platform.python_version(),
         machine=f"{platform.machine()}, {os.cpu_count()} cpus",
     )
