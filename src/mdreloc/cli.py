@@ -13,10 +13,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable/unparsable input, 3 any other
 refused input (a ``ValueError``: inconsistent configuration, a target
-the library rejects, an output file that cannot be written), 10 design
-finished with active instances left, 11 verify count differed from
---expect, 141 standard output was closed early (for example by
-``| head``), as a shell reports a command killed by SIGPIPE.
+the library rejects, an output file that cannot be written) or out of
+memory, 10 design finished with active instances left, 11 verify count
+differed from --expect, 141 standard output was closed early (for
+example by ``| head``), as a shell reports a command killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -256,6 +256,8 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 
+_M_HELP = "number of copies (odd prime below 2^32)"
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,13 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fractions", help="exact relocation-arrangement fractions")
     p.add_argument("--uas", help="uas:<name>, or a,d1[,gamma] describing --input")
     p.add_argument("--input", help="alist holding exactly one UAS instance")
-    p.add_argument("--M", required=True, type=int, dest="m", help="number of copies (odd prime)")
+    p.add_argument("--M", required=True, type=int, dest="m", help=_M_HELP)
     p.add_argument("--oracle", action="store_true", help="append exhaustive-oracle columns")
     p.set_defaults(fn=cmd_fractions)
 
     p = sub.add_parser("design", help="run the greedy relocation designer")
     p.add_argument("--input", required=True, help="host matrix (alist or qc format)")
-    p.add_argument("--M", required=True, type=int, dest="m")
+    p.add_argument("--M", required=True, type=int, dest="m", help=_M_HELP)
     p.add_argument("--uas", required=True, help="target: a,d1[,gamma] or uas:<name>")
     p.add_argument("--out-md", dest="out_md", help="write the MD matrix (alist)")
     p.add_argument("--out-reloc", dest="out_reloc", help="write the relocation map")
@@ -302,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="Monte Carlo check of the average formula")
     p.add_argument("--input", required=True, help="host matrix (alist or qc format)")
     p.add_argument("--uas", required=True, help="target: a,d1[,gamma] or uas:<name>")
-    p.add_argument("--M", required=True, type=int, dest="m")
+    p.add_argument("--M", required=True, type=int, dest="m", help=_M_HELP)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
@@ -321,6 +323,9 @@ def main(argv=None) -> int:
         # A ParseError is unreadable input; every other ValueError is refused input.
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # The reader went away.  Send what is still buffered to devnull so
         # the interpreter's final flush does not fail again.

@@ -287,14 +287,13 @@ def md_object_profile(u: UasInstance, reloc: RelocationMap) -> MdObjectProfile:
 
     The MD graph is a Z_M voltage lift of the host, so the instance lifts
     to one component per coset of the subgroup of Z_M its cycle sums
-    generate.  M is an odd prime (``check_copies``), so that subgroup is
-    trivial, giving M disjoint copies, exactly when every fundamental-cycle
-    sum is 0 (``intact``), and all of Z_M, giving one object of M * a VNs,
+    generate.  M is an odd prime, so that subgroup is trivial, giving M
+    disjoint copies, exactly when every fundamental-cycle sum is 0
+    (``intact``), and all of Z_M, giving one object of M * a VNs,
     otherwise.  Every lifted check keeps its host degree, so no MD matrix
-    is built.  M must be below 2^32.
+    is built.
     """
     a, d1, m = u.a, u.d1, reloc.m_copies
-    check_copies(m, "profile")
     if intact(activity_plans([u]), reloc.values[:, None], m)[0, 0]:
         return MdObjectProfile(m * a, m * d1, False, ((a, d1),) * m)
     return MdObjectProfile(m * a, m * d1, True, ((m * a, m * d1),))
@@ -396,11 +395,10 @@ def monte_carlo_avg(
     verifying the host's instances share no cycles pairwise.  Then a
     trial's MD count is M times the host instances left intact, which
     ``relocation.intact``'s fundamental-cycle sums decide without building
-    the MD matrix.  Results do not depend on ``threads``.  M must
-    be an odd prime below 2^32 (one 32-bit word per drawn value); the
-    standard error needs at least 2 trials.
+    the MD matrix.  Results do not depend on ``threads``.  The standard
+    error needs at least 2 trials.
     """
-    check_copies(m_copies, "draw")
+    check_copies(m_copies)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if threads < 1:

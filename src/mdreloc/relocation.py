@@ -25,7 +25,6 @@ them.  One numpy pass builds every instance's plan.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -36,61 +35,21 @@ GRANULARITIES = ("circulant", "entry")
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13 (Sorenson & Webster)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a, out = a % n, 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            out = -out if n % 8 in (3, 5) else out
-        a, n = n, a
-        out = -out if a % 4 == n % 4 == 3 else out
-        a %= n
-    return out if n == 1 else 0
-
-
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test of odd n > 41 with Selfridge's P = 1, Q = (1 - D) / 4."""
-    if math.isqrt(n) ** 2 == n:
-        return False
-    d = 5
-    while (j := _jacobi(d, n)) == 1:
-        d = 2 - d if d < 0 else -d - 2
-    if j == 0:
-        return False
-    q, s = (1 - d) // 4, ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s with k odd
-    half = lambda x: (x + n * (x & 1)) // 2 % n
-    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1, then U_k, V_k and Q^k by the bits of k
-    for bit in bin((n + 1) >> s)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v, qk = half(u + v), half(d * u + v), qk * q % n
-    if u == 0:
-        return True
-    for _ in range(s):  # V at k * 2^r for r < s
-        if v == 0:
-            return True
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-    return False
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 13 primes, exact below ``_WITNESS_BOUND``; Baillie-PSW above it."""
+    """Miller-Rabin on the first 13 primes: exact below 3.3 * 10^24, and so for every M below 2^32."""
     if n <= _WITNESSES[-1]:
         return n in _WITNESSES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    return (all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s)) for b in _WITNESSES)
-            and (n < _WITNESS_BOUND or _strong_lucas(n)))
+    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s)) for b in _WITNESSES)
 
 
-def check_copies(m_copies: int, word_for: str | None = None) -> None:
-    """Raise ValueError unless the number of copies M is an odd prime, and below 2^32 for a ``word_for`` use."""
-    if word_for is not None and m_copies >= 2**32:
-        raise ValueError(f"number of copies {m_copies} must be below 2^32 for the {word_for}")
+def check_copies(m_copies: int) -> None:
+    """Raise ValueError unless the number of copies M is an odd prime below 2^32."""
+    if m_copies >= 2**32:
+        raise ValueError(f"number of copies {m_copies} must be below 2^32")
     if m_copies <= 2 or not is_prime(m_copies):
         raise ValueError(f"number of copies {m_copies} must be an odd prime")
 

@@ -75,6 +75,10 @@ class TestFractionReport:
         for bad in (4, 9, 2, 1):
             with pytest.raises(ValueError):
                 md.fraction_report(2, bad, 2, 1)
+        for prime in (2**32 + 15, 2**61 - 1):
+            with pytest.raises(ValueError, match=rf"^number of copies {prime} must be below 2\^32$"):
+                md.fraction_report(2, prime, 2, 1)
+        assert md.fraction_report(2, 2**32 - 5, 2, 1).f_active == Fr(1, (2**32 - 5) ** 2)
 
     def test_rejects_acyclic_input(self):
         with pytest.raises(ValueError):

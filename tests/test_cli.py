@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -184,19 +185,20 @@ class TestFractions:
         assert captured.err == "error: need at least one basic cycle\n"
         assert captured.out == ""
 
-    def test_huge_prime_m_finishes(self, capsys):
-        # 2^61 - 1 is prime; a trial-division check of it ran for many seconds.
-        t0 = time.perf_counter()
-        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(2**61 - 1)]) == 0
-        assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().out.splitlines()[1].startswith(f"4_2_g3\t{2**61 - 1}\t2\t")
+    def test_huge_prime_m_refused(self, capsys):
+        # Both are prime; the 2^32 bound is tested before primality.
+        for m in (2**32 + 15, 2**61 - 1):
+            t0 = time.perf_counter()
+            assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(m)]) == 3
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr() == ("", f"error: --M: number of copies {m} must be below 2^32\n")
 
-    def test_prime_m_past_the_witness_bound_finishes(self, capsys):
-        # 2^89 - 1 is prime and past Miller-Rabin's exact range; trial division never ended.
+    def test_prime_m_far_past_the_bound_refused(self, capsys):
+        # 2^89 - 1 is prime and past the range where 13 Miller-Rabin witnesses are exact.
         t0 = time.perf_counter()
-        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(2**89 - 1)]) == 0
+        assert main(["fractions", "--uas", "uas:4_2_g3", "--M", str(2**89 - 1)]) == 3
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().out.splitlines()[1].startswith(f"4_2_g3\t{2**89 - 1}\t2\t")
+        assert capsys.readouterr() == ("", f"error: --M: number of copies {2**89 - 1} must be below 2^32\n")
 
     def test_composite_m_rejected(self, capsys):
         assert main(["fractions", "--uas", "uas:4_2_g3", "--M", "4"]) == 3
@@ -231,10 +233,12 @@ class TestDesignVerify:
         assert "instances: 0" in capsys.readouterr().out
 
     def test_copies_beyond_one_word_exit_3(self, host33, capsys):
-        # 2^61 - 1 is prime; the design would build lists of M - 1 values.
-        assert main(["design", "--input", host33, "--M", str(2**61 - 1), "--uas", "4,2"]) == 3
-        message = "error: number of copies 2305843009213693951 must be below 2^32 for the design\n"
-        assert capsys.readouterr() == ("", message)
+        # Both are prime; the design would build lists of M - 1 values.
+        for m in (2**32 + 15, 2**61 - 1):
+            t0 = time.perf_counter()
+            assert main(["design", "--input", host33, "--M", str(m), "--uas", "4,2"]) == 3
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr() == ("", f"error: --M: number of copies {m} must be below 2^32\n")
 
     def test_verify_mismatch_exits_11(self, host33, capsys):
         rc = main(["verify", "--md", host33, "--uas", "4,2", "--expect", "0"])
@@ -478,6 +482,13 @@ class TestOracle:
         assert "odd prime" in captured.err
         assert captured.out == ""
 
+    def test_copies_beyond_one_word_exit_3(self, k4file, capsys):
+        for m in (2**32 + 15, 2**61 - 1):
+            t0 = time.perf_counter()
+            assert main(["oracle", "--input", k4file, "--uas", "4,0", "--M", str(m), "--trials", "10"]) == 3
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr() == ("", f"error: --M: number of copies {m} must be below 2^32\n")
+
     @pytest.fixture
     def no_pool(self, monkeypatch):
         """Two CPUs, and a process pool that fails the test if it is built."""
@@ -579,8 +590,26 @@ class TestEntryPoints:
             capture_output=True, text=True, env=source_env,
         )
         assert proc.returncode == 3
-        assert proc.stderr == "error: number of copies 2305843009213693951 must be below 2^32 for the design\n"
+        assert proc.stderr == "error: --M: number of copies 2305843009213693951 must be below 2^32\n"
         assert proc.stdout == ""
+
+    def test_out_of_memory_exits_3_without_traceback(self, host33, source_env):
+        # 2^32 - 5 is the largest prime the bound admits; its design lists M - 1 values.
+        # Every run is capped at 2 GiB of address space, so the test never allocates them.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        def design(m):
+            return subprocess.run(
+                [sys.executable, "-m", "mdreloc", "design", "--input", host33, "--M", str(m), "--uas", "4,2"],
+                capture_output=True, text=True, env=source_env, preexec_fn=cap, timeout=60,
+            )
+
+        proc = design(2**32 - 5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+        proc = design(3)
+        assert proc.returncode == 0, proc.stderr
+        assert "final active instances: 0" in proc.stdout
 
     def test_closed_pipe_exits_quietly(self, host33, source_env):
         proc = subprocess.Popen(

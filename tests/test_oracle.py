@@ -411,11 +411,10 @@ class TestMdProfiles:
         prof = md.md_object_profile(inst_4_2, reloc)
         assert prof.components == ((4, 2), (4, 2), (4, 2))
 
-    def test_copies_beyond_one_word_rejected(self, uas_4_2, inst_4_2):
-        # The zero map keeps the instance intact, which would list 2^61 - 1 copies.
-        reloc = md.RelocationMap(2**61 - 1, uas_4_2.incidence)
-        with pytest.raises(ValueError, match=r"^number of copies 2305843009213693951 must be below 2\^32 for the profile$"):
-            md.md_object_profile(inst_4_2, reloc)
+    def test_copies_beyond_one_word_rejected(self, uas_4_2):
+        # The profile of the zero map would list 2^61 - 1 copies; no map with that M is built.
+        with pytest.raises(ValueError, match=r"^number of copies 2305843009213693951 must be below 2\^32$"):
+            md.RelocationMap(2**61 - 1, uas_4_2.incidence)
 
     def test_subgraph_embeds_in_assembled_matrix(self, uas_4_2, inst_4_2):
         reloc = arrangement_2(uas_4_2.incidence)
@@ -452,13 +451,13 @@ class TestMonteCarlo:
 
     def test_copies_beyond_one_word_rejected(self):
         # 2^32 + 15 is prime; randrange would read two words per value.
-        with pytest.raises(ValueError, match=r"^number of copies 4294967311 must be below 2\^32 for the draw$"):
+        with pytest.raises(ValueError, match=r"^number of copies 4294967311 must be below 2\^32$"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 2**32 + 15, trials=10)
 
     def test_huge_prime_refused_at_once(self):
         # The 2^32 bound is tested before the primality of 2^61 - 1.
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match=r"must be below 2\^32 for the draw$"):
+        with pytest.raises(ValueError, match=r"^number of copies 2305843009213693951 must be below 2\^32$"):
             md.monte_carlo_avg(k4_host(), md.UasConfig(4, 0, 3), 2**61 - 1, trials=10)
         assert time.perf_counter() - t0 < 1.0
 

@@ -49,9 +49,6 @@ CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 4104
               314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461]
 STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
                        3825123056546413051]
-# Strong Lucas pseudoprimes with Selfridge's parameters below 10^5 (OEIS A217255).
-STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
-                             75077, 97439]
 
 
 class TestPrimality:
@@ -78,32 +75,10 @@ class TestPrimality:
 
     def test_large_values_known_from_their_factors(self):
         # A strong pseudoprime to the first 12 primes, caught by the 13th (41).
-        assert 399165290221 * 798330580441 == 318665857834031151167461 < relocation._WITNESS_BOUND
+        assert 399165290221 * 798330580441 == 318665857834031151167461
         assert not relocation.is_prime(318665857834031151167461)
         assert relocation.is_prime(2**61 - 1) and relocation.is_prime(2**64 - 59)
         assert not relocation.is_prime((2**31 - 1) * (10**9 + 7))
-
-    @pytest.mark.differential
-    def test_baillie_psw_beyond_the_bound(self, monkeypatch):
-        monkeypatch.setattr(relocation, "_WITNESS_BOUND", 1000)
-        assert [relocation.is_prime(n) for n in range(3000)] == [reference_is_prime(n) for n in range(3000)]
-        monkeypatch.setattr(relocation, "_WITNESS_BOUND", 42)
-        assert [relocation.is_prime(n) for n in range(10**5)] == [reference_is_prime(n) for n in range(10**5)]
-
-    @pytest.mark.differential
-    def test_strong_lucas_test_alone(self):
-        odd = range(43, 10**5, 2)
-        assert [n for n in odd if relocation._strong_lucas(n) != reference_is_prime(n)] == STRONG_LUCAS_PSEUDOPRIMES
-        assert not any(relocation._strong_lucas(n) for n in CARMICHAEL + STRONG_PSEUDOPRIMES if n > 41)
-        assert not relocation._strong_lucas(1009**2)
-
-    def test_primes_above_the_bound(self):
-        t0 = time.perf_counter()
-        assert relocation.is_prime(2**89 - 1) and relocation.is_prime(2**127 - 1)
-        assert 2**89 - 1 > relocation._WITNESS_BOUND
-        assert not relocation.is_prime((2**61 - 1) * (2**89 - 1))
-        assert not relocation.is_prime((2**89 - 1) ** 2) and not relocation.is_prime(2**89 + 1)
-        assert time.perf_counter() - t0 < 1.0
 
 
 class TestRelocationMap:
@@ -111,6 +86,17 @@ class TestRelocationMap:
         for bad in (4, 6, 9, 1, 0):
             with pytest.raises(ValueError):
                 md.RelocationMap(bad, uas_4_2.incidence)
+
+    @pytest.mark.parametrize("m", [2**32 + 15, 2**61 - 1], ids=["2^32+15", "2^61-1"])
+    def test_copies_beyond_one_word_rejected(self, uas_4_2, m):
+        # Both are prime; the bound is tested first.
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^number of copies {m} must be below 2\^32$"):
+            md.RelocationMap(m, uas_4_2.incidence)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_largest_32_bit_prime_accepted(self, uas_4_2):
+        assert md.RelocationMap(2**32 - 5, uas_4_2.incidence).m_copies == 2**32 - 5
 
     def test_host_type_picks_the_unit(self):
         qc = array_host(3, 4, 5)
@@ -230,13 +216,16 @@ class TestRelocFile:
         ("reloc M=x granularity=entry\n", "line 1: malformed header 'reloc M=x granularity=entry'"),
         ("reloc M=3 grain=entry\n", "line 1: malformed header 'reloc M=3 grain=entry'"),
         ("reloc M=4 granularity=entry\n", "line 1: number of copies 4 must be an odd prime"),
+        ("reloc M=4294967311 granularity=entry\n", r"line 1: number of copies 4294967311 must be below 2\^32"),
+        ("reloc M=2305843009213693951 granularity=entry\n",
+         r"line 1: number of copies 2305843009213693951 must be below 2\^32"),
         ("reloc M=3 granularity=entry\ne 4 1 3\n", r"line 2: relocation value 3 out of range \[0, 3\)"),
         ("reloc M=3 granularity=entry\ne 4 1\n", "line 2: expected 'c bi bj ell' or 'e row col ell', got 'e 4 1'"),
         ("reloc M=3 granularity=entry\ne 4 1 x\n", "line 2: expected integers in 'e row col ell', got 'e 4 1 x'"),
         ("reloc M=3 granularity=entry\n\nc 0 1.5 2\n",
          "line 3: expected integers in 'c bi bj ell', got 'c 0 1.5 2'"),
-    ], ids=["empty", "blank", "header-value", "header-key", "copies", "value-range", "unit-form",
-            "entry-token", "circulant-token"])
+    ], ids=["empty", "blank", "header-value", "header-key", "copies", "copies-2^32+15", "copies-2^61-1",
+            "value-range", "unit-form", "entry-token", "circulant-token"])
     def test_rejections(self, uas_4_2, text, message):
         with pytest.raises(md.ParseError, match=f"^{message}$"):
             md.parse_reloc(text, uas_4_2.incidence)
